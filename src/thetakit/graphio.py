@@ -11,10 +11,15 @@ is the identity on labeled graphs in both formats.  Malformed input raises
 from __future__ import annotations
 
 import json
+import re
 
 from .graphs import Graph, build_graph
 
 _HEADER = b">>graph6<<"
+# An edge-JSON object opens with a key or is empty.  graph6 of a 60-vertex
+# graph also starts with "{" (60 + 63), but continues with bytes in 63..126,
+# which hold "}" yet no whitespace or '"'; so "}" counts only at the end.
+_JSON_OPEN = re.compile(rb'\{\s*("|\}\s*\Z)')
 
 
 class FormatError(ValueError):
@@ -34,8 +39,9 @@ def _coerce_bytes(data: bytes | str) -> bytes:
 
 
 def sniff_format(data: bytes | str) -> str:
+    """``"edge-json"`` for an object that opens with a key or is empty, else ``"graph6"``."""
     head = _coerce_bytes(data).lstrip()
-    return "edge-json" if head.startswith(b"{") else "graph6"
+    return "edge-json" if _JSON_OPEN.match(head) else "graph6"
 
 
 def parse_graph(data: bytes | str, fmt: str | None = None) -> Graph:

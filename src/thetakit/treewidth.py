@@ -2,9 +2,20 @@
 
 The main solver runs branch-and-bound over elimination orderings, sandwiched
 between a degeneracy lower bound and a min-fill upper bound, and returns a
-decomposition built from the winning order.  A separate subset dynamic
-program recomputes the width from scratch for cross-checking; the two share
-no search state.
+decomposition built from the winning order.
+
+Every step works on the elimination graph: a filled adjacency list ``fadj``
+in which, once a vertex set S has been eliminated, ``fadj[v] & remaining``
+is v's neighbourhood among the vertices not in S.  ``_eliminate`` is its one
+update: it turns the eliminated vertex's live neighbourhood into a clique.
+That neighbourhood depends only on S, not on the order S was eliminated in,
+so the search carries the list down its recursion, copying it for a child
+only once the child survives the base case and the memo of failed vertex
+sets, and each fill neighbourhood is a lookup.  Preprocessing, the min-fill
+bound and the decomposition built from an order use the same update.
+
+A separate subset dynamic program recomputes the width from scratch for
+cross-checking; the two share no search state.
 """
 
 from __future__ import annotations
@@ -12,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .detectors import CapExceeded, _check_cap
-from .graphs import Graph, build_graph, iter_bits
+from .graphs import Graph, build_graph, connected_components, iter_bits
 
 TREEWIDTH_CAP = 32
 DP_CAP = 16
@@ -34,17 +45,7 @@ def validate_decomposition(g: Graph, d: TreeDecomposition) -> bool:
     t = d.tree
     if t.n == 0 or len(d.bags) != t.n:
         return False
-    if t.m != t.n - 1:
-        return False
-    seen = 1
-    frontier = 1
-    while frontier:
-        grown = seen
-        for v in iter_bits(frontier):
-            grown |= t.adj[v]
-        frontier = grown & ~seen
-        seen = grown
-    if seen != t.full_mask:
+    if t.m != t.n - 1 or len(connected_components(t)) != 1:
         return False
     cover = 0
     for b in d.bags:
@@ -76,20 +77,17 @@ def validate_decomposition(g: Graph, d: TreeDecomposition) -> bool:
     return True
 
 
-def _reach(g: Graph, v: int, remaining: int) -> int:
-    # Remaining vertices adjacent to v directly or through eliminated ones.
-    elim = g.full_mask & ~remaining
-    seen = 1 << v
-    frontier = g.adj[v]
-    out = 0
-    while frontier:
-        out |= frontier & remaining
-        seen |= frontier
-        nxt = 0
-        for u in iter_bits(frontier & elim):
-            nxt |= g.adj[u]
-        frontier = nxt & ~seen
-    return out & ~(1 << v)
+def _eliminate(fadj: list[int], v: int, remaining: int) -> int:
+    """Eliminate v from the elimination graph ``fadj``, in place.
+
+    Joins v's neighbours among ``remaining`` into a clique and returns that
+    neighbourhood.  Bits of eliminated vertices stay in ``fadj``; readers mask
+    with the vertices still remaining.
+    """
+    nb = fadj[v] & remaining
+    for u in iter_bits(nb):
+        fadj[u] |= nb & ~(1 << u)
+    return nb
 
 
 def _degeneracy(g: Graph) -> int:
@@ -141,10 +139,7 @@ def _min_fill_order(g: Graph) -> tuple[int, list[int]]:
             if choice is None or key < choice:
                 choice = key
                 pick = v
-        nb = adj[pick] & remaining
-        width = max(width, nb.bit_count())
-        for u in iter_bits(nb):
-            adj[u] |= nb & ~(1 << u)
+        width = max(width, _eliminate(adj, pick, remaining).bit_count())
         remaining &= ~(1 << pick)
         order.append(pick)
     return width, order
@@ -157,10 +152,11 @@ def _preprocess(g: Graph, low: int) -> tuple[list[int], int, list[int], int]:
     neighborhood is a clique, raising the lower bound to its degree) and the
     almost-simplicial rule (eliminate a vertex whose neighborhood minus one
     vertex is a clique, provided its degree is at most the current lower
-    bound), filling the missing pairs exactly as elimination would.  Both
-    preserve max(tw(reduced), low) = tw(g), so the eliminated vertices form
-    a prefix of an optimal elimination order of g.  Returns that prefix, the
-    mask of surviving vertices, their filled adjacency, and the new bound.
+    bound), eliminating with the search's own update, which fills the
+    missing pairs.  Both preserve max(tw(reduced), low) = tw(g), so the
+    eliminated vertices form a prefix of an optimal elimination order of g.
+    Returns that prefix, the mask of surviving vertices, their filled
+    adjacency, and the new bound.
     """
     adj = list(g.adj)
     alive = g.full_mask
@@ -177,13 +173,10 @@ def _preprocess(g: Graph, low: int) -> tuple[list[int], int, list[int], int]:
             d = nb.bit_count()
             if not missing:
                 low = max(low, d)
-            elif d <= low and set.intersection(*(set(p) for p in missing)):
-                # All missing pairs share a vertex, so the rest is a clique.
-                for u, w in missing:
-                    adj[u] |= 1 << w
-                    adj[w] |= 1 << u
-            else:
+            elif d > low or not set.intersection(*(set(p) for p in missing)):
+                # Almost simplicial needs a vertex common to every missing pair.
                 continue
+            _eliminate(adj, v, alive)
             alive &= ~(1 << v)
             prefix.append(v)
             changed = True
@@ -192,52 +185,61 @@ def _preprocess(g: Graph, low: int) -> tuple[list[int], int, list[int], int]:
 
 def _decide(g: Graph, k: int) -> list[int] | None:
     """An elimination order of back-degree at most k, or None."""
+    if g.n <= k + 1:
+        return list(range(g.n))
     failed: set[int] = set()
     order: list[int] = []
 
-    def rec(remaining: int) -> bool:
-        if remaining.bit_count() <= k + 1:
-            order.extend(iter_bits(remaining))
-            return True
-        if remaining in failed:
-            return False
-        reach = {v: _reach(g, v, remaining) for v in iter_bits(remaining)}
+    def rec(remaining: int, fadj: list[int]) -> bool:
+        # remaining is above the base case and not known to fail.
         cands = []
-        for v, rs in reach.items():
+        for v in iter_bits(remaining):
+            rs = fadj[v] & remaining
             d = rs.bit_count()
             if d > k:
                 continue
             # Eliminating a vertex whose fill neighborhood is a clique is
             # always safe, so commit to it without trying alternatives.
-            if all(rs & ~(1 << u) & ~reach[u] == 0 for u in iter_bits(rs)):
-                order.append(v)
-                if rec(remaining & ~(1 << v)):
+            if all(rs & ~fadj[u] == 1 << u for u in iter_bits(rs)):
+                if branch(remaining, fadj, v):
                     return True
-                order.pop()
                 failed.add(remaining)
                 return False
             cands.append((d, v))
         for _, v in sorted(cands):
-            order.append(v)
-            if rec(remaining & ~(1 << v)):
+            if branch(remaining, fadj, v):
                 return True
-            order.pop()
         failed.add(remaining)
         return False
 
-    return order if rec(g.full_mask) else None
+    def branch(remaining: int, fadj: list[int], v: int) -> bool:
+        child = remaining & ~(1 << v)
+        order.append(v)
+        if child.bit_count() <= k + 1:
+            order.extend(iter_bits(child))
+            return True
+        if child not in failed:
+            filled = fadj.copy()
+            _eliminate(filled, v, child)
+            if rec(child, filled):
+                return True
+        order.pop()
+        return False
+
+    return order if rec(g.full_mask, list(g.adj)) else None
 
 
 def _decomposition_from_order(g: Graph, order: list[int]) -> TreeDecomposition:
     pos = {v: i for i, v in enumerate(order)}
+    fadj = list(g.adj)
     remaining = g.full_mask
     bags = []
     reaches = []
     for v in order:
-        rs = _reach(g, v, remaining)
+        remaining &= ~(1 << v)
+        rs = _eliminate(fadj, v, remaining)
         bags.append(rs | (1 << v))
         reaches.append(rs)
-        remaining &= ~(1 << v)
     edges = []
     for i, rs in enumerate(reaches):
         if rs:

@@ -1,8 +1,9 @@
 """Independent brute-force answers used to check the library's searches.
 
-Everything here recomputes results from definitions using subset or
-permutation enumeration and deliberately shares no logic with the package's
-search code.  Only usable at toy sizes (n at most about 10).
+Everything here recomputes results from definitions, by subset or
+permutation enumeration or by plain graph search, and deliberately shares
+no logic with the package's search code.  The enumerations are only usable
+at toy sizes (n at most about 10).
 """
 
 from __future__ import annotations
@@ -214,3 +215,22 @@ def fanout_choices_exist(d, chosen, q: int, r: int) -> bool:
         ):
             return False
     return True
+
+
+def fill_neighbourhood_bfs(g: Graph, v: int, remaining: int) -> int:
+    """v's neighbours in the elimination graph once every vertex outside
+    ``remaining`` is eliminated: the vertices of ``remaining`` other than v
+    joined to v by a path whose interior avoids ``remaining``.  Found by a
+    breadth-first search through the eliminated vertices."""
+    elim = g.full_mask & ~remaining
+    seen = 1 << v
+    frontier = g.adj[v]
+    out = 0
+    while frontier:
+        out |= frontier & remaining
+        seen |= frontier
+        nxt = 0
+        for u in _bits(frontier & elim):
+            nxt |= g.adj[u]
+        frontier = nxt & ~seen
+    return out & ~(1 << v)

@@ -1,8 +1,10 @@
 """Exact treewidth solver against frozen values and the independent DP."""
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from networkx.algorithms.approximation import treewidth_min_degree, treewidth_min_fill_in
 
 from thetakit.generators import (
     complete_bipartite,
@@ -21,10 +23,14 @@ from thetakit.graphs import build_graph, mask_of
 from thetakit.detectors import CapExceeded
 from thetakit.treewidth import (
     TreeDecomposition,
+    _decide,
+    _eliminate,
     treewidth_dp,
     treewidth_exact,
     validate_decomposition,
 )
+
+import oracles
 
 
 def solved(g, cap=32):
@@ -162,3 +168,64 @@ def test_subgraph_monotone(n, seed):
     g = random_graph(n, 0.5, seed)
     sub = build_graph(g.n - 1, [(u, v) for u, v in g.edges() if v < g.n - 1])
     assert treewidth_exact(sub)[0] <= treewidth_exact(g)[0]
+
+
+@st.composite
+def graphs_with_orders(draw, max_n=14):
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    p = draw(st.sampled_from([0.15, 0.3, 0.5, 0.8]))
+    g = random_graph(n, p, draw(st.integers(min_value=0, max_value=2 ** 30)))
+    return g, draw(st.permutations(range(n)))
+
+
+@given(graphs_with_orders())
+@settings(max_examples=60, deadline=None)
+def test_eliminate_matches_bfs_oracle(case):
+    g, order = case
+    fadj = list(g.adj)
+    remaining = g.full_mask
+    for v in order:
+        remaining &= ~(1 << v)
+        assert _eliminate(fadj, v, remaining) == oracles.fill_neighbourhood_bfs(g, v, remaining | 1 << v)
+        for u in range(g.n):
+            if remaining >> u & 1:
+                assert fadj[u] & remaining == oracles.fill_neighbourhood_bfs(g, u, remaining)
+
+
+def back_degree(g, order):
+    remaining = g.full_mask
+    worst = 0
+    for v in order:
+        worst = max(worst, oracles.fill_neighbourhood_bfs(g, v, remaining).bit_count())
+        remaining &= ~(1 << v)
+    return worst
+
+
+class TestBranchingSearch:
+    # Deciding one below the width on these graphs exhausts 68 to 7,099
+    # branches; on the two largest, treewidth_exact's own search branches too.
+    @pytest.mark.parametrize(
+        "n,p,seed", [(13, 0.4, 2), (14, 0.4, 3), (15, 0.4, 3), (16, 0.4, 0)]
+    )
+    def test_agrees_with_dp(self, n, p, seed):
+        g = random_graph(n, p, seed)
+        tw = treewidth_dp(g)
+        assert solved(g) == tw
+        assert _decide(g, tw - 1) is None
+        order = _decide(g, tw)
+        assert sorted(order) == list(range(n))
+        assert back_degree(g, order) <= tw
+
+    # Past the lower bounds, the search visits 176 to 1,145 nodes on each.
+    @pytest.mark.parametrize(
+        "n,p,seed",
+        [(21, 0.2, 1), (21, 0.25, 1), (22, 0.2, 1), (23, 0.2, 2), (24, 0.15, 2), (24, 0.2, 1)],
+    )
+    def test_within_networkx_heuristics(self, n, p, seed):
+        g = random_graph(n, p, seed)
+        h = nx.Graph()
+        h.add_nodes_from(range(n))
+        h.add_edges_from(g.edges())
+        tw = solved(g)
+        assert tw <= treewidth_min_fill_in(h)[0]
+        assert tw <= treewidth_min_degree(h)[0]
