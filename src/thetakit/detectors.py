@@ -24,7 +24,9 @@ from .graphs import (
     is_induced_path,
     is_stable_set,
     iter_bits,
+    iter_induced_paths,
     mask_of,
+    max_disjoint_paths,
     neighborhood_mask,
     path_family_violation,
 )
@@ -45,7 +47,8 @@ class CapExceeded(RuntimeError):
         self.cap = cap
 
 
-def _check_cap(op: str, size: int, cap: int | None) -> None:
+def check_cap(op: str, size: int, cap: int | None) -> None:
+    """Raise :class:`CapExceeded` for op when size is above a cap (None: no cap)."""
     if cap is not None and size > cap:
         raise CapExceeded(op, size, cap)
 
@@ -91,7 +94,7 @@ def find_induced(host: Graph, pattern: Graph, cap: int | None = None) -> Embeddi
     valid embeddings.  Backtracking with degree pruning and forward
     neighborhood filtering; None is exhaustive.
     """
-    _check_cap("find_induced", host.n, cap)
+    check_cap("find_induced", host.n, cap)
     p, n = pattern.n, host.n
     if p > n:
         return None
@@ -126,26 +129,6 @@ def find_induced(host: Graph, pattern: Graph, cap: int | None = None) -> Embeddi
     if extend(0):
         return Embedding(pattern, tuple(phi))
     return None
-
-
-def _iter_induced_paths(g: Graph, src: int, dst: int, allowed: int):
-    """Yield every induced src-dst path whose interior lies inside ``allowed``.
-
-    Paths come out in depth-first order with candidates ascending, completing
-    at dst before extending.  A vertex adjacent to dst can only be the last
-    interior vertex, which prunes every doomed branch immediately.
-    """
-    adj = g.adj
-    dbit = 1 << dst
-
-    def extend(last: int, path: tuple[int, ...], banned: int):
-        if adj[last] & dbit:
-            yield path + (dst,)
-            return
-        for c in iter_bits(adj[last] & allowed & ~banned):
-            yield from extend(c, path + (c,), banned | adj[last] | (1 << c))
-
-    yield from extend(src, (src,), 1 << src)
 
 
 @dataclass(frozen=True)
@@ -185,7 +168,7 @@ def find_theta(g: Graph, cap: int | None = THETA_PRISM_CAP) -> ThetaWitness | No
     restricted to vertices anticomplete to the interiors already chosen, so
     any completed triple is a theta by construction.  None is exhaustive.
     """
-    _check_cap("find_theta", g.n, cap)
+    check_cap("find_theta", g.n, cap)
     full = g.full_mask
     degs = [g.adj[v].bit_count() for v in range(g.n)]
     for x in range(g.n):
@@ -196,13 +179,13 @@ def find_theta(g: Graph, cap: int | None = THETA_PRISM_CAP) -> ThetaWitness | No
                 continue
             ends = (1 << x) | (1 << y)
             allowed1 = full & ~ends
-            for p1 in _iter_induced_paths(g, x, y, allowed1):
+            for p1 in iter_induced_paths(g, x, y, allowed1):
                 i1 = mask_of(p1[1:-1])
                 allowed2 = allowed1 & ~i1 & ~neighborhood_mask(g, i1)
-                for p2 in _iter_induced_paths(g, x, y, allowed2):
+                for p2 in iter_induced_paths(g, x, y, allowed2):
                     i2 = mask_of(p2[1:-1])
                     allowed3 = allowed2 & ~i2 & ~neighborhood_mask(g, i2)
-                    for p3 in _iter_induced_paths(g, x, y, allowed3):
+                    for p3 in iter_induced_paths(g, x, y, allowed3):
                         return ThetaWitness(x, y, (p1, p2, p3))
     return None
 
@@ -222,7 +205,7 @@ def find_prism(g: Graph, cap: int | None = THETA_PRISM_CAP) -> Embedding | None:
     l1 <= l2 <= l3 (covering every prism up to isomorphism) and matched with
     find_induced, so the result is an exact induced embedding.
     """
-    _check_cap("find_prism", g.n, cap)
+    check_cap("find_prism", g.n, cap)
     if not _has_triangle(g):
         return None
     for total in range(6, g.n + 1):
@@ -270,7 +253,7 @@ def find_biclique(g: Graph, s: int, cap: int | None = THETA_PRISM_CAP) -> Embedd
     """
     if s < 1:
         raise ValueError("side size must be positive")
-    _check_cap("find_biclique", g.n, cap)
+    check_cap("find_biclique", g.n, cap)
     full = g.full_mask
 
     def stable_subset(region: int, need: int, acc: list[int]) -> bool:
@@ -365,7 +348,7 @@ def find_constellation(
     """
     if s < 1 or l < 1:
         raise ValueError("need at least one center and one component")
-    _check_cap("find_constellation", g.n, cap)
+    check_cap("find_constellation", g.n, cap)
     full = g.full_mask
 
     def paths_in(region: int):
@@ -429,13 +412,13 @@ def three_in_a_tree(
         raise ValueError("needs at least three vertices")
     if not is_stable_set(g, mask_of(zs)):
         raise ValueError("the set must be stable")
-    _check_cap("three_in_a_tree", g.n, cap)
+    check_cap("three_in_a_tree", g.n, cap)
     full = g.full_mask
     for a, b, c in itertools.combinations(zs, 3):
         tri = mask_of((a, b, c))
         for u, w, mid in ((a, b, c), (a, c, b), (b, c, a)):
             allowed = full & ~(1 << u) & ~(1 << w)
-            for p in _iter_induced_paths(g, u, w, allowed):
+            for p in iter_induced_paths(g, u, w, allowed):
                 if mask_of(p) >> mid & 1:
                     return tuple(sorted(p))
         base = full & ~tri
@@ -443,17 +426,17 @@ def three_in_a_tree(
             if g.adj[v].bit_count() < 3:
                 continue
             allowed0 = base & ~(1 << v)
-            for la in _iter_induced_paths(g, v, a, allowed0):
+            for la in iter_induced_paths(g, v, a, allowed0):
                 arest = mask_of(la) & ~(1 << v)
                 ablock = arest | neighborhood_mask(g, arest)
                 if ablock & ((1 << b) | (1 << c)):
                     continue
-                for lb in _iter_induced_paths(g, v, b, allowed0 & ~ablock):
+                for lb in iter_induced_paths(g, v, b, allowed0 & ~ablock):
                     brest = mask_of(lb) & ~(1 << v)
                     bblock = brest | neighborhood_mask(g, brest)
                     if bblock >> c & 1:
                         continue
-                    for lc in _iter_induced_paths(g, v, c, allowed0 & ~ablock & ~bblock):
+                    for lc in iter_induced_paths(g, v, c, allowed0 & ~ablock & ~bblock):
                         return tuple(sorted({v, *la, *lb, *lc}))
     return None
 
@@ -521,7 +504,7 @@ def excludes_wall_line_graphs(
     """
     if r < 1:
         raise ValueError("wall size must be positive")
-    _check_cap("excludes_wall_line_graphs", g.n, cap)
+    check_cap("excludes_wall_line_graphs", g.n, cap)
     if r >= 3 and not _has_triangle(g):
         # wall(r) has branch vertices only from r = 3 on; each one puts a
         # triangle into every subdivision's line graph.
@@ -590,53 +573,13 @@ def max_path_fan(g: Graph, y: int, z) -> int:
     """Maximum number of y-to-z paths pairwise disjoint except at y.
 
     Paths are plain (not necessarily induced) and must end at distinct
-    vertices of z, which disjointness outside y already forces.  Computed as
-    a unit-capacity flow with split vertices.
+    vertices of z, which disjointness outside y already forces.  Computed
+    by the shared flow :func:`~thetakit.graphs.max_disjoint_paths` from the
+    neighbours of y to z, with y itself removed.
     """
+    if not 0 <= y < g.n:
+        raise ValueError("the hub must be a vertex of the graph")
     zs = sorted(set(z))
     if y in zs:
         raise ValueError("the hub must lie outside the target set")
-    if not zs:
-        return 0
-    # Node ids: y -> 'S', sink 'T', (v, 0) entry and (v, 1) exit for v != y.
-    cap: dict[tuple, dict[tuple, int]] = {}
-
-    def add(u, v, c):
-        cap.setdefault(u, {})[v] = cap.setdefault(u, {}).get(v, 0) + c
-        cap.setdefault(v, {}).setdefault(u, 0)
-
-    for v in range(g.n):
-        if v != y:
-            add((v, 0), (v, 1), 1)
-    for u, v in g.edges():
-        if u == y:
-            add("S", (v, 0), 1)
-        elif v == y:
-            add("S", (u, 0), 1)
-        else:
-            add((u, 1), (v, 0), 1)
-            add((v, 1), (u, 0), 1)
-    for t in zs:
-        # Leaving from the exit copy makes a terminating path consume the
-        # vertex, so no other path may reuse it as an interior vertex.
-        add((t, 1), "T", 1)
-
-    flow = 0
-    while True:
-        parent = {"S": None}
-        queue = ["S"]
-        while queue and "T" not in parent:
-            u = queue.pop(0)
-            for v, c in cap.get(u, {}).items():
-                if c > 0 and v not in parent:
-                    parent[v] = u
-                    queue.append(v)
-        if "T" not in parent:
-            return flow
-        v = "T"
-        while parent[v] is not None:
-            u = parent[v]
-            cap[u][v] -= 1
-            cap[v][u] += 1
-            v = u
-        flow += 1
+    return max_disjoint_paths(g, g.adj[y], mask_of(zs), g.full_mask & ~(1 << y))

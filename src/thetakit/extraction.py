@@ -36,20 +36,22 @@ from typing import Callable, Sequence
 
 from .bigconst import TowerInt, evaluate, nat, normalize, sigma, tower_compare, tree_constants
 from .detectors import (
-    CapExceeded,
     Embedding,
     ThetaWitness,
+    check_cap,
     clique_number,
     find_biclique,
     find_induced,
     theta_witness_violation,
     three_in_a_tree,
 )
+from .generators import complement
 from .graphs import (
     ABTreeCert,
     Digraph,
     Graph,
     PathFamily,
+    bfs_layers,
     build_digraph,
     build_graph,
     connected_components,
@@ -57,6 +59,7 @@ from .graphs import (
     is_clique,
     is_stable_set,
     iter_bits,
+    iter_induced_paths,
     mask_of,
     path_family_violation,
     relabel,
@@ -64,11 +67,6 @@ from .graphs import (
 
 EXTRACTION_CAP = 48
 FANOUT_CAP = 200_000
-
-
-def _guard(op: str, size: int, cap: int | None) -> None:
-    if cap is not None and size > cap:
-        raise CapExceeded(op, size, cap)
 
 
 @dataclass(frozen=True)
@@ -173,7 +171,7 @@ def witness_violation(g: Graph, w: PreconditionWitness) -> str | None:
 
 
 # --------------------------------------------------------------------------
-# threshold policies
+# threshold policies: an ambient clique bound ``t`` and ``value(name, default)``
 
 
 class PaperThresholds:
@@ -201,8 +199,12 @@ class FixedThresholds:
     fanout_high, stable_size, clique_bound, family_size, x_minus, zeta_0,
     zeta_1, zeta_2, gamma_stable, xi_0, xi_1, xi_2.  Unlisted names fall back
     to ``default``.  A value of zero lets the gate pass on any input and
-    shrinks extraction targets to their structural minimum.
+    shrinks extraction targets to their structural minimum.  The clique
+    bound ``t`` is 3, the paper policy's default; no default formula is ever
+    evaluated here, so it only completes the policy interface.
     """
+
+    t = 3
 
     def __init__(self, default: int = 0, **named: int):
         if default < 0 or any(v < 0 for v in named.values()):
@@ -228,6 +230,11 @@ def _amount(value, minimum: int) -> int | None:
             return None
         return max(concrete, minimum)
     return max(value, minimum)
+
+
+def _clique_bound(policy) -> int:
+    # The clique bound the descent formulas raise to powers, at least 3.
+    return _amount(policy.value("clique_bound", lambda: nat(policy.t)), 3)
 
 
 def _gate(steps, policy, op, name, default, available):
@@ -303,23 +310,14 @@ def ramsey_extract(g: Graph, t: int, alpha: int) -> Outcome:
     return _ramsey(g, t, alpha, steps)
 
 
-def _complement(g: Graph) -> Graph:
-    edges = []
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if not g.has_edge(u, v):
-                edges.append((u, v))
-    return build_graph(g.n, edges)
-
-
 def _max_stable(g: Graph) -> tuple[int, tuple[int, ...]]:
-    return clique_number(_complement(g))
+    return clique_number(complement(g))
 
 
 def _eh(g: Graph, s: int, t: int, alpha: int, steps: list, cap: int | None) -> Outcome:
     if s < 1 or t < 1 or alpha < 1:
         raise ValueError("all three targets must be positive")
-    _guard("eh_extract", g.n, cap)
+    check_cap("eh_extract", g.n, cap)
     size, stable = _max_stable(g)
     if size >= alpha:
         steps.append(TraceStep("eh_extract", "choose", "stable", stable))
@@ -354,7 +352,7 @@ def _digraph_stable(d: Digraph, r: int, s: int, steps: list, cap: int | None) ->
         raise ValueError("the degree bound must be nonnegative and the target positive")
     low = [v for v in range(d.n) if d.out_degree(v) <= r]
     steps.append(TraceStep("digraph_stable", "choose", "low", tuple(low)))
-    _guard("digraph_stable", len(low), cap)
+    check_cap("digraph_stable", len(low), cap)
     edges = []
     for i, u in enumerate(low):
         for j in range(i + 1, len(low)):
@@ -405,7 +403,7 @@ def _digraph_fanout(d: Digraph, q: int, r: int, s: int, steps: list, cap: int | 
     high = [v for v in range(d.n) if d.out_degree(v) >= q * r]
     steps.append(TraceStep("digraph_fanout", "choose", "high", tuple(high)))
     if len(high) >= s:
-        _guard("digraph_fanout", math.comb(len(high), s) * math.comb(s, q), cap)
+        check_cap("digraph_fanout", math.comb(len(high), s) * math.comb(s, q), cap)
         for cand in itertools.combinations(high, s):
             forbidden = mask_of(cand)
             if all(
@@ -433,6 +431,11 @@ def digraph_fanout(d: Digraph, q: int, r: int, s: int, cap: int | None = FANOUT_
 # anticomplete families
 
 
+def _biclique_back(back: Sequence[int], side_a, side_b) -> Biclique:
+    """A biclique found in an induced subgraph, in the labels of its host."""
+    return Biclique(tuple(sorted(back[v] for v in side_a)), tuple(sorted(back[v] for v in side_b)))
+
+
 def _mapped_eh(g: Graph, verts: Sequence[int], s: int, t: int, alpha: int, steps: list, cap: int | None = EXTRACTION_CAP):
     """Run the stable-first search on G[verts] and translate back the labels."""
     sub, back = induced_subgraph(g, verts)
@@ -441,11 +444,7 @@ def _mapped_eh(g: Graph, verts: Sequence[int], s: int, t: int, alpha: int, steps
         kind, payload = out.value
         if kind == "stable" or kind == "clique":
             return Success((kind, tuple(back[v] for v in payload)), out.trace)
-        w = Biclique(
-            tuple(sorted(back[v] for v in payload.side_a)),
-            tuple(sorted(back[v] for v in payload.side_b)),
-        )
-        return Success(("biclique", w), out.trace)
+        return Success(("biclique", _biclique_back(back, payload.side_a, payload.side_b)), out.trace)
     return out
 
 
@@ -461,10 +460,7 @@ def _family_fallback(g: Graph, w_sets, s: int, t_like: int, steps: list, fallthr
         sub, back = induced_subgraph(g, union)
         emb = find_biclique(sub, s)
         if emb is not None:
-            w = Biclique(
-                tuple(sorted(back[v] for v in emb.phi[:s])),
-                tuple(sorted(back[v] for v in emb.phi[s:])),
-            )
+            w = _biclique_back(back, emb.phi[:s], emb.phi[s:])
             steps.append(TraceStep("anticomplete_family", "choose", "fallback_biclique", (w.side_a, w.side_b)))
             return PreconditionWitness("biclique", w, tuple(steps))
         size, clique = clique_number(sub)
@@ -636,7 +632,7 @@ def _anticomplete(g: Graph, sets, alpha: int, s: int, policy, steps: list) -> Ou
                 raise ValueError(f"sets {i} and {j} overlap")
     if alpha < 1 or s < 1:
         raise ValueError("the targets must be positive")
-    t_like = _amount(policy.value("clique_bound", lambda: nat(getattr(policy, "t", 3))), 3)
+    t_like = _clique_bound(policy)
     r = max(len(x) for x in clean)
     steps.append(TraceStep(op, "branch", "r", (r, alpha, s)))
 
@@ -742,22 +738,6 @@ def _viable_paths(a: int, depth: int) -> int:
     return size
 
 
-def _tree_paths(adj: dict[int, list[int]], src: int, dst: int) -> list[int]:
-    seen = {src: src}
-    queue = [src]
-    for v in queue:
-        if v == dst:
-            break
-        for u in adj[v]:
-            if u not in seen:
-                seen[u] = v
-                queue.append(u)
-    path = [dst]
-    while path[-1] != src:
-        path.append(seen[path[-1]])
-    return path[::-1]
-
-
 def _low_branch_theta(g: Graph, x: int, chosen_paths, steps: list) -> Outcome:
     op = "grow_ab_tree"
     region = sorted(set().union(*(set(p) for p in chosen_paths)) - {x})
@@ -771,10 +751,11 @@ def _low_branch_theta(g: Graph, x: int, chosen_paths, steps: list) -> Outcome:
         return ThresholdUnmet("three_in_tree", 1, 0, tuple(steps))
     tset = set(tree)
     tips = sorted(tset & set(z))[:3]
-    adj = {v: [u for u in iter_bits(sub.adj[v]) if u in tset] for v in tree}
-    p01 = _tree_paths(adj, tips[0], tips[1])
-    p02 = _tree_paths(adj, tips[0], tips[2])
-    p12 = _tree_paths(adj, tips[1], tips[2])
+    # In an induced tree the unique path between two tips is its one induced path.
+    tmask = mask_of(tree)
+    p01 = next(iter_induced_paths(sub, tips[0], tips[1], tmask))
+    p02 = next(iter_induced_paths(sub, tips[0], tips[2], tmask))
+    p12 = next(iter_induced_paths(sub, tips[1], tips[2], tmask))
     meet = set(p01) & set(p02) & set(p12)
     if len(meet) != 1:
         raise RuntimeError("the family tips must have a single meeting vertex")
@@ -806,7 +787,7 @@ def _grow(g, x, y, fam, a, b, child_count, policy, steps):
 
     def path_count():
         _, mu, lam = consts(b)
-        return mu * nat(getattr(policy, "t", 3)) ** lam
+        return mu * nat(policy.t) ** lam
 
     unmet = _gate(steps, policy, op, "path_count", path_count, len(fam.paths))
     if unmet is not None:
@@ -815,7 +796,7 @@ def _grow(g, x, y, fam, a, b, child_count, policy, steps):
         steps.append(TraceStep(op, "choose", "T", (x,)))
         return _Subtree(x, (x,), ())
 
-    t_like = _amount(policy.value("clique_bound", lambda: nat(getattr(policy, "t", 3))), 3)
+    t_like = _clique_bound(policy)
     tips = fam.tips()
 
     def q_default():
@@ -988,16 +969,6 @@ def _completed_tree(h: Graph) -> Graph:
     return build_graph(h.n + 1, edges)
 
 
-def _bfs_order(g: Graph, root: int) -> list[int]:
-    order = [root]
-    seen = 1 << root
-    for v in order:
-        for u in iter_bits(g.adj[v] & ~seen):
-            seen |= 1 << u
-            order.append(u)
-    return order
-
-
 def embed_forest(g: Graph, x: int, y: int, fam: PathFamily, h: Graph, thresholds=None) -> Outcome:
     """An induced copy of the forest h inside the union of an x-y path family.
 
@@ -1026,7 +997,7 @@ def embed_forest(g: Graph, x: int, y: int, fam: PathFamily, h: Graph, thresholds
     if not isinstance(out, _Subtree):
         return out
     sub, back = induced_subgraph(g, out.vertices)
-    order = _bfs_order(hplus, h.n)
+    order = [v for layer in bfs_layers(hplus, h.n) for v in iter_bits(layer)]
     perm = [0] * hplus.n
     for where, v in enumerate(order):
         perm[v] = where

@@ -1,10 +1,9 @@
 """Parameterized graph families and deterministic graph operations.
 
 Numbering conventions are part of each generator's contract and are relied on
-by tests and by the command line tool: generators never shuffle, and the
-seeded constructions draw from ``random.Random`` (Mersenne Twister) over
-vertex pairs or edges in lexicographic order, so a seed pins down the output
-exactly.
+by the tests: generators never shuffle, and the seeded constructions draw
+from ``random.Random`` (Mersenne Twister) over vertex pairs or edges in
+lexicographic order, so a seed pins down the output exactly.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from .graphs import (
     Graph,
     build_graph,
     connected_components,
-    is_ab_tree,
     is_stable_set,
     iter_bits,
     mask_of,

@@ -13,6 +13,7 @@ certificates.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -320,6 +321,70 @@ def bfs_layers(g: Graph, root: int, within: int | None = None) -> list[int]:
             layers.append(frontier)
             seen |= frontier
     return layers
+
+
+def iter_induced_paths(g: Graph, src: int, dst: int, allowed: int):
+    """Yield every induced src-dst path whose interior lies inside ``allowed``.
+
+    Paths come out in depth-first order with candidates ascending, completing
+    at dst before extending.  A vertex adjacent to dst can only be the last
+    interior vertex, which prunes every doomed branch immediately.
+    """
+    adj = g.adj
+    dbit = 1 << dst
+
+    def extend(last: int, path: tuple[int, ...], banned: int):
+        if adj[last] & dbit:
+            yield path + (dst,)
+            return
+        for c in iter_bits(adj[last] & allowed & ~banned):
+            yield from extend(c, path + (c,), banned | adj[last] | (1 << c))
+
+    yield from extend(src, (src,), 1 << src)
+
+
+def max_disjoint_paths(g: Graph, sources: int, sinks: int, within: int) -> int:
+    """Most pairwise vertex-disjoint paths in G[within] from sources to sinks.
+
+    Each path runs from a vertex of ``sources`` to a vertex of ``sinks``
+    through ``within`` only; a vertex in both masks is a one-vertex path.
+    Paths are plain, not necessarily induced.  This is Menger's value,
+    computed as an Edmonds-Karp unit-capacity flow with every vertex split
+    into an entry and an exit.
+    """
+    arcs: dict[object, dict[object, int]] = {}
+
+    def add(a, b):
+        arcs.setdefault(a, {})[b] = 1
+        arcs.setdefault(b, {}).setdefault(a, 0)
+
+    for v in iter_bits(sources & within):
+        add("S", (v, 0))
+    for v in iter_bits(sinks & within):
+        add((v, 1), "T")
+    for v in iter_bits(within):
+        add((v, 0), (v, 1))
+        for u in iter_bits(g.adj[v] & within):
+            add((v, 1), (u, 0))
+    flow = 0
+    while True:
+        prev = {"S": None}
+        queue = deque(["S"])
+        while queue and "T" not in prev:
+            a = queue.popleft()
+            for b, c in arcs.get(a, {}).items():
+                if c > 0 and b not in prev:
+                    prev[b] = a
+                    queue.append(b)
+        if "T" not in prev:
+            return flow
+        b = "T"
+        while prev[b] is not None:
+            a = prev[b]
+            arcs[a][b] -= 1
+            arcs[b][a] += 1
+            b = a
+        flow += 1
 
 
 def path_order_of_component(g: Graph, comp: int) -> tuple[int, ...] | None:

@@ -3,16 +3,16 @@
 The packing here is over induced paths, which is what separates this
 computation from plain Menger flow: an optimal flow routes through paths
 with chords, so the flow value is only an upper bound and is used purely to
-prune and certify the exhaustive search.
+prune and certify the exhaustive search.  The flow is the package's shared
+one, :func:`~thetakit.graphs.max_disjoint_paths`, from the neighbours of x
+to the neighbours of y with both ends removed.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
-from .detectors import _iter_induced_paths
-from .graphs import Graph, PathFamily, iter_bits, mask_of
+from .graphs import Graph, PathFamily, iter_induced_paths, mask_of, max_disjoint_paths
 
 PACKING_CAP = 16
 ENUMERATION_BUDGET = 20000
@@ -59,48 +59,6 @@ class SeparabilityReport:
         return self.lambda_star < lam
 
 
-def _vertex_flow(g: Graph, x: int, y: int) -> int:
-    # Menger value with unit interior capacities; an upper bound for the
-    # induced packing because every induced family is also a flow.
-    arcs: dict[tuple, dict[tuple, int]] = {}
-
-    def add(a, b):
-        arcs.setdefault(a, {})[b] = 1
-        arcs.setdefault(b, {}).setdefault(a, 0)
-
-    for v in iter_bits(g.adj[x] & ~(1 << y)):
-        add("S", (v, 0))
-    for v in iter_bits(g.adj[y] & ~(1 << x)):
-        add((v, 1), "T")
-    ends = (1 << x) | (1 << y)
-    for v in range(g.n):
-        if not ends >> v & 1:
-            add((v, 0), (v, 1))
-    for u, v in g.edges():
-        if not ends & ((1 << u) | (1 << v)):
-            add((u, 1), (v, 0))
-            add((v, 1), (u, 0))
-    flow = 0
-    while True:
-        prev = {"S": None}
-        queue = deque(["S"])
-        while queue and "T" not in prev:
-            a = queue.popleft()
-            for b, c in arcs.get(a, {}).items():
-                if c > 0 and b not in prev:
-                    prev[b] = a
-                    queue.append(b)
-        if "T" not in prev:
-            return flow
-        b = "T"
-        while prev[b] is not None:
-            a = prev[b]
-            arcs[a][b] -= 1
-            arcs[b][a] += 1
-            b = a
-        flow += 1
-
-
 def max_internally_disjoint_paths(
     g: Graph, x: int, y: int, cap: int | None = PACKING_CAP
 ) -> PathPacking:
@@ -116,15 +74,15 @@ def max_internally_disjoint_paths(
         raise ValueError("endpoints must differ")
     if g.has_edge(x, y):
         raise ValueError("endpoints must be nonadjacent")
-    ub = _vertex_flow(g, x, y)
+    allowed = g.full_mask & ~(1 << x) & ~(1 << y)
+    ub = max_disjoint_paths(g, g.adj[x], g.adj[y], allowed)
     if ub == 0:
         return PathPacking(0, PathFamily(x, y, ()), True, 0)
-    allowed = g.full_mask & ~(1 << x) & ~(1 << y)
 
     if cap is not None and g.n > cap:
         used = 0
         greedy: list[tuple[int, ...]] = []
-        for i, p in enumerate(_iter_induced_paths(g, x, y, allowed)):
+        for i, p in enumerate(iter_induced_paths(g, x, y, allowed)):
             inner = mask_of(p[1:-1])
             if not inner & used:
                 used |= inner
@@ -136,7 +94,7 @@ def max_internally_disjoint_paths(
         fam = PathFamily(x, y, tuple(greedy))
         return PathPacking(len(greedy), fam, len(greedy) == ub, ub)
 
-    paths = list(_iter_induced_paths(g, x, y, allowed))
+    paths = list(iter_induced_paths(g, x, y, allowed))
     interiors = [mask_of(p[1:-1]) for p in paths]
     best: list[int] = []
 
@@ -174,7 +132,8 @@ def separability(g: Graph, cap: int | None = PACKING_CAP) -> SeparabilityReport:
             if g.has_edge(x, y):
                 continue
             found_pair = True
-            if best_pair is not None and _vertex_flow(g, x, y) <= best_count:
+            within = g.full_mask & ~(1 << x) & ~(1 << y)
+            if best_pair is not None and max_disjoint_paths(g, g.adj[x], g.adj[y], within) <= best_count:
                 continue
             r = max_internally_disjoint_paths(g, x, y, cap)
             exact = exact and r.exact

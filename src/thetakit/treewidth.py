@@ -22,8 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .detectors import CapExceeded, _check_cap
-from .graphs import Graph, build_graph, connected_components, iter_bits
+from .detectors import check_cap
+from .graphs import Graph, build_graph, connected_components, iter_bits, mask_of, neighborhood_mask
 
 TREEWIDTH_CAP = 32
 DP_CAP = 16
@@ -59,20 +59,8 @@ def validate_decomposition(g: Graph, d: TreeDecomposition) -> bool:
         if not any(b & pair == pair for b in d.bags):
             return False
     for v in range(g.n):
-        nodes = [i for i in range(t.n) if d.bags[i] >> v & 1]
-        if not nodes:
-            return False
-        inside = set()
-        stack = [nodes[0]]
-        while stack:
-            i = stack.pop()
-            if i in inside:
-                continue
-            inside.add(i)
-            for j in t.neighbors(i):
-                if d.bags[j] >> v & 1:
-                    stack.append(j)
-        if len(inside) != len(nodes):
+        nodes = mask_of(i for i in range(t.n) if d.bags[i] >> v & 1)
+        if len(connected_components(t, nodes)) != 1:
             return False
     return True
 
@@ -251,7 +239,7 @@ def _decomposition_from_order(g: Graph, order: list[int]) -> TreeDecomposition:
 
 def treewidth_exact(g: Graph, cap: int | None = TREEWIDTH_CAP) -> tuple[int, TreeDecomposition]:
     """Exact treewidth and a validating decomposition witnessing it."""
-    _check_cap("treewidth_exact", g.n, cap)
+    check_cap("treewidth_exact", g.n, cap)
     if g.n == 0:
         return -1, TreeDecomposition(build_graph(1, []), (0,))
     low = max(_degeneracy(g), _contraction_degeneracy(g))
@@ -283,34 +271,26 @@ def treewidth_exact(g: Graph, cap: int | None = TREEWIDTH_CAP) -> tuple[int, Tre
 
 def treewidth_dp(g: Graph, cap: int | None = DP_CAP) -> int:
     """Width-only subset dynamic program, independent of the main solver."""
-    _check_cap("treewidth_dp", g.n, cap)
+    check_cap("treewidth_dp", g.n, cap)
     if g.n == 0:
         return -1
 
-    def back_degree(inside: int, v: int) -> int:
-        # Vertices outside inside+{v} adjacent to v or joined through inside.
-        seen = 1 << v
-        stack = [v]
-        out = 0
-        while stack:
-            u = stack.pop()
-            for w in iter_bits(g.adj[u] & ~seen):
-                seen |= 1 << w
-                if inside >> w & 1:
-                    stack.append(w)
-                else:
-                    out += 1
-        return out
-
-    best = [0] * (1 << g.n)
+    # best[S] is the least width of eliminating S first (g.n is above every
+    # width); eliminating v after R costs the count of vertices outside R+{v}
+    # that v reaches directly or through R.  Each R floods the components of
+    # G[R] and their neighbourhoods once and reads that count for every v
+    # outside it.
+    best = [g.n] * (1 << g.n)
     best[0] = -1
-    masks = sorted(range(1, 1 << g.n), key=lambda m: m.bit_count())
-    for s in masks:
-        val = None
-        for v in iter_bits(s):
-            rest = s & ~(1 << v)
-            cand = max(best[rest], back_degree(rest, v))
-            if val is None or cand < val:
-                val = cand
-        best[s] = val
+    for r in sorted(range(1 << g.n), key=int.bit_count):
+        parts = [(c, neighborhood_mask(g, c)) for c in connected_components(g, r)]
+        for v in iter_bits(g.full_mask & ~r):
+            reach = g.adj[v]
+            for comp, around in parts:
+                if g.adj[v] & comp:
+                    reach |= around
+            cost = max(best[r], (reach & ~r & ~(1 << v)).bit_count())
+            s = r | 1 << v
+            if cost < best[s]:
+                best[s] = cost
     return best[g.full_mask]

@@ -416,6 +416,12 @@ class TestMaxPathFan:
             max_path_fan(path_graph(3), 1, (1, 2))
 
 
+@pytest.mark.parametrize("hub", [-1, 3])
+def test_max_path_fan_rejects_a_hub_outside_the_graph(hub):
+    with pytest.raises(ValueError):
+        max_path_fan(path_graph(3), hub, (0, 2))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10**6), st.integers(4, 7), st.sampled_from((0.2, 0.4, 0.6)))
 def test_witnesses_always_valid(seed, n, p):

@@ -1,3 +1,4 @@
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +21,7 @@ from thetakit.graphs import (
     is_stable_set,
     iter_bits,
     mask_of,
+    max_disjoint_paths,
     neighborhood_mask,
     path_order_of_component,
     path_family_violation,
@@ -237,3 +239,22 @@ def test_relabel_preserves_edge_count_and_inverts(g, data):
     for old, new in enumerate(perm):
         inverse[new] = old
     assert relabel(h, inverse) == g
+
+
+@given(graphs(max_n=12), st.data())
+@settings(max_examples=200, deadline=None)
+def test_max_disjoint_paths_matches_networkx_connectivity(g, data):
+    # Oracle: in G[within] plus a super-source joined to the sources and a
+    # super-sink joined to the sinks, the local node connectivity between the
+    # two counts the disjoint paths; a vertex in both masks is a one-vertex path.
+    def mask():
+        return data.draw(st.integers(min_value=0, max_value=g.full_mask))
+
+    sources, sinks, within = mask(), mask(), mask()
+    sinks |= sources & mask()
+    h = nx.Graph()
+    h.add_nodes_from(["s", "t", *iter_bits(within)])
+    h.add_edges_from((u, v) for u, v in g.edges() if within >> u & 1 and within >> v & 1)
+    h.add_edges_from(("s", v) for v in iter_bits(sources & within))
+    h.add_edges_from((v, "t") for v in iter_bits(sinks & within))
+    assert max_disjoint_paths(g, sources, sinks, within) == nx.node_connectivity(h, "s", "t")
