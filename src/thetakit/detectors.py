@@ -91,8 +91,14 @@ def find_induced(host: Graph, pattern: Graph, cap: int | None = None) -> Embeddi
 
     Pattern vertices are assigned in index order, host candidates tried
     ascending, so the returned ``phi`` is minimal in tuple order over all
-    valid embeddings.  Backtracking with degree pruning and forward
-    neighborhood filtering; None is exhaustive.
+    valid embeddings.  Backtracking with forward checking: every unassigned
+    pattern vertex keeps a mask of the host vertices that can still play it,
+    starting from those of at least its degree.  Assigning a host vertex v
+    intersects each later mask with v's neighbourhood or non-neighbourhood,
+    as the pattern edge demands, and drops v, so the candidates of the next
+    vertex already agree with the whole partial map.  A branch ends as soon
+    as a mask empties, which prunes only branches without a completion.
+    None is exhaustive.
     """
     check_cap("find_induced", host.n, cap)
     p, n = pattern.n, host.n
@@ -101,32 +107,37 @@ def find_induced(host: Graph, pattern: Graph, cap: int | None = None) -> Embeddi
     if p == 0:
         return Embedding(pattern, ())
     full = host.full_mask
-    # A host vertex can play pattern vertex k only with at least k's degree.
-    host_deg = [host.adj[v].bit_count() for v in range(n)]
-    base = [
-        mask_of(v for v in range(n) if host_deg[v] >= pattern.adj[k].bit_count())
-        for k in range(p)
-    ]
+    hadj, padj = host.adj, pattern.adj
+    # at_least[d] holds the host vertices of degree at least d, the only ones
+    # that can play a pattern vertex of degree d.
+    at_least = [0] * (n + 1)
+    for v in range(n):
+        at_least[hadj[v].bit_count()] |= 1 << v
+    for d in range(n - 1, -1, -1):
+        at_least[d] |= at_least[d + 1]
     phi: list[int] = []
 
-    def extend(used: int) -> bool:
-        k = len(phi)
-        cand = base[k] & ~used
-        for j, w in enumerate(phi):
-            if pattern.has_edge(j, k):
-                cand &= host.adj[w]
+    def extend(k: int, cand: list[int]) -> bool:
+        if k == p:
+            return True
+        edges = padj[k]
+        for v in iter_bits(cand[k]):
+            nbr = hadj[v]
+            non = full & ~nbr & ~(1 << v)
+            nxt = cand.copy()
+            for j in range(k + 1, p):
+                m = nxt[j] & (nbr if edges >> j & 1 else non)
+                if not m:
+                    break
+                nxt[j] = m
             else:
-                cand &= full & ~host.adj[w]
-            if not cand:
-                return False
-        for v in iter_bits(cand):
-            phi.append(v)
-            if len(phi) == p or extend(used | (1 << v)):
-                return True
-            phi.pop()
+                phi.append(v)
+                if extend(k + 1, nxt):
+                    return True
+                phi.pop()
         return False
 
-    if extend(0):
+    if extend(0, [at_least[d.bit_count()] for d in padj]):
         return Embedding(pattern, tuple(phi))
     return None
 

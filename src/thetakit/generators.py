@@ -15,6 +15,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .graphs import (
     ABTreeCert,
     Graph,
+    _trusted_graph,
     build_graph,
     connected_components,
     is_stable_set,
@@ -75,16 +76,13 @@ def theta_graph(l1: int, l2: int, l3: int) -> Graph:
 def line_graph(g: Graph) -> Graph:
     """The line graph; vertex i of the result is ``g.edges()[i]``."""
     es = g.edges()
-    k = len(es)
-    adj = [0] * k
-    for i in range(k):
-        u, v = es[i]
-        for j in range(i + 1, k):
-            x, y = es[j]
-            if u == x or u == y or v == x or v == y:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    return Graph(k, tuple(adj))
+    # inc[u] holds the edges at u; edge i meets every edge at either end.
+    inc = [0] * g.n
+    for i, (u, v) in enumerate(es):
+        inc[u] |= 1 << i
+        inc[v] |= 1 << i
+    adj = tuple((inc[u] | inc[v]) & ~(1 << i) for i, (u, v) in enumerate(es))
+    return _trusted_graph(len(es), adj)
 
 
 def prism_graph(l1: int, l2: int, l3: int) -> Graph:

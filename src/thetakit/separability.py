@@ -45,6 +45,8 @@ class SeparabilityReport:
 
     ``vacuous`` marks graphs without a nonadjacent pair, which are declared
     separable for every threshold; ``pair`` and ``witness`` are then absent.
+    ``exact`` holds when every pair packed by the scan was packed exactly;
+    the pairs it skips have an upper bound no larger than the running count.
     """
 
     lambda_star: int
@@ -75,7 +77,11 @@ def max_internally_disjoint_paths(
     if g.has_edge(x, y):
         raise ValueError("endpoints must be nonadjacent")
     allowed = g.full_mask & ~(1 << x) & ~(1 << y)
-    ub = max_disjoint_paths(g, g.adj[x], g.adj[y], allowed)
+    return _pack(g, x, y, allowed, max_disjoint_paths(g, g.adj[x], g.adj[y], allowed), cap)
+
+
+def _pack(g: Graph, x: int, y: int, allowed: int, ub: int, cap: int | None) -> PathPacking:
+    """The packing for a valid pair, given its flow bound ub over ``allowed``."""
     if ub == 0:
         return PathPacking(0, PathFamily(x, y, ()), True, 0)
 
@@ -119,8 +125,11 @@ def max_internally_disjoint_paths(
 def separability(g: Graph, cap: int | None = PACKING_CAP) -> SeparabilityReport:
     """lambda_star over all nonadjacent pairs, scanned in lexicographic order.
 
-    A pair whose flow bound cannot beat the running maximum is skipped, which
-    never changes the reported argmax because ties keep the earliest pair.
+    A pair that cannot beat the running maximum is skipped, which never
+    changes the reported argmax because ties keep the earliest pair.  The
+    test is two-staged: first the smaller degree of the two ends, which
+    bounds the flow from above, and only then the flow bound itself, which
+    the packing of a surviving pair reuses.
     """
     best_count = 0
     best_pair = None
@@ -132,10 +141,13 @@ def separability(g: Graph, cap: int | None = PACKING_CAP) -> SeparabilityReport:
             if g.has_edge(x, y):
                 continue
             found_pair = True
-            within = g.full_mask & ~(1 << x) & ~(1 << y)
-            if best_pair is not None and max_disjoint_paths(g, g.adj[x], g.adj[y], within) <= best_count:
+            if best_pair is not None and min(g.degree(x), g.degree(y)) <= best_count:
                 continue
-            r = max_internally_disjoint_paths(g, x, y, cap)
+            within = g.full_mask & ~(1 << x) & ~(1 << y)
+            ub = max_disjoint_paths(g, g.adj[x], g.adj[y], within)
+            if best_pair is not None and ub <= best_count:
+                continue
+            r = _pack(g, x, y, within, ub, cap)
             exact = exact and r.exact
             if best_pair is None or r.count > best_count:
                 best_count = r.count

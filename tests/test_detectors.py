@@ -1,6 +1,7 @@
 """Searches against frozen answers, validators, and brute-force oracles."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -89,11 +90,31 @@ class TestFindInduced:
     def test_agrees_with_permutation_order(self):
         patterns = [path_graph(3), cycle_graph(3), cycle_graph(4),
                     build_graph(4, [(0, 1), (0, 2), (0, 3)])]
-        for i, host in enumerate(seeded_hosts(60, max_n=6, start=900)):
-            pat = patterns[i % len(patterns)]
+        cases = [(host, patterns[i % len(patterns)])
+                 for i, host in enumerate(seeded_hosts(60, max_n=6, start=900))]
+        # Five- and six-vertex patterns on hosts of up to eight vertices, where
+        # forward checking empties masks of later pattern vertices.  Every
+        # other host has a copy of the pattern planted on random vertices, so
+        # hits are not rare.
+        larger = [prism_graph(2, 2, 2), cycle_graph(5), path_graph(5),
+                  line_graph(build_graph(6, [(0, 1), (1, 2), (1, 3), (3, 4), (3, 5)]))]
+        grid = itertools.product(larger, (6, 7, 8), (0.3, 0.5, 0.7), (False, True))
+        for seed, (pat, n, p, plant) in enumerate(grid):
+            host = random_graph(n, p, seed=1000 + seed)
+            if plant:
+                spots = random.Random(seed).sample(range(n), pat.n)
+                inside = set(spots)
+                edges = [e for e in host.edges() if not inside.issuperset(e)]
+                edges += [(spots[a], spots[b]) for a, b in pat.edges()]
+                host = build_graph(n, edges)
+            cases.append((host, pat))
+        hits = 0
+        for host, pat in cases:
             got = find_induced(host, pat)
             want = oracles.least_induced_embedding(host, pat)
             assert (None if got is None else got.phi) == want
+            hits += want is not None
+        assert 0 < hits < len(cases)
 
 
 class TestTheta:

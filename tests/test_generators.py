@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -248,3 +249,16 @@ def test_random_subdivision_keeps_branch_degrees(seed):
     before = sorted(d for v in range(g.n) if (d := g.degree(v)) >= 3)
     after = sorted(d for v in range(h.n) if (d := h.degree(v)) >= 3)
     assert before == after
+
+
+@given(st.integers(min_value=0, max_value=14), st.floats(0.0, 1.0), st.integers(0, 2 ** 30))
+@settings(max_examples=60, deadline=None)
+def test_line_graph_matches_definition(n, p, seed):
+    g = random_graph(n, p, seed)
+    es = g.edges()
+    lg = line_graph(g)
+    assert lg.n == len(es)
+    for i, j in itertools.combinations(range(lg.n), 2):
+        assert lg.has_edge(i, j) == bool(set(es[i]) & set(es[j])), (es[i], es[j])
+    # Symmetric and loop-free: the lower triangle agrees with the upper one.
+    assert lg == build_graph(lg.n, lg.edges())

@@ -16,11 +16,35 @@ from thetakit.generators import (
 )
 from thetakit.graphs import build_graph, induced_subgraph, validate_path_family
 from thetakit.separability import (
+    PACKING_CAP,
     PathPacking,
     SeparabilityReport,
     max_internally_disjoint_paths,
     separability,
 )
+
+
+def reference_scan(g, cap):
+    """separability with no skip: every nonadjacent pair is packed.
+
+    The earliest strict maximum is kept.  ``exact`` is the conjunction over
+    the pairs that could still raise the maximum when they were reached: the
+    first pair, and every pair whose upper bound exceeds the running count.
+    """
+    best = None
+    exact = True
+    for x in range(g.n):
+        for y in range(x + 1, g.n):
+            if g.has_edge(x, y):
+                continue
+            r = max_internally_disjoint_paths(g, x, y, cap)
+            if best is None or r.upper_bound > best[0]:
+                exact = exact and r.exact
+            if best is None or r.count > best[0]:
+                best = (r.count, (x, y), r.family)
+    if best is None:
+        return SeparabilityReport(0, None, None, True, True)
+    return SeparabilityReport(best[0], best[1], best[2], exact, False)
 
 
 class TestPairMaximum:
@@ -173,6 +197,20 @@ class TestReport:
                 if not g.has_edge(a, b)
             )
             assert rep.lambda_star == best
+
+    def test_reference_scan_exact_mode(self):
+        for seed in range(80):
+            g = random_graph(2 + seed % 8, (0.2, 0.35, 0.5, 0.7)[seed % 4], seed)
+            assert separability(g) == reference_scan(g, PACKING_CAP), seed
+
+    def test_reference_scan_bounded_mode(self):
+        reports = []
+        for seed in range(120):
+            g = random_graph(10 + seed % 3, (0.2, 0.3, 0.5, 0.6)[seed % 4], 500 + seed)
+            rep = separability(g, cap=6)
+            assert rep == reference_scan(g, 6), seed
+            reports.append(rep)
+        assert any(r.exact for r in reports) and not all(r.exact for r in reports)
 
 
 @given(st.integers(min_value=0, max_value=2 ** 30))
