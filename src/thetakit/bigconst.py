@@ -9,22 +9,32 @@ comparison ladder below resolves everything else:
 
 1. identical canonical trees are equal;
 2. values within the materialization cap compare as big integers;
-3. otherwise the order is decided by descent: same-base powers compare by
-   exponent, a sum is bracketed by its largest term, and remaining power
-   pairs compare through rational bounds on base-2 logarithms, refined by
-   repeated squaring and resolved by exact cross-multiplication of the
-   exponent trees.
+3. otherwise the order is decided by descent:
+   - a sum is bracketed by its largest term;
+   - products of powers with concrete exponents compare through integer
+     brackets of their base-2 logarithms: numerators over a common
+     2^precision, refined by repeated squaring;
+   - other products pair off their dominant powers and compare the pair
+     and the rests.  When the two disagree over powers of one base,
+     q^x1*r1 against q^x2*r2 (say c1*q^x1 against c2*q^x2 for literal
+     coefficients), the least small k with q^k*r1 >= r2 brackets the
+     rests' ratio, and the order is that of x1 against x2 + k, a tie
+     falling to q^k*r1 against r2;
+   - power pairs of different bases compare through the same logarithm
+     brackets, multiplied into the exponent trees so the recursion runs
+     one level down.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 DIGIT_CAP = 10 ** 5
 _ESCALATION_CAP = 10 ** 7
 _FACTOR_BOUND = 10 ** 6
+# Largest k tried when q^k must bracket the ratio of two rests.
+_SHIFT_LIMIT = 16
 # bits * log10(2) bounds used for digit estimates.
 _LOG10_2 = (30103, 100000)
 
@@ -37,10 +47,31 @@ class TowerInt:
     integer in ``args[0]`` and every other node two child trees.  The
     subtrahend of a sub node must be a plain literal, which keeps every
     subtree's value a natural number by construction.
+
+    The hash is computed once per node and kept outside the dataclass
+    fields, so cache lookups cost one tuple hash instead of a tree walk.
+    It is rebuilt, never carried, on pickling and copying, since string
+    hashes differ between processes.
     """
 
     op: str
     args: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.op, self.args)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not TowerInt:
+            return NotImplemented
+        return self._hash == other._hash and self.op == other.op and self.args == other.args
+
+    def __reduce__(self):
+        return TowerInt, (self.op, self.args)
 
     def __add__(self, other: "TowerInt | int") -> "TowerInt":
         return TowerInt("add", (self, _coerce(other)))
@@ -330,15 +361,15 @@ def _merge_nat_factors(e: TowerInt) -> TowerInt:
     return _rebuild_product(factors, c)
 
 
-def _log2_bounds(b: int, precision: int) -> tuple[tuple[int, int], tuple[int, int]]:
-    # Rational lo <= log2(b) <= hi with denominator 2^precision; large
-    # literals get the unit-precision bit-length bracket instead, since
-    # raising them to 2^precision is not affordable.
+@lru_cache(maxsize=None)
+def _log2_bounds(b: int, precision: int) -> tuple[int, int]:
+    # Numerators lo, hi over 2^precision with lo <= 2^precision * log2(b) <= hi;
+    # large literals get the bit-length bracket instead, since raising them
+    # to 2^precision is not affordable.
     if b >= _FACTOR_BOUND:
-        return (b.bit_length() - 1, 1), (b.bit_length(), 1)
-    q = 1 << precision
-    p = (b ** q).bit_length() - 1
-    return (p, q), (p + 1, q)
+        return (b.bit_length() - 1) << precision, b.bit_length() << precision
+    lo = (b ** (1 << precision)).bit_length() - 1
+    return lo, lo + 1
 
 
 def _compare_ints(a: int, b: int) -> int:
@@ -367,14 +398,14 @@ def _compare_power_pair(e1: TowerInt, e2: TowerInt, depth: int) -> int:
         sign = 1 if small is e2 else -1
         return sign if _compare_norm(big, nat(1), depth + 1) > 0 else 0
     for precision in _PRECISIONS:
-        (lo1, q1), (hi1, _) = _log2_bounds(v1, precision)
-        (lo2, q2), (hi2, _) = _log2_bounds(v2, precision)
-        # x1*log2(b1) vs x2*log2(b2), cross-multiplied into tower products
-        # so the recursion runs one exponent level down.
+        lo1, hi1 = _log2_bounds(v1, precision)
+        lo2, hi2 = _log2_bounds(v2, precision)
+        # x1*log2(b1) vs x2*log2(b2) over the common denominator, as tower
+        # products so the recursion runs one exponent level down.
         if (
             _compare_norm(
-                normalize(TowerInt("mul", (x1, nat(lo1 * q2)))),
-                normalize(TowerInt("mul", (x2, nat(hi2 * q1)))),
+                normalize(TowerInt("mul", (x1, nat(lo1)))),
+                normalize(TowerInt("mul", (x2, nat(hi2)))),
                 depth + 1,
             )
             > 0
@@ -382,8 +413,8 @@ def _compare_power_pair(e1: TowerInt, e2: TowerInt, depth: int) -> int:
             return 1
         if (
             _compare_norm(
-                normalize(TowerInt("mul", (x2, nat(lo2 * q1)))),
-                normalize(TowerInt("mul", (x1, nat(hi1 * q2)))),
+                normalize(TowerInt("mul", (x2, nat(lo2)))),
+                normalize(TowerInt("mul", (x1, nat(hi1)))),
                 depth + 1,
             )
             > 0
@@ -406,18 +437,15 @@ def _monomial_form(e: TowerInt) -> tuple[int, tuple[tuple[int, int], ...]] | Non
     return c, tuple(sorted(vec))
 
 
-def _log2_total(form, precision: int):
-    # Exact rational bracket of log2(coeff * prod base^exp).
+def _log2_total(form, precision: int) -> tuple[int, int]:
+    # Bracket of log2(coeff * prod base^exp), as numerators over 2^precision.
     c, vec = form
-    lo = hi = Fraction(0)
-    if c > 1:
-        (p, qq), (p1, _) = _log2_bounds(c, precision)
-        lo += Fraction(p, qq)
-        hi += Fraction(p1, qq)
-    for base, exp in vec:
-        (p, qq), (p1, _) = _log2_bounds(base, precision)
-        lo += Fraction(exp * p, qq)
-        hi += Fraction(exp * p1, qq)
+    terms = vec + ((c, 1),) if c > 1 else vec
+    lo = hi = 0
+    for base, exp in terms:
+        p, p1 = _log2_bounds(base, precision)
+        lo += exp * p
+        hi += exp * p1
     return lo, hi
 
 
@@ -434,6 +462,23 @@ def _compare_monomials(a: TowerInt, b: TowerInt) -> int | None:
             return 1
         if lo_b > hi_a:
             return -1
+    return None
+
+
+def _compare_shifted(
+    q: TowerInt, x1: TowerInt, r1: TowerInt, x2: TowerInt, r2: TowerInt, depth: int
+) -> int | None:
+    """Sign of q^x1*r1 - q^x2*r2 for q >= 2, x1 > x2 and 1 <= r1 < r2.
+
+    With k the least natural such that q^k*r1 >= r2, also q^(k-1)*r1 < r2,
+    so x1 > x2 + k puts the left side ahead, x1 < x2 + k puts it behind,
+    and on a tie the sign is that of q^k*r1 - r2.  None when no k up to
+    _SHIFT_LIMIT brackets r2/r1.
+    """
+    for k in range(1, _SHIFT_LIMIT + 1):
+        top = _compare_norm(normalize(r1 * q ** k), r2, depth + 1)
+        if top >= 0:
+            return _compare_norm(normalize(x1), normalize(x2 + k), depth + 1) or top
     return None
 
 
@@ -497,8 +542,6 @@ def _compare_norm(a: TowerInt, b: TowerInt, depth: int = 0) -> int:
         return mono
     ca, fa = _mul_parts(a)
     cb, fb = _mul_parts(b)
-    if len(fa) == len(fb) == 1 and ca == cb:
-        return _compare_power_pair(fa[0], fb[0], depth)
     if not fa or not fb:
         # One side is a plain integer.  Normal forms are monotone in their
         # literals (no zero or unit bases survive normalization, and every
@@ -511,7 +554,9 @@ def _compare_norm(a: TowerInt, b: TowerInt, depth: int = 0) -> int:
             return sign * _compare_ints(v, oc)
         return sign
     # Last resort: pair off dominant factors; agreement on both halves
-    # decides, anything else escalates to wider materialization.
+    # decides.  When they disagree over powers of one base, the rests'
+    # ratio is bracketed by a small power of that base; anything else
+    # escalates to wider materialization.
     da = max(fa, key=_sort_key)
     db = max(fb, key=_sort_key)
     resta = normalize(_rebuild_product([f for f in fa if f is not da], ca))
@@ -522,6 +567,12 @@ def _compare_norm(a: TowerInt, b: TowerInt, depth: int = 0) -> int:
         return rest
     if rest == 0 or rest == lead:
         return lead
+    (qa, xa), (qb, xb) = _as_power(da), _as_power(db)
+    if qa == qb:
+        ahead = (xa, resta, xb, restb) if lead > 0 else (xb, restb, xa, resta)
+        shifted = _compare_shifted(qa, *ahead, depth)
+        if shifted is not None:
+            return lead * shifted
     return _escalate(a, b)
 
 

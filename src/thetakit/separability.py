@@ -45,8 +45,10 @@ class SeparabilityReport:
 
     ``vacuous`` marks graphs without a nonadjacent pair, which are declared
     separable for every threshold; ``pair`` and ``witness`` are then absent.
-    ``exact`` holds when every pair packed by the scan was packed exactly;
-    the pairs it skips have an upper bound no larger than the running count.
+    ``exact`` holds when ``lambda_star`` is certified maximal: no pair's
+    upper bound exceeds it.  Pairs packed exactly and pairs the scan skips
+    (their upper bound is no larger than the running count) never do, so
+    the check is the largest flow bound among pairs packed inexactly.
     """
 
     lambda_star: int
@@ -134,7 +136,7 @@ def separability(g: Graph, cap: int | None = PACKING_CAP) -> SeparabilityReport:
     best_count = 0
     best_pair = None
     best_witness = None
-    exact = True
+    open_bound = 0
     found_pair = False
     for x in range(g.n):
         for y in range(x + 1, g.n):
@@ -148,7 +150,8 @@ def separability(g: Graph, cap: int | None = PACKING_CAP) -> SeparabilityReport:
             if best_pair is not None and ub <= best_count:
                 continue
             r = _pack(g, x, y, within, ub, cap)
-            exact = exact and r.exact
+            if not r.exact:
+                open_bound = max(open_bound, r.upper_bound)
             if best_pair is None or r.count > best_count:
                 best_count = r.count
                 best_pair = (x, y)
@@ -157,6 +160,6 @@ def separability(g: Graph, cap: int | None = PACKING_CAP) -> SeparabilityReport:
         lambda_star=best_count,
         pair=best_pair,
         witness=best_witness,
-        exact=exact,
+        exact=open_bound <= best_count,
         vacuous=not found_pair,
     )

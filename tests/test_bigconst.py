@@ -1,11 +1,19 @@
 """Tower arithmetic: frozen values, exact comparison, the inequality block."""
 
+import copy
+import dataclasses
+import math
+import os
+import pickle
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from thetakit.bigconst import (
+    DIGIT_CAP,
     TowerInt,
     digit_estimate,
     evaluate,
@@ -60,6 +68,30 @@ class TestConstruction:
         assert evaluate(huge) is None
         assert huge.digits() is None
         assert evaluate(huge, 10 ** 6) is not None
+
+    def test_fields_are_op_and_args(self):
+        # Renderings that walk the dataclass fields must not see the hash.
+        assert [f.name for f in dataclasses.fields(TowerInt)] == ["op", "args"]
+
+    def test_copies_rebuild_the_hash(self):
+        e = normalize(3 * nat(2) ** (nat(7) ** nat(40)) + nat(5) ** nat(10 ** 6))
+        for twin in (pickle.loads(pickle.dumps(e)), copy.copy(e), copy.deepcopy(e)):
+            assert twin == e and hash(twin) == hash(e)
+            assert tower_compare(twin, e) == 0
+
+    def test_pickle_from_another_process(self):
+        # String hashes differ between processes, so a carried hash would
+        # disagree with the one this process computes for the same tree.
+        code = (
+            "import pickle, sys; from thetakit.bigconst import nat, normalize; "
+            "sys.stdout.write(pickle.dumps(normalize(nat(2) ** (nat(3) ** nat(50)) * 7)).hex())"
+        )
+        env = dict(os.environ, PYTHONHASHSEED="1", PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        twin = pickle.loads(bytes.fromhex(out.stdout))
+        e = normalize(nat(2) ** (nat(3) ** nat(50)) * 7)
+        assert twin == e and hash(twin) == hash(e)
+        assert {twin: 1}[e] == 1
 
     def test_normalization_preserves_value(self):
         rng = random.Random(7)
@@ -184,6 +216,84 @@ class TestTowerCompare:
             checked += 1
             assert tower_compare(x, y) == (vx > vy) - (vx < vy)
 
+    @settings(max_examples=20, deadline=None)
+    @given(
+        st.sampled_from([2, 3, 7, 1000003]),
+        st.sampled_from([2, 5, 1000033]),
+        st.integers(1, 60) | st.integers(10 ** 6, 10 ** 7),
+        st.integers(1, 60) | st.integers(10 ** 6, 10 ** 7),
+        st.integers(-2, 2),
+    )
+    def test_monomials_beyond_cap(self, p, r, c1, c2, delta):
+        # c1*p^m against c2*r^n with n picked to put the sides within a few
+        # factors of r; both have over 10^5 digits, so only the logarithm
+        # brackets (bit-length ones for the literals above 10^6) or a wider
+        # materialization can decide, and the oracle materializes both.
+        m = 360000 // (p.bit_length() - 1)
+        n = int((m * math.log2(p) + math.log2(c1) - math.log2(c2)) / math.log2(r)) + delta
+        left, right = c1 * p ** m, c2 * r ** n
+        a, b = c1 * nat(p) ** nat(m), c2 * nat(r) ** nat(n)
+        assert evaluate(a) is None and evaluate(b) is None
+        assert tower_compare(a, b) == (left > right) - (left < right)
+
+    # Exponents near 5^160000, whose 111,842 digits are beyond DIGIT_CAP.
+    BIG = 5 ** 160000
+
+    @staticmethod
+    def scaled_power(c, q, d, symbolic):
+        # c * q^(BIG + d), with the exponent a literal or a tower.
+        if symbolic:
+            x = nat(5) ** nat(160000)
+            x = x + d if d >= 0 else x.minus(-d)
+        else:
+            x = nat(TestTowerCompare.BIG + d)
+        return c * nat(q) ** x
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(2, 7),
+        st.integers(1, 50),
+        st.integers(-5, 5),
+        st.integers(1, 50),
+        st.integers(-5, 5),
+        st.booleans(),
+    )
+    def test_same_base_beyond_cap(self, q, c1, d1, c2, d2, symbolic):
+        # Integer oracle on (c1, X1, c2, X2) alone: the sign of
+        # c1*q^(X1-X2) - c2, scaled to integers when X1 < X2.
+        assert evaluate(nat(self.BIG)) is None and self.BIG > 10 ** DIGIT_CAP
+        d = d1 - d2
+        gap = c1 * q ** d - c2 if d >= 0 else c1 - c2 * q ** -d
+        a = self.scaled_power(c1, q, d1, symbolic)
+        b = self.scaled_power(c2, q, d2, symbolic)
+        assert tower_compare(a, b) == (gap > 0) - (gap < 0)
+        assert tower_compare(b, a) == (gap < 0) - (gap > 0)
+
+    def test_same_base_fixed_cases(self):
+        x = nat(5) ** nat(160000)
+        n = nat(10 ** 16775 + 7)
+        three = nat(3)
+        q = 2 * 10 ** 6
+        cases = [
+            # Lead factors and coefficients disagree; the exponents decide.
+            (three ** x, 2 * three ** n, 1),
+            (three ** x.minus(1), 2 * three ** n, 1),
+            # Near ties: 4*3^X against 3^(X+1) and 3^(X+2), and an exact tie.
+            (4 * three ** x, three ** (x + 1), 1),
+            (4 * three ** x, three ** (x + 2), -1),
+            (9 * three ** x, three ** (x + 2), 0),
+            # A base too big to factor keeps q^2 as a literal coefficient,
+            # so the rests' ratio is an exact power of the base.
+            (nat(q) ** 2 * nat(q) ** x, nat(q) ** (x + 2), 0),
+            (nat(q) ** 2 * nat(q) ** x, nat(q) ** (x + 3), -1),
+            # Composite base 6 = 2*3: the rests are powers themselves.
+            (nat(6) ** (x + 1), 7 * nat(6) ** x, -1),
+            (nat(6) ** (x + 2), 7 * nat(6) ** x, 1),
+        ]
+        for a, b, want in cases:
+            assert tower_compare(a, b) == want
+            assert tower_compare(b, a) == -want
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10 ** 9))
     def test_agreement_property(self, seed):
@@ -221,6 +331,14 @@ class TestSigmaInequalities:
             for alpha in (2, 3):
                 for t in (2, 3):
                     assert verify_sigma_inequalities(alpha, t, s, 3)
+
+    def test_former_escalation_grid(self):
+        # These points once ended in RuntimeError: a lead power and a
+        # literal coefficient that disagree, 3^(5^160000) against 2*3^N.
+        for alpha in (3, 5, 7):
+            for t in (1, 3):
+                for s in (5, 6, 7):
+                    assert verify_sigma_inequalities(alpha, t, s, 5).ok, (alpha, t, s)
 
     def test_monotone_in_r_max(self):
         # Raising r_max appends checks without changing earlier ones.

@@ -27,24 +27,23 @@ from thetakit.separability import (
 def reference_scan(g, cap):
     """separability with no skip: every nonadjacent pair is packed.
 
-    The earliest strict maximum is kept.  ``exact`` is the conjunction over
-    the pairs that could still raise the maximum when they were reached: the
-    first pair, and every pair whose upper bound exceeds the running count.
+    The earliest strict maximum is kept.  ``exact`` holds when no pair
+    packed inexactly has an upper bound above the maximum.
     """
     best = None
-    exact = True
+    open_bound = 0
     for x in range(g.n):
         for y in range(x + 1, g.n):
             if g.has_edge(x, y):
                 continue
             r = max_internally_disjoint_paths(g, x, y, cap)
-            if best is None or r.upper_bound > best[0]:
-                exact = exact and r.exact
+            if not r.exact:
+                open_bound = max(open_bound, r.upper_bound)
             if best is None or r.count > best[0]:
                 best = (r.count, (x, y), r.family)
     if best is None:
         return SeparabilityReport(0, None, None, True, True)
-    return SeparabilityReport(best[0], best[1], best[2], exact, False)
+    return SeparabilityReport(best[0], best[1], best[2], open_bound <= best[0], False)
 
 
 class TestPairMaximum:
@@ -211,6 +210,17 @@ class TestReport:
             assert rep == reference_scan(g, 6), seed
             reports.append(rep)
         assert any(r.exact for r in reports) and not all(r.exact for r in reports)
+
+    def test_bounded_exact_is_sound(self):
+        # An exact bounded report must name the true maximum.
+        certified = 0
+        for seed in range(120):
+            g = random_graph(10 + seed % 3, (0.2, 0.3, 0.5, 0.6)[seed % 4], 500 + seed)
+            rep = separability(g, cap=6)
+            if rep.exact:
+                certified += 1
+                assert rep.lambda_star == separability(g, cap=None).lambda_star, seed
+        assert certified
 
 
 @given(st.integers(min_value=0, max_value=2 ** 30))
