@@ -98,7 +98,10 @@ class TowerInt:
         v = evaluate(self)
         if v is None:
             return None
-        return len(str(v))
+        # The bit-length estimate is exact or one too many; converting to a
+        # string instead would hit CPython's int-to-str digit limit.
+        d = _digits_of_int(v)
+        return d - 1 if 0 < v < 10 ** (d - 1) else d
 
 
 def nat(k: int) -> TowerInt:
@@ -132,7 +135,10 @@ def _value_capped(e: TowerInt, cap: int) -> int | None:
             return None
         if a in (0, 1) or ev == 0:
             return 1 if ev == 0 or a == 1 else 0
-        if (a.bit_length() * ev) * _LOG10_2[0] > cap * _LOG10_2[1]:
+        # Reject only on a lower bound of the bit count, so that None always
+        # means "beyond the cap": comparisons read it that way.
+        bits = ((ev * _log2_bounds(a, 8)[0]) >> 8) + 1
+        if bits * _LOG10_2[0] > cap * _LOG10_2[1]:
             return None
         v = a ** ev
         return v if _digits_of_int(v) <= cap else None
@@ -605,10 +611,8 @@ def _theta(a: int, n: int) -> TowerInt:
     return normalize(nat(3) ** (nat(12) ** nat(n * a ** (n - 1) - 1)))
 
 
-def sep_constant(h: int, c31: TowerInt, d31: TowerInt) -> TowerInt:
-    """The forest-separability constant c + d at parameters (h+1, h+1)."""
-    if h < 0:
-        raise ValueError("forest size must be nonnegative")
+def sep_constant(c31: TowerInt, d31: TowerInt) -> TowerInt:
+    """The forest-separability constant c + d, from parts taken at (h+1, h+1) for an h-vertex forest."""
     return normalize(c31 + d31)
 
 

@@ -172,12 +172,39 @@ def is_theta_witness(g: Graph, w: ThetaWitness) -> bool:
     return theta_witness_violation(g, w) is None
 
 
+def _legs(g: Graph, hub: int, ends, allowed: int, keep: int):
+    """Yield tuples of induced paths from hub, one to each of ends in turn.
+
+    Each path's interior lies in ``allowed``.  A later path avoids the earlier
+    paths' vertices outside ``keep`` and every neighbor of those vertices, so
+    the legs are pairwise anticomplete away from ``keep``; a path whose
+    blocked set already holds a later end is skipped.  Tuples come out in
+    depth-first order, each path's candidates in ``iter_induced_paths`` order.
+    """
+
+    def rec(k: int, allowed: int):
+        if k == len(ends):
+            yield ()
+            return
+        later = mask_of(ends[k + 1:]) & ~keep
+        for p in iter_induced_paths(g, hub, ends[k], allowed):
+            rest = mask_of(p) & ~keep
+            block = rest | neighborhood_mask(g, rest)
+            if block & later:
+                continue
+            for tail in rec(k + 1, allowed & ~block):
+                yield (p,) + tail
+
+    return rec(0, allowed)
+
+
 def find_theta(g: Graph, cap: int | None = THETA_PRISM_CAP) -> ThetaWitness | None:
     """Search for a theta: branch pairs ascending, then paths depth-first.
 
-    Both branch vertices need host degree at least 3, and each later path is
-    restricted to vertices anticomplete to the interiors already chosen, so
-    any completed triple is a theta by construction.  None is exhaustive.
+    Both branch vertices need host degree at least 3.  The three x-y paths
+    come from the leg search that three_in_a_tree's spiders share: each later
+    path avoids the interiors already chosen and their neighbors, so any
+    completed triple is a theta by construction.  None is exhaustive.
     """
     check_cap("find_theta", g.n, cap)
     full = g.full_mask
@@ -189,15 +216,8 @@ def find_theta(g: Graph, cap: int | None = THETA_PRISM_CAP) -> ThetaWitness | No
             if degs[y] < 3 or g.has_edge(x, y):
                 continue
             ends = (1 << x) | (1 << y)
-            allowed1 = full & ~ends
-            for p1 in iter_induced_paths(g, x, y, allowed1):
-                i1 = mask_of(p1[1:-1])
-                allowed2 = allowed1 & ~i1 & ~neighborhood_mask(g, i1)
-                for p2 in iter_induced_paths(g, x, y, allowed2):
-                    i2 = mask_of(p2[1:-1])
-                    allowed3 = allowed2 & ~i2 & ~neighborhood_mask(g, i2)
-                    for p3 in iter_induced_paths(g, x, y, allowed3):
-                        return ThetaWitness(x, y, (p1, p2, p3))
+            for paths in _legs(g, x, (y, y, y), full & ~ends, ends):
+                return ThetaWitness(x, y, paths)
     return None
 
 
@@ -415,8 +435,9 @@ def three_in_a_tree(
 
     z must be a stable set with at least three vertices.  A minimal such tree
     is an induced path through three z-vertices or a spider: a center with
-    three paths to z-vertices sharing only the center.  Both shapes are
-    searched exhaustively, triples of z in ascending order.
+    three legs to z-vertices, pairwise anticomplete away from the center.
+    Both shapes are searched exhaustively, triples of z in ascending order;
+    the spider search shares its leg search with find_theta.
     """
     zs = tuple(sorted(set(z)))
     if len(zs) < 3:
@@ -436,19 +457,8 @@ def three_in_a_tree(
         for v in iter_bits(base):
             if g.adj[v].bit_count() < 3:
                 continue
-            allowed0 = base & ~(1 << v)
-            for la in iter_induced_paths(g, v, a, allowed0):
-                arest = mask_of(la) & ~(1 << v)
-                ablock = arest | neighborhood_mask(g, arest)
-                if ablock & ((1 << b) | (1 << c)):
-                    continue
-                for lb in iter_induced_paths(g, v, b, allowed0 & ~ablock):
-                    brest = mask_of(lb) & ~(1 << v)
-                    bblock = brest | neighborhood_mask(g, brest)
-                    if bblock >> c & 1:
-                        continue
-                    for lc in iter_induced_paths(g, v, c, allowed0 & ~ablock & ~bblock):
-                        return tuple(sorted({v, *la, *lb, *lc}))
+            for la, lb, lc in _legs(g, v, (a, b, c), base & ~(1 << v), 1 << v):
+                return tuple(sorted({v, *la, *lb, *lc}))
     return None
 
 

@@ -147,11 +147,6 @@ def biclique_violation(g: Graph, w: Biclique) -> str | None:
     return None
 
 
-def is_biclique(g: Graph, w: Biclique) -> bool:
-    """True iff every biclique invariant holds in g."""
-    return biclique_violation(g, w) is None
-
-
 def witness_violation(g: Graph, w: PreconditionWitness) -> str | None:
     """The first broken invariant of a precondition witness, or None."""
     if w.kind == "theta":
@@ -437,15 +432,23 @@ def _biclique_back(back: Sequence[int], side_a, side_b) -> Biclique:
 
 
 def _mapped_eh(g: Graph, verts: Sequence[int], s: int, t: int, alpha: int, steps: list, cap: int | None = EXTRACTION_CAP):
-    """Run the stable-first search on G[verts] and translate back the labels."""
+    """Run the stable-first search on G[verts], with the labels of g.
+
+    A stable set comes back as ``Success(stable)``.  A clique or an induced
+    K_{s,s} contradicts the caller's assumption, so it comes back as the
+    ``PreconditionWitness`` that reports it; a shortfall comes back as is.
+    """
     sub, back = induced_subgraph(g, verts)
     out = _eh(sub, s, t, alpha, steps, cap)
-    if isinstance(out, Success):
-        kind, payload = out.value
-        if kind == "stable" or kind == "clique":
-            return Success((kind, tuple(back[v] for v in payload)), out.trace)
-        return Success(("biclique", _biclique_back(back, payload.side_a, payload.side_b)), out.trace)
-    return out
+    if not isinstance(out, Success):
+        return out
+    kind, payload = out.value
+    if kind == "biclique":
+        return PreconditionWitness(kind, _biclique_back(back, payload.side_a, payload.side_b), out.trace)
+    found = tuple(back[v] for v in payload)
+    if kind == "clique":
+        return PreconditionWitness(kind, found, out.trace)
+    return Success(found, out.trace)
 
 
 def _family_fallback(g: Graph, w_sets, s: int, t_like: int, steps: list, fallthrough: Outcome):
@@ -455,19 +458,17 @@ def _family_fallback(g: Graph, w_sets, s: int, t_like: int, steps: list, fallthr
     the structures whose absence it assumed may still be present at desk
     scale; surfacing one beats a bare unmet-threshold report.
     """
-    union = sorted(set().union(*map(set, w_sets))) if w_sets else []
-    if union:
-        sub, back = induced_subgraph(g, union)
-        emb = find_biclique(sub, s)
-        if emb is not None:
-            w = _biclique_back(back, emb.phi[:s], emb.phi[s:])
-            steps.append(TraceStep("anticomplete_family", "choose", "fallback_biclique", (w.side_a, w.side_b)))
-            return PreconditionWitness("biclique", w, tuple(steps))
-        size, clique = clique_number(sub)
-        if size >= t_like:
-            found = tuple(back[v] for v in clique)
-            steps.append(TraceStep("anticomplete_family", "choose", "fallback_clique", found))
-            return PreconditionWitness("clique", found, tuple(steps))
+    sub, back = induced_subgraph(g, sorted(set().union(*w_sets)))
+    emb = find_biclique(sub, s)
+    if emb is not None:
+        w = _biclique_back(back, emb.phi[:s], emb.phi[s:])
+        steps.append(TraceStep("anticomplete_family", "choose", "fallback_biclique", (w.side_a, w.side_b)))
+        return PreconditionWitness("biclique", w, tuple(steps))
+    size, clique = clique_number(sub)
+    if size >= t_like:
+        found = tuple(back[v] for v in clique)
+        steps.append(TraceStep("anticomplete_family", "choose", "fallback_clique", found))
+        return PreconditionWitness("clique", found, tuple(steps))
     return fallthrough
 
 
@@ -486,34 +487,28 @@ def _zeta_descent(g: Graph, w_sets, alpha: int, s: int, t_like: int, policy, ste
 
     bad = _gate(steps, policy, op, "zeta_0", zeta_0, len(w_sets))
     if bad is not None:
-        return _family_fallback(g, w_sets, s, t_like, steps, bad)
+        return bad
     pairs = [(min(w), max(w)) for w in w_sets]
     xs = [p[0] for p in pairs]
     ys = [p[1] for p in pairs]
 
     z1, bad = _target(steps, policy, op, "zeta_1", zeta_1, 1, len(pairs))
     if bad is not None:
-        return _family_fallback(g, w_sets, s, t_like, steps, bad)
+        return bad
     out = _mapped_eh(g, sorted(xs), s, t_like, min(z1, len(pairs)), steps)
-    if isinstance(out, ThresholdUnmet):
-        return _family_fallback(g, w_sets, s, t_like, steps, out)
-    kind, payload = out.value
-    if kind != "stable":
-        return PreconditionWitness(kind, payload, tuple(steps))
-    chosen = set(payload)
+    if not isinstance(out, Success):
+        return out
+    chosen = set(out.value)
     i1 = [i for i, x in enumerate(xs) if x in chosen]
     steps.append(TraceStep(op, "choose", "I_1", tuple(i1)))
 
     z2, bad = _target(steps, policy, op, "zeta_2", zeta_2, 1, len(i1))
     if bad is not None:
-        return _family_fallback(g, w_sets, s, t_like, steps, bad)
+        return bad
     out = _mapped_eh(g, sorted(ys[i] for i in i1), s, t_like, min(z2, len(i1)), steps)
-    if isinstance(out, ThresholdUnmet):
-        return _family_fallback(g, w_sets, s, t_like, steps, out)
-    kind, payload = out.value
-    if kind != "stable":
-        return PreconditionWitness(kind, payload, tuple(steps))
-    chosen = set(payload)
+    if not isinstance(out, Success):
+        return out
+    chosen = set(out.value)
     i2 = [i for i in i1 if ys[i] in chosen]
     steps.append(TraceStep(op, "choose", "I_2", tuple(i2)))
 
@@ -533,10 +528,10 @@ def _zeta_descent(g: Graph, w_sets, alpha: int, s: int, t_like: int, policy, ste
         steps, policy, op, "gamma_stable", lambda: gs, 2, len(i2)
     )
     if bad is not None:
-        return _family_fallback(g, w_sets, s, t_like, steps, bad)
+        return bad
     out = _ramsey(gamma, alpha, max(2, min(gtarget, len(i2))), steps)
     if isinstance(out, ThresholdUnmet):
-        return _family_fallback(g, w_sets, s, t_like, steps, out)
+        return out
     kind, payload = out.value
     if kind == "clique":
         i3 = [i2[k] for k in payload]
@@ -554,7 +549,7 @@ def _zeta_descent(g: Graph, w_sets, alpha: int, s: int, t_like: int, policy, ste
     prime = build_graph(len(picked), prime_edges)
     out = _ramsey(prime, 2 * s, 2 * s, steps)
     if isinstance(out, ThresholdUnmet):
-        return _family_fallback(g, w_sets, s, t_like, steps, out)
+        return out
     kind, payload = out.value
     origs = [picked[k] for k in payload]
     if kind == "clique":
@@ -583,39 +578,27 @@ def _xi_descent(g: Graph, w_sets, alpha: int, s: int, r: int, t_like: int, polic
 
     bad = _gate(steps, policy, op, "xi_0", xi_0, len(w_sets))
     if bad is not None:
-        return _family_fallback(g, w_sets, s, t_like, steps, bad)
+        return bad
 
+    # Stage k removes the vertex at sorted position k from every surviving
+    # set; the last stage asks for alpha itself, not a threshold-sized family.
     sorted_sets = [tuple(sorted(w)) for w in w_sets]
-    stripped = [
-        [w[1:] for w in sorted_sets],
-        [w[:1] + w[2:] for w in sorted_sets],
-        [w[:2] + w[3:] for w in sorted_sets],
-    ]
     live = list(range(len(sorted_sets)))
-    for stage, (label, key) in enumerate((("xi_1", xi_1), ("xi_2", xi_2))):
-        target, bad = _target(steps, policy, op, label, key, 1, len(live))
-        if bad is not None:
-            return _family_fallback(g, w_sets, s, t_like, steps, bad)
-        sub_sets = [stripped[stage][i] for i in live]
-        out = _anticomplete(g, sub_sets, min(target, len(live)), s, policy, steps)
-        if isinstance(out, ThresholdUnmet):
-            return _family_fallback(g, w_sets, s, t_like, steps, out)
-        if isinstance(out, PreconditionWitness):
+    for k, (label, key) in enumerate((("xi_1", xi_1), ("xi_2", xi_2), (None, None))):
+        target = alpha
+        if label is not None:
+            target, bad = _target(steps, policy, op, label, key, 1, len(live))
+            if bad is not None:
+                return bad
+            target = min(target, len(live))
+        sub_sets = [sorted_sets[i][:k] + sorted_sets[i][k + 1:] for i in live]
+        out = _anticomplete(g, sub_sets, target, s, policy, steps)
+        if not isinstance(out, Success):
             return out
         positions = {frozenset(x): i for x, i in zip(sub_sets, live)}
         live = sorted(positions[frozenset(x)] for x in out.value)
-        steps.append(TraceStep(op, "choose", f"I_{stage + 1}", tuple(live)))
-
-    sub_sets = [stripped[2][i] for i in live]
-    out = _anticomplete(g, sub_sets, alpha, s, policy, steps)
-    if isinstance(out, ThresholdUnmet):
-        return _family_fallback(g, w_sets, s, t_like, steps, out)
-    if isinstance(out, PreconditionWitness):
-        return out
-    positions = {frozenset(x): i for x, i in zip(sub_sets, live)}
-    final = sorted(positions[frozenset(x)] for x in out.value)
-    steps.append(TraceStep(op, "choose", "I_3", tuple(final)))
-    return Success(tuple(sorted_sets[i] for i in final), tuple(steps))
+        steps.append(TraceStep(op, "choose", f"I_{k + 1}", tuple(live)))
+    return Success(tuple(sorted_sets[i] for i in live), tuple(steps))
 
 
 def _anticomplete(g: Graph, sets, alpha: int, s: int, policy, steps: list) -> Outcome:
@@ -669,12 +652,9 @@ def _anticomplete(g: Graph, sets, alpha: int, s: int, policy, steps: list) -> Ou
     if r == 1:
         verts = sorted(x[0] for x in clean)
         out = _mapped_eh(g, verts, s, t_like, alpha, steps)
-        if isinstance(out, ThresholdUnmet):
+        if not isinstance(out, Success):
             return out
-        kind, payload = out.value
-        if kind != "stable":
-            return PreconditionWitness(kind, payload, tuple(steps))
-        chosen = set(payload)
+        chosen = set(out.value)
         result = tuple(x for x in clean if x[0] in chosen)
         steps.append(TraceStep(op, "choose", "family", result))
         return Success(result, tuple(steps))
@@ -697,8 +677,12 @@ def _anticomplete(g: Graph, sets, alpha: int, s: int, policy, steps: list) -> Ou
 
     w_sets = [x for x in clean if len(x) == r]
     if r == 2:
-        return _zeta_descent(g, w_sets, alpha, s, t_like, policy, steps)
-    return _xi_descent(g, w_sets, alpha, s, r, t_like, policy, steps)
+        out = _zeta_descent(g, w_sets, alpha, s, t_like, policy, steps)
+    else:
+        out = _xi_descent(g, w_sets, alpha, s, r, t_like, policy, steps)
+    if isinstance(out, ThresholdUnmet):
+        return _family_fallback(g, w_sets, s, t_like, steps, out)
+    return out
 
 
 def anticomplete_family(g: Graph, sets, alpha: int, s: int, thresholds=None) -> Outcome:
@@ -817,12 +801,9 @@ def _grow(g, x, y, fam, a, b, child_count, policy, steps):
     # The family is caller-controlled, so the tip search runs uncapped; the
     # capped operations protect only the adversarial-input entry points.
     out = _mapped_eh(g, sorted(tips), 3, t_like, alpha_t, steps, cap=None)
-    if isinstance(out, ThresholdUnmet):
+    if not isinstance(out, Success):
         return out
-    kind, payload = out.value
-    if kind != "stable":
-        return PreconditionWitness(kind, payload, tuple(steps))
-    stable_tips = set(payload)
+    stable_tips = set(out.value)
     q_paths = [p for p in fam.paths if p[1] in stable_tips]
     steps.append(TraceStep(op, "choose", "X_Q", tuple(sorted(stable_tips))))
 
@@ -879,7 +860,7 @@ def _grow(g, x, y, fam, a, b, child_count, policy, steps):
             return bad
         out = _digraph_stable(d, q_int * r_int, s_int, steps, EXTRACTION_CAP)
         if isinstance(out, ThresholdUnmet):
-            return ThresholdUnmet(out.name, out.required, out.available, tuple(steps))
+            return out
         chosen = [long_paths[i] for i in out.value]
         steps.append(TraceStep(op, "choose", "S", tuple(out.value)))
         return _low_branch_theta(g, x, chosen, steps)
@@ -887,7 +868,7 @@ def _grow(g, x, y, fam, a, b, child_count, policy, steps):
     steps.append(TraceStep(op, "branch", "direction", ("high",)))
     out = _digraph_fanout(d, q_int, r_int, q_int, steps, FANOUT_CAP)
     if isinstance(out, ThresholdUnmet):
-        return ThresholdUnmet(out.name, out.required, out.available, tuple(steps))
+        return out
     s_positions = out.value
     assignment = _fanout_assignment(d, s_positions, r_int, mask_of(s_positions))
     if assignment is None:
@@ -919,9 +900,7 @@ def _grow(g, x, y, fam, a, b, child_count, policy, steps):
 
     family = [t.vertices for t in subtrees]
     out = _anticomplete(g, family, child_count, 3, policy, steps)
-    if isinstance(out, ThresholdUnmet):
-        return ThresholdUnmet(out.name, out.required, out.available, tuple(steps))
-    if isinstance(out, PreconditionWitness):
+    if not isinstance(out, Success):
         return out
     positions = {frozenset(t.vertices): i for i, t in enumerate(subtrees)}
     kept = sorted(positions[frozenset(s)] for s in out.value)[:child_count]

@@ -8,9 +8,8 @@ lexicographic order, so a seed pins down the output exactly.
 
 from __future__ import annotations
 
-import itertools
 import random
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .graphs import (
     ABTreeCert,
@@ -141,28 +140,6 @@ def wall(t: int) -> Graph:
     order = sorted(cells)
     index = {c: k for k, c in enumerate(order)}
     return build_graph(len(order), [(index[a], index[b]) for a, b in cell_edges(cells)])
-
-
-def canonical(name: str, params: Sequence[int]) -> Graph:
-    """Dispatch the small named families by string id.
-
-    Families: complete(n), biclique(p, q), cycle(n), path(n),
-    prism(l1, l2, l3) where prism is the line graph of the theta with those
-    path lengths.
-    """
-    families = {
-        "complete": (1, lambda n: complete_graph(n)),
-        "biclique": (2, lambda p, q: complete_bipartite(p, q)),
-        "cycle": (1, lambda n: cycle_graph(n)),
-        "path": (1, lambda n: path_graph(n)),
-        "prism": (3, lambda l1, l2, l3: prism_graph(l1, l2, l3)),
-    }
-    if name not in families:
-        raise ValueError(f"unknown family {name!r}")
-    arity, build = families[name]
-    if len(params) != arity:
-        raise ValueError(f"{name} takes {arity} parameters, got {len(params)}")
-    return build(*params)
 
 
 def complement(g: Graph) -> Graph:
@@ -326,30 +303,3 @@ def constellation(
     if comps != want or any(path_order_of_component(g, c) is None for c in comps):
         raise ValueError("removing the centers does not leave the given paths")
     return g
-
-
-def enumerate_constellations(s: int, l: int, max_n: int) -> Iterator[Graph]:
-    """All (s, l)-constellations with at most ``max_n`` vertices.
-
-    Path sizes run over nondecreasing shapes (every constellation is
-    isomorphic to one with sorted path sizes) and the attachment masks over
-    all nonzero choices per center and path, in lexicographic order.
-    """
-    budget = max_n - s
-    if budget < l:
-        return
-
-    def shapes(k, low, left):
-        if k == 0:
-            yield ()
-            return
-        for size in range(low, left // k + 1):
-            for rest in shapes(k - 1, size, left - size):
-                yield (size,) + rest
-
-    for shape in shapes(l, 1, budget):
-        per_path_choices = [range(1, 1 << size) for size in shape]
-        # One mask per (center, path) pair, centers outermost, lexicographic.
-        for flat in itertools.product(*(per_path_choices[i % l] for i in range(s * l))):
-            grouped = tuple(flat[c * l:(c + 1) * l] for c in range(s))
-            yield constellation(s, l, shape, grouped)

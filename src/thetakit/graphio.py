@@ -83,8 +83,7 @@ def _parse_graph6(raw: bytes) -> Graph:
         )
     bits = n * (n - 1) // 2
     adj = [0] * n
-    u = v = 0
-    v = 1
+    u, v = 0, 1
     for i in range(need):
         group = line[at + i] - 63
         for k in range(5, -1, -1):

@@ -69,6 +69,13 @@ class TestConstruction:
         assert huge.digits() is None
         assert evaluate(huge, 10 ** 6) is not None
 
+    def test_power_within_cap_materializes(self):
+        # 2^200000 has 60,206 digits; a bound from 2's bit length doubles that
+        # and would wrongly report it beyond a 70,000-digit cap.
+        assert evaluate(nat(2) ** nat(200000), 70000) == 2 ** 200000
+        assert evaluate(nat(3) ** nat(100000), 47713) == 3 ** 100000
+        assert evaluate(nat(3) ** nat(100000), 47712) is None
+
     def test_fields_are_op_and_args(self):
         # Renderings that walk the dataclass fields must not see the hash.
         assert [f.name for f in dataclasses.fields(TowerInt)] == ["op", "args"]
@@ -149,18 +156,14 @@ class TestTreeConstants:
 
 class TestComposedConstants:
     def test_sep_constant_frozen(self):
-        assert evaluate(sep_constant(2, nat(125), nat(3188642))) == 3188767
-        assert evaluate(sep_constant(0, nat(1), nat(0))) == 1
+        assert evaluate(sep_constant(nat(125), nat(3188642))) == 3188767
+        assert evaluate(sep_constant(nat(1), nat(0))) == 1
 
     def test_sep_constant_symbolic_inputs(self):
         big = nat(2) ** nat(10 ** 6)
-        out = sep_constant(1, big, nat(7))
+        out = sep_constant(big, nat(7))
         assert out.op == "add"
         assert tower_compare(out, big) > 0
-
-    def test_sep_constant_precondition(self):
-        with pytest.raises(ValueError):
-            sep_constant(-1, nat(1), nat(0))
 
     def test_main_constant_frozen(self):
         assert evaluate(main_constant(nat(1), nat(1))) == 3
@@ -195,6 +198,14 @@ class TestTowerCompare:
         ]
         for x, y in pairs:
             assert tower_compare(x, y) == 0
+
+    def test_plain_integer_against_power_below_it(self):
+        # The left side has 60,207 digits, the right 80,001; the plain-integer
+        # rung must not read a within-cap power as beyond the cap.
+        left = 5 * (nat(2) ** nat(200000) + 1)
+        right = nat(10 ** 80000)
+        assert tower_compare(left, right) == -1
+        assert tower_compare(right, left) == 1
 
     def test_near_tie_beyond_cap(self):
         # log2(3) * 10^6 = 1584962.50...; both neighbors decide correctly
@@ -377,3 +388,13 @@ class TestRendering:
         assert digit_estimate(nat(3) ** (nat(12) ** nat(3))) == "825"
         beyond = digit_estimate(nat(2) ** nat(10 ** 6))
         assert "beyond" in beyond or beyond.startswith("~10^")
+
+    def test_digits_past_the_int_to_str_limit(self):
+        # CPython refuses str() of ints over 4,300 digits by default.
+        assert nat(10 ** 5000).digits() == 5001
+        assert nat(10 ** 5000 - 1).digits() == 5000
+        assert (nat(10) ** nat(5000)).digits() == 5001
+        assert digit_estimate(nat(10 ** 5000)) == "5001"
+        assert digit_estimate(nat(10 ** 5000 - 1)) == "5000"
+        for v in [0, 1, 7, 8, 9] + [10 ** k + j for k in range(1, 40) for j in (-1, 0, 1)]:
+            assert nat(v).digits() == len(str(v))

@@ -13,7 +13,6 @@ from thetakit.detectors import (
     ConstellationWitness,
     Embedding,
     ThetaWitness,
-    WallLineReport,
     clique_number,
     constellation_witness_violation,
     embedding_violation,
@@ -42,7 +41,7 @@ from thetakit.generators import (
     theta_graph,
     wall,
 )
-from thetakit.graphs import Graph, build_graph, mask_of
+from thetakit.graphs import build_graph, mask_of
 
 
 def seeded_hosts(count, max_n=8, start=0):

@@ -40,6 +40,7 @@ from thetakit.graphs import (
     Digraph,
     PathFamily,
     ab_tree_violation,
+    are_anticomplete,
     build_digraph,
     build_graph,
     is_clique,
@@ -286,6 +287,97 @@ class TestAnticompleteExamples:
             anticomplete_family(g, [(0,), ()], 1, 1, FixedThresholds(0))
         with pytest.raises(ValueError):
             anticomplete_family(g, [(0,), (9,)], 1, 1, FixedThresholds(0))
+
+
+def family_choices(out):
+    """The labels of the family descent's choose steps, in trace order."""
+    return [s.label for s in out.trace if s.op == "anticomplete_family" and s.kind == "choose"]
+
+
+def pairwise_anticomplete(g, sets):
+    return all(are_anticomplete(g, a, b) for a, b in itertools.combinations(sets, 2))
+
+
+class TestDescentBranches:
+    """Small hosts that steer the pair and triple descents into each exit."""
+
+    def test_lower_ends_clique_surfaces(self):
+        # The lower ends 0, 1, 2 form a triangle, so no stable pair of them
+        # exists and the stable-first search settles on the clique.
+        g = build_graph(6, [(0, 1), (1, 2), (0, 2)])
+        sets = [(0, 3), (1, 4), (2, 5)]
+        out = anticomplete_family(g, sets, 2, 2, FixedThresholds(0, zeta_1=2))
+        assert isinstance(out, PreconditionWitness)
+        assert out.kind == "clique" and out.witness == (0, 1, 2)
+        assert witness_violation(g, out) is None
+        assert out.trace[-1].op == "eh_extract" and out.trace[-1].label == "clique"
+        assert family_choices(out) == []
+
+    def test_upper_ends_biclique_surfaces(self):
+        # The lower ends are stable; the upper ends 4..7 form an induced C4,
+        # which is the K_{2,2} found once no stable triple of them exists.
+        g = build_graph(8, [(4, 5), (5, 6), (6, 7), (4, 7)])
+        sets = [(0, 4), (1, 5), (2, 6), (3, 7)]
+        out = anticomplete_family(g, sets, 2, 2, FixedThresholds(0, zeta_2=3))
+        assert isinstance(out, PreconditionWitness)
+        assert out.kind == "biclique"
+        assert witness_violation(g, out) is None
+        assert {out.witness.side_a, out.witness.side_b} == {(4, 6), (5, 7)}
+        assert out.trace[-1].op == "eh_extract" and out.trace[-1].label == "biclique"
+        assert family_choices(out) == ["I_1"]
+
+    def test_pair_descent_finds_mirrored_biclique(self):
+        # The mirror of the hidden-biclique host: every i < j carries the
+        # cross edge (2j, 2i+1), so Gamma' is edgeless and its stable side
+        # yields the K_{2,2}.
+        g = build_graph(8, [
+            (0, 1), (2, 3), (4, 5), (6, 7),
+            (2, 1), (4, 1), (6, 1), (4, 3), (6, 3), (6, 5),
+        ])
+        sets = [(0, 1), (2, 3), (4, 5), (6, 7)]
+        out = anticomplete_family(g, sets, 2, 2, FixedThresholds(0, gamma_stable=4))
+        assert isinstance(out, PreconditionWitness)
+        assert out.witness == Biclique((4, 6), (1, 3))
+        assert witness_violation(g, out) is None
+        assert family_choices(out) == ["I_1", "I_2", "K_ss"]
+
+    def test_triple_descent_final_stage_selects(self):
+        # Only the last stage, which keeps each triple's two smallest
+        # vertices, sees the cross edge 0-7; its pair descent drops the third
+        # triple.
+        g = build_graph(9, [(0, 7)])
+        sets = [(0, 1, 2), (3, 4, 5), (6, 7, 8)]
+        out = anticomplete_family(g, sets, 2, 2, FixedThresholds(0, xi_1=3, xi_2=3))
+        assert isinstance(out, Success)
+        assert out.value == ((0, 1, 2), (3, 4, 5))
+        assert pairwise_anticomplete(g, out.value)
+        assert family_choices(out) == ["family", "I_1", "family", "I_2", "I_1", "I_2", "I_3", "I_3"]
+        assert out.trace[-1].data == (0, 1)
+
+    def test_triple_descent_first_stage_witness(self):
+        # The first stage keeps the two largest vertices of each triple; the
+        # smaller of them, 1, 4 and 7, form a triangle.
+        g = build_graph(9, [(1, 4), (4, 7), (1, 7)])
+        sets = [(0, 1, 2), (3, 4, 5), (6, 7, 8)]
+        out = anticomplete_family(g, sets, 2, 2, FixedThresholds(0, xi_1=2, zeta_1=2))
+        assert isinstance(out, PreconditionWitness)
+        assert out.kind == "clique" and out.witness == (1, 4, 7)
+        assert witness_violation(g, out) is None
+        assert [s.label for s in out.trace if s.kind == "threshold"] == ["xi_0", "xi_1", "zeta_0", "zeta_1"]
+        assert family_choices(out) == []
+
+    def test_triple_descent_final_stage_witness(self):
+        # The cross edges join smallest vertices to middle ones, so only the
+        # last stage sees them; they form the induced K_{2,2} {0,3} x {7,10},
+        # which the shortfall scan of that stage's pair descent surfaces.
+        g = build_graph(12, [(0, 7), (0, 10), (3, 7), (3, 10)])
+        sets = [(0, 1, 2), (3, 4, 5), (6, 7, 8), (9, 10, 11)]
+        out = anticomplete_family(g, sets, 3, 2, FixedThresholds(0, xi_1=4, xi_2=4))
+        assert isinstance(out, PreconditionWitness)
+        assert out.kind == "biclique"
+        assert {out.witness.side_a, out.witness.side_b} == {(0, 3), (7, 10)}
+        assert witness_violation(g, out) is None
+        assert family_choices(out) == ["family", "I_1", "family", "I_2", "I_1", "I_2", "fallback_biclique"]
 
 
 class TestGrowExamples:

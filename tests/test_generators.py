@@ -8,14 +8,12 @@ from hypothesis import strategies as st
 from thetakit.generators import (
     ab_tree_cert,
     ab_tree_graph,
-    canonical,
     complement,
     complete_bipartite,
     complete_graph,
     constellation,
     cycle_graph,
     disjoint_union,
-    enumerate_constellations,
     line_graph,
     path_graph,
     petersen,
@@ -97,18 +95,6 @@ def test_line_graph_small():
     c5 = cycle_graph(5)
     l5 = line_graph(c5)
     assert l5.n == 5 and l5.m == 5 and all(l5.degree(v) == 2 for v in range(5))
-
-
-def test_canonical_dispatch():
-    assert canonical("complete", [4]) == complete_graph(4)
-    assert canonical("biclique", [3, 3]) == complete_bipartite(3, 3)
-    assert canonical("cycle", [5]) == cycle_graph(5)
-    assert canonical("path", [2]) == path_graph(2)
-    assert canonical("prism", [2, 2, 2]) == prism_graph(2, 2, 2)
-    with pytest.raises(ValueError):
-        canonical("torus", [3])
-    with pytest.raises(ValueError):
-        canonical("complete", [3, 3])
 
 
 def test_wall_frozen_sizes():
@@ -214,23 +200,6 @@ def test_constellation_structure():
         constellation(2, 1, (1,), ((0b10,), (1,)))
     with pytest.raises(ValueError):
         constellation(1, 2, (1,), ((1, 1),))
-
-
-def test_enumerate_constellations_small_count():
-    # Independent count: per path of p vertices each of the two centers picks
-    # a nonzero subset, (2^p - 1)^2 combinations, multiplied over paths.
-    def f(p):
-        return (2 ** p - 1) ** 2
-
-    got = sum(1 for _ in enumerate_constellations(2, 3, 6))
-    want = f(1) * f(1) * f(1) + f(1) * f(1) * f(2)
-    assert got == want == 10
-    got7 = sum(1 for _ in enumerate_constellations(2, 3, 7))
-    want7 = want + f(1) * f(1) * f(3) + f(1) * f(2) * f(2)
-    assert got7 == want7 == 140
-    assert sum(1 for _ in enumerate_constellations(2, 3, 4)) == 0
-    singles = list(enumerate_constellations(1, 1, 3))
-    assert len(singles) == 4  # path sizes 1 and 2, nonzero masks 1; 1,2,3
 
 
 @given(st.integers(min_value=3, max_value=8))

@@ -17,7 +17,6 @@ from thetakit.generators import (
 from thetakit.graphs import build_graph, induced_subgraph, validate_path_family
 from thetakit.separability import (
     PACKING_CAP,
-    PathPacking,
     SeparabilityReport,
     max_internally_disjoint_paths,
     separability,

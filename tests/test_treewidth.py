@@ -19,7 +19,7 @@ from thetakit.generators import (
     theta_graph,
     wall,
 )
-from thetakit.graphs import build_graph, mask_of
+from thetakit.graphs import build_graph
 from thetakit.detectors import CapExceeded
 from thetakit.treewidth import (
     TreeDecomposition,
