@@ -98,10 +98,10 @@ class TowerInt:
         v = evaluate(self)
         if v is None:
             return None
-        # The bit-length estimate is exact or one too many; converting to a
-        # string instead would hit CPython's int-to-str digit limit.
+        # Counting from the bit length instead of converting to a string
+        # keeps clear of CPython's int-to-str digit limit.
         d = _digits_of_int(v)
-        return d - 1 if 0 < v < 10 ** (d - 1) else d
+        return d - 1 if _fits(v, d - 1) else d
 
 
 def nat(k: int) -> TowerInt:
@@ -114,10 +114,20 @@ def _coerce(x: "TowerInt | int") -> TowerInt:
     return x if isinstance(x, TowerInt) else nat(x)
 
 
+def _digits_of_bits(bits: int) -> int:
+    # Decimal digits of an integer of this bit length: exact or one too many.
+    return bits * _LOG10_2[0] // _LOG10_2[1] + 1
+
+
 def _digits_of_int(v: int) -> int:
-    if v == 0:
-        return 1
-    return v.bit_length() * _LOG10_2[0] // _LOG10_2[1] + 1
+    return _digits_of_bits(v.bit_length()) if v else 1
+
+
+def _fits(v: int, cap: int) -> bool:
+    """True iff v has at most cap decimal digits."""
+    # The estimate is exact or one too many, so only cap + 1 needs a check.
+    d = _digits_of_int(v)
+    return d <= cap or d == cap + 1 and 0 < v < 10 ** cap
 
 
 @lru_cache(maxsize=None)
@@ -125,7 +135,7 @@ def _value_capped(e: TowerInt, cap: int) -> int | None:
     """The denoted integer when its digit count stays within cap, else None."""
     if e.op == "nat":
         v = e.args[0]
-        return v if _digits_of_int(v) <= cap else None
+        return v if _fits(v, cap) else None
     a = _value_capped(e.args[0], cap)
     if a is None:
         return None
@@ -135,13 +145,13 @@ def _value_capped(e: TowerInt, cap: int) -> int | None:
             return None
         if a in (0, 1) or ev == 0:
             return 1 if ev == 0 or a == 1 else 0
-        # Reject only on a lower bound of the bit count, so that None always
-        # means "beyond the cap": comparisons read it that way.
-        bits = ((ev * _log2_bounds(a, 8)[0]) >> 8) + 1
-        if bits * _LOG10_2[0] > cap * _LOG10_2[1]:
+        # Reject only when a lower bound of the bit count surely passes the
+        # cap (its estimate passes cap + 1), so that None always means
+        # "beyond the cap": comparisons read it that way.  Likewise for mul.
+        if _digits_of_bits(((ev * _log2_bounds(a, 8)[0]) >> 8) + 1) > cap + 1:
             return None
         v = a ** ev
-        return v if _digits_of_int(v) <= cap else None
+        return v if _fits(v, cap) else None
     b = _value_capped(e.args[1], cap)
     if b is None:
         return None
@@ -152,10 +162,10 @@ def _value_capped(e: TowerInt, cap: int) -> int | None:
             raise ValueError("subtraction went negative")
         v = a - b
     else:
-        if _digits_of_int(a) + _digits_of_int(b) > cap + 1:
+        if _digits_of_bits(a.bit_length() + b.bit_length() - 1) > cap + 1:
             return None
         v = a * b
-    return v if _digits_of_int(v) <= cap else None
+    return v if _fits(v, cap) else None
 
 
 def evaluate(e: TowerInt, cap: int = DIGIT_CAP) -> int | None:

@@ -21,6 +21,7 @@ from .graphs import (
     Graph,
     PathFamily,
     are_anticomplete,
+    bfs_layers,
     is_induced_path,
     is_stable_set,
     iter_bits,
@@ -80,10 +81,6 @@ def embedding_violation(host: Graph, emb: Embedding) -> str | None:
             if pat.has_edge(i, j) != host.has_edge(phi[i], phi[j]):
                 return f"pattern pair ({i}, {j}) is not reproduced exactly"
     return None
-
-
-def is_embedding(host: Graph, emb: Embedding) -> bool:
-    return embedding_violation(host, emb) is None
 
 
 def find_induced(host: Graph, pattern: Graph, cap: int | None = None) -> Embedding | None:
@@ -168,10 +165,6 @@ def theta_witness_violation(g: Graph, w: ThetaWitness) -> str | None:
     return None
 
 
-def is_theta_witness(g: Graph, w: ThetaWitness) -> bool:
-    return theta_witness_violation(g, w) is None
-
-
 def _legs(g: Graph, hub: int, ends, allowed: int, keep: int):
     """Yield tuples of induced paths from hub, one to each of ends in turn.
 
@@ -221,32 +214,108 @@ def find_theta(g: Graph, cap: int | None = THETA_PRISM_CAP) -> ThetaWitness | No
     return None
 
 
-def _has_triangle(g: Graph) -> bool:
-    return any(
-        g.adj[u] & g.adj[v]
-        for u in range(g.n)
-        for v in iter_bits(g.adj[u] >> (u + 1) << (u + 1))
-    )
+def _triangles(g: Graph, within: int | None = None):
+    """Yield the triangles of G[within] as ascending triples, in lexicographic order."""
+    adj = g.adj
+    within = g.full_mask if within is None else within
+    for a in iter_bits(within):
+        near = adj[a] & within
+        for b in iter_bits(near >> (a + 1) << (a + 1)):
+            third = near & adj[b] >> (b + 1) << (b + 1)
+            if third:
+                for c in iter_bits(third):
+                    yield a, b, c
 
 
 def find_prism(g: Graph, cap: int | None = THETA_PRISM_CAP) -> Embedding | None:
-    """Search for an induced prism: line graphs of thetas, smallest first.
+    """Search for an induced prism: the least shape, embedded by find_induced.
 
-    Patterns prism_graph(l1, l2, l3) are tried in ascending total size with
-    l1 <= l2 <= l3 (covering every prism up to isomorphism) and matched with
-    find_induced, so the result is an exact induced embedding.
+    A prism is the line graph of a theta: triangles {a1, a2, a3} and {b1, b2,
+    b3}, no edge a_i-b_j for i != j, and induced a_i-b_i paths of l_i >= 2
+    vertices whose interiors are pairwise anticomplete and see no a_j or b_j
+    for j != i.  Its shape is prism_graph(l1, l2, l3) with l1 <= l2 <= l3,
+    ordered by the key (l1 + l2 + l3, l1, l2, l3).
+
+    The triangular prism, the least shape, is tried first with find_induced.
+    Otherwise a branch and bound over skeletons finds the least key: every
+    pair of disjoint triangles (the first before the second in lexicographic
+    order) with every bijection between them that leaves no edge a_i-b_j,
+    taken in ascending order of a lower bound on the total (shortest a_i-b_i
+    distances in g) and completed path by path with ``iter_induced_paths``.
+    Each later path avoids the earlier interiors and their neighbours, and no
+    path may grow past the vertex count that the least key found so far
+    leaves it; the search ends when the lower bound passes that key.  One
+    find_induced call then embeds the least shape.  So the result is the
+    same embedding as trying every shape in ascending key order with
+    find_induced and returning the first hit.  None is exhaustive.
     """
     check_cap("find_prism", g.n, cap)
-    if not _has_triangle(g):
+    tris = list(_triangles(g))
+    if not tris:
         return None
-    for total in range(6, g.n + 1):
-        for l1 in range(2, total // 3 + 1):
-            for l2 in range(l1, (total - l1) // 2 + 1):
-                l3 = total - l1 - l2
-                emb = find_induced(g, prism_graph(l1, l2, l3))
-                if emb is not None:
-                    return emb
-    return None
+    emb = find_induced(g, prism_graph(2, 2, 2))
+    if emb is not None:
+        return emb
+    adj, full = g.adj, g.full_mask
+    spans: dict[int, list[int]] = {}
+
+    def span(x: int, y: int) -> int:
+        # Vertices on a shortest x-y path of g (0 if none): a lower bound on
+        # the vertex count of every induced x-y path.
+        if x not in spans:
+            row = spans[x] = [0] * g.n
+            for d, layer in enumerate(bfs_layers(g, x)):
+                for u in iter_bits(layer):
+                    row[u] = d + 1
+        return spans[x][y]
+
+    def skeletons():
+        for a in tris:
+            x, y, z = (adj[v] for v in a)
+            # The second triangle lies above a's least corner and among the
+            # vertices that see at most one corner of a (no corner qualifies).
+            rest = full & ~(x & y | x & z | y & z) >> (a[0] + 1) << (a[0] + 1)
+            for b in _triangles(g, rest):
+                bmask = mask_of(b)
+                cross = [adj[v] & bmask for v in a]
+                for perm in itertools.permutations(b):
+                    if any(c & ~(1 << v) for c, v in zip(cross, perm)):
+                        continue
+                    lbs = tuple(map(span, a, perm))
+                    if all(lbs):
+                        yield lbs, a, perm
+
+    best = (g.n + 1,)  # above the key of every prism in g
+
+    def link(k: int, a, b, allowed, lbs, block: int, lens: tuple[int, ...]) -> None:
+        # Complete paths k.. of the skeleton, keeping the least key in best.
+        nonlocal best
+        if k == 3:
+            best = min(best, (sum(lens), *sorted(lens)))
+            return
+        others = sum(lens) + sum(lbs[k + 1:])  # vertices the other paths take, at least
+        bound = None
+        while bound != best[0]:
+            # A better key found below restarts this level under its tighter limit.
+            bound = best[0]
+            for p in iter_induced_paths(g, a[k], b[k], allowed[k] & ~block, bound - others):
+                inner = mask_of(p[1:-1])
+                block_next = block | inner | neighborhood_mask(g, inner)
+                link(k + 1, a, b, allowed, lbs, block_next, lens + (len(p),))
+                if best[0] < bound:
+                    break
+
+    for lbs, a, b in sorted(skeletons(), key=lambda s: sum(s[0])):
+        if sum(lbs) > best[0]:
+            break
+        # Path i's interior sees neither end of the other two paths.
+        seen = [adj[x] | adj[y] for x, y in zip(a, b)]
+        free = full & ~mask_of(a + b)
+        allowed = [free & ~seen[(i + 1) % 3] & ~seen[(i + 2) % 3] for i in range(3)]
+        link(0, a, b, allowed, lbs, 0, ())
+    if len(best) == 1:
+        return None
+    return find_induced(g, prism_graph(*best[1:]))
 
 
 def clique_number(g: Graph) -> tuple[int, tuple[int, ...]]:
@@ -462,11 +531,6 @@ def three_in_a_tree(
     return None
 
 
-def is_constricted(g: Graph, z, cap: int | None = TREE_SEARCH_CAP) -> bool:
-    """True iff no induced tree of g contains three vertices of the stable set z."""
-    return three_in_a_tree(g, z, cap) is None
-
-
 @dataclass(frozen=True)
 class WallLineReport:
     """Outcome of the scoped search for line graphs of wall subdivisions.
@@ -526,7 +590,7 @@ def excludes_wall_line_graphs(
     if r < 1:
         raise ValueError("wall size must be positive")
     check_cap("excludes_wall_line_graphs", g.n, cap)
-    if r >= 3 and not _has_triangle(g):
+    if r >= 3 and next(_triangles(g), None) is None:
         # wall(r) has branch vertices only from r = 3 on; each one puts a
         # triangle into every subdivision's line graph.
         return WallLineReport(

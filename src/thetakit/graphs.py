@@ -323,24 +323,31 @@ def bfs_layers(g: Graph, root: int, within: int | None = None) -> list[int]:
     return layers
 
 
-def iter_induced_paths(g: Graph, src: int, dst: int, allowed: int):
+def iter_induced_paths(g: Graph, src: int, dst: int, allowed: int, limit: int | None = None):
     """Yield every induced src-dst path whose interior lies inside ``allowed``.
 
     Paths come out in depth-first order with candidates ascending, completing
     at dst before extending.  A vertex adjacent to dst can only be the last
-    interior vertex, which prunes every doomed branch immediately.
+    interior vertex, which prunes every doomed branch immediately.  With
+    ``limit``, exactly the paths of at most that many vertices come out, in
+    the same order, and no branch grows past it.
     """
     adj = g.adj
     dbit = 1 << dst
+    # A path grows only while it leaves room for one more vertex and dst; no
+    # induced path has more than n vertices, so n is no limit at all.
+    longest = g.n if limit is None else limit - 2
 
     def extend(last: int, path: tuple[int, ...], banned: int):
         if adj[last] & dbit:
             yield path + (dst,)
             return
-        for c in iter_bits(adj[last] & allowed & ~banned):
-            yield from extend(c, path + (c,), banned | adj[last] | (1 << c))
+        if len(path) <= longest:
+            for c in iter_bits(adj[last] & allowed & ~banned):
+                yield from extend(c, path + (c,), banned | adj[last] | (1 << c))
 
-    yield from extend(src, (src,), 1 << src)
+    if limit is None or limit >= 2:
+        yield from extend(src, (src,), 1 << src)
 
 
 def max_disjoint_paths(g: Graph, sources: int, sinks: int, within: int) -> int:
@@ -546,8 +553,3 @@ def ab_tree_violation(g: Graph, cert: ABTreeCert) -> str | None:
             if down != want:
                 return f"vertex {v} has {down} children, wants {want}"
     return None
-
-
-def is_ab_tree(g: Graph, cert: ABTreeCert) -> bool:
-    """True iff every certificate invariant holds with respect to g."""
-    return ab_tree_violation(g, cert) is None

@@ -82,6 +82,57 @@ def contains_theta(g: Graph) -> bool:
     return False
 
 
+def induces_prism(g: Graph, mask: int) -> bool:
+    """True iff the subset is exactly a prism: two disjoint triangles, every
+    other vertex of degree 2, and three anticomplete links, each joining a
+    vertex of one triangle to a vertex of the other."""
+    verts = _bits(mask)
+    deg = {v: (g.adj[v] & mask).bit_count() for v in verts}
+    if any(d not in (2, 3) for d in deg.values()):
+        return False
+    corners = [v for v in verts if deg[v] == 3]
+    if len(corners) != 6:
+        return False
+    for rest in itertools.combinations(corners[1:], 2):
+        tri_a = (corners[0],) + rest
+        tri_b = tuple(v for v in corners if v not in tri_a)
+        if not all(
+            g.adj[x] >> y & 1
+            for t in (tri_a, tri_b)
+            for x, y in itertools.combinations(t, 2)
+        ):
+            continue
+        # Drop the triangle edges; what is left must be three links, each
+        # holding one vertex of either triangle.
+        amask = sum(1 << v for v in tri_a)
+        bmask = sum(1 << v for v in tri_b)
+        links = []
+        left = mask
+        while left:
+            comp = left & -left
+            frontier = comp
+            while frontier:
+                grown = comp
+                for v in _bits(frontier):
+                    inside = amask if amask >> v & 1 else bmask if bmask >> v & 1 else 0
+                    grown |= g.adj[v] & mask & ~inside
+                frontier = grown & ~comp
+                comp = grown
+            links.append(comp)
+            left &= ~comp
+        return len(links) == 3 and all(
+            (c & amask).bit_count() == 1 and (c & bmask).bit_count() == 1 for c in links
+        )
+    return False
+
+
+def contains_prism(g: Graph) -> bool:
+    """Subset enumeration; exponential, for hosts of at most about 10 vertices."""
+    return any(
+        mask.bit_count() >= 6 and induces_prism(g, mask) for mask in range(1 << g.n)
+    )
+
+
 def max_clique_mask(g: Graph) -> int:
     best = 0
     for mask in range(1 << g.n):

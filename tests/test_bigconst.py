@@ -76,6 +76,28 @@ class TestConstruction:
         assert evaluate(nat(3) ** nat(100000), 47713) == 3 ** 100000
         assert evaluate(nat(3) ** nat(100000), 47712) is None
 
+    def test_values_of_exactly_cap_digits_materialize(self):
+        assert evaluate(nat(8), 1) == 8
+        assert evaluate(nat(9) * nat(9), 2) == 81
+        assert evaluate(nat(3) ** nat(2), 1) == 9
+        assert evaluate(nat(2) ** nat(332), 100) == 2 ** 332
+        assert evaluate(nat(99) * nat(99), 4) == 9801
+
+    @given(
+        st.integers(1, 400), st.integers(-3, 3), st.integers(2, 99),
+        st.integers(1, 300), st.integers(-1, 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_cap_agrees_with_decimal_length(self, k, j, a, e, shift):
+        # Values next to powers of ten, where a digit count estimated from
+        # the bit length is most often one too many, against caps just
+        # below, at and above their decimal length.
+        v = 10 ** k + j
+        for expr, value in ((nat(v), v), (nat(v) * nat(a), v * a), (nat(a) ** nat(e), a ** e)):
+            d = len(str(value))
+            assert evaluate(expr, d + shift) == (value if shift >= 0 else None)
+            assert expr.digits() == d
+
     def test_fields_are_op_and_args(self):
         # Renderings that walk the dataclass fields must not see the hash.
         assert [f.name for f in dataclasses.fields(TowerInt)] == ["op", "args"]

@@ -3,6 +3,7 @@
 import itertools
 import random
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,9 +23,6 @@ from thetakit.detectors import (
     find_induced,
     find_prism,
     find_theta,
-    is_constricted,
-    is_embedding,
-    is_theta_witness,
     max_path_fan,
     three_in_a_tree,
     theta_witness_violation,
@@ -33,15 +31,17 @@ from thetakit.generators import (
     complete_bipartite,
     complete_graph,
     cycle_graph,
+    disjoint_union,
     line_graph,
     path_graph,
     petersen,
     prism_graph,
     random_graph,
+    random_subdivision,
     theta_graph,
     wall,
 )
-from thetakit.graphs import build_graph, mask_of
+from thetakit.graphs import build_graph, mask_of, relabel
 
 
 def seeded_hosts(count, max_n=8, start=0):
@@ -55,7 +55,7 @@ class TestFindInduced:
     def test_path_in_cycle_is_least(self):
         emb = find_induced(cycle_graph(5), path_graph(3))
         assert emb is not None and emb.phi == (0, 1, 2)
-        assert is_embedding(cycle_graph(5), emb)
+        assert embedding_violation(cycle_graph(5), emb) is None
 
     def test_square_in_clique_none(self):
         assert find_induced(complete_graph(4), cycle_graph(4)) is None
@@ -121,7 +121,7 @@ class TestTheta:
         g = complete_bipartite(2, 3)
         w = find_theta(g)
         assert w == ThetaWitness(0, 1, ((0, 2, 1), (0, 3, 1), (0, 4, 1)))
-        assert is_theta_witness(g, w)
+        assert theta_witness_violation(g, w) is None
 
     def test_none_cases(self):
         assert find_theta(complete_graph(5)) is None
@@ -137,11 +137,11 @@ class TestTheta:
                 for l3 in range(l2, 5):
                     g = theta_graph(l1, l2, l3)
                     w = find_theta(g)
-                    assert w is not None and is_theta_witness(g, w)
+                    assert w is not None and theta_witness_violation(g, w) is None
 
     def test_petersen_contains_theta(self):
         w = find_theta(petersen())
-        assert w is not None and is_theta_witness(petersen(), w)
+        assert w is not None and theta_witness_violation(petersen(), w) is None
 
     def test_validator_rejects_tampering(self):
         g = complete_bipartite(2, 3)
@@ -164,7 +164,7 @@ class TestTheta:
             want = oracles.contains_theta(g)
             assert (got is not None) == want
             if got is not None:
-                assert is_theta_witness(g, got)
+                assert theta_witness_violation(g, got) is None
                 hits += 1
         assert 0 < hits < 300
 
@@ -177,11 +177,80 @@ class TestTheta:
         assert find_theta(g) == find_theta(random_graph(8, 0.5, seed=77))
 
 
+def prism_by_patterns(g):
+    """The shape-ordered reference: find_induced on prism_graph(l1, l2, l3)
+    for l1 <= l2 <= l3 in ascending (total, l1, l2), first hit returned."""
+    for total in range(6, g.n + 1):
+        for l1 in range(2, total // 3 + 1):
+            for l2 in range(l1, (total - l1) // 2 + 1):
+                emb = find_induced(g, prism_graph(l1, l2, total - l1 - l2))
+                if emb is not None:
+                    return emb
+    return None
+
+
+def shuffled(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return relabel(g, perm)
+
+
+def random_cubic(n, seed):
+    return build_graph(n, nx.random_regular_graph(3, n, seed=seed).edges())
+
+
+def perturbed_prism(rng, lengths, extra, toggles):
+    """prism_graph(*lengths) plus extra vertices of random adjacency, with
+    some vertex pairs toggled, relabelled at random."""
+    g = prism_graph(*lengths)
+    n = g.n + extra
+    edges = set(g.edges())
+    for v in range(g.n, n):
+        edges |= {(u, v) for u in range(v) if rng.random() < 0.3}
+    edges ^= set(rng.sample(list(itertools.combinations(range(n), 2)), toggles))
+    return shuffled(build_graph(n, edges), rng)
+
+
+PRISM_HOSTS = {
+    "sparse-gnp": lambda: (
+        random_graph(n, p, seed=41_000 + 10 * n + k)
+        for n in range(8, 17)
+        for k, p in enumerate((0.2, 0.25, 0.3))
+    ),
+    "theta-lines": lambda: (
+        shuffled(line_graph(theta_graph(*sorted(rng.randint(2, 6) for _ in range(3)))), rng)
+        for rng in [random.Random(42_000)]
+        for _ in range(12)
+    ),
+    "wall3-lines": lambda: (
+        shuffled(line_graph(random_subdivision(wall(3), 1, 43_000 + k)), random.Random(k))
+        for k in range(3)
+    ),
+    "cubic-lines": lambda: (
+        shuffled(line_graph(random_cubic(n, 44_000 + n)), random.Random(n))
+        for n in range(6, 15, 2)
+    ),
+    "dense-gnp": lambda: (random_graph(n, 0.5, seed=45_000 + n) for n in range(6, 15)),
+    "perturbed-prisms": lambda: (
+        perturbed_prism(rng, [rng.randint(2, 5) for _ in range(3)], rng.randint(0, 2), rng.randint(0, 3))
+        for rng in [random.Random(46_000)]
+        for _ in range(40)
+    ),
+    # Two prisms of one total: only the sorted lengths decide between them.
+    "equal-totals": lambda: (
+        shuffled(disjoint_union(prism_graph(*s), prism_graph(*t)), random.Random(k))
+        for k in range(2)
+        for s, t in itertools.permutations(((2, 2, 5), (2, 3, 4), (3, 3, 3)), 2)
+    ),
+    "none-cases": lambda: (cycle_graph(6), petersen(), complete_graph(5)),
+}
+
+
 class TestPrism:
     def test_triangular_prism(self):
         g = prism_graph(2, 2, 2)
         emb = find_prism(g)
-        assert emb is not None and is_embedding(g, emb)
+        assert emb is not None and embedding_violation(g, emb) is None
         assert emb.pattern.n == 6
 
     def test_none_cases(self):
@@ -195,16 +264,32 @@ class TestPrism:
                 for l3 in range(l2, 4):
                     h = line_graph(theta_graph(l1, l2, l3))
                     emb = find_prism(h)
-                    assert emb is not None and is_embedding(h, emb)
+                    assert emb is not None and embedding_violation(h, emb) is None
 
     def test_wall_line_graph(self):
         h = line_graph(wall(3))
         emb = find_prism(h)
-        assert emb is not None and is_embedding(h, emb)
+        assert emb is not None and embedding_violation(h, emb) is None
 
     def test_cap(self):
         with pytest.raises(CapExceeded):
             find_prism(line_graph(wall(4)), cap=32)
+
+    @pytest.mark.parametrize("family", sorted(PRISM_HOSTS))
+    def test_same_embedding_as_the_shape_loop(self, family):
+        for g in PRISM_HOSTS[family]():
+            assert find_prism(g) == prism_by_patterns(g)
+
+    def test_oracle_agreement_seeded(self):
+        rng = random.Random(40_000)
+        small = ((2, 2, 2), (2, 2, 3), (2, 2, 4), (2, 3, 3))
+        hosts = [random_graph(6 + i % 4, (0.3, 0.45, 0.6, 0.75)[i % 4], seed=40_000 + i) for i in range(80)]
+        hosts += [perturbed_prism(rng, small[i % 4], i % 2, i % 3) for i in range(120)]
+        for g in hosts:
+            emb = find_prism(g)
+            assert (emb is not None) == oracles.contains_prism(g)
+            if emb is not None:
+                assert oracles.induces_prism(g, mask_of(emb.phi))
 
 
 class TestClique:
@@ -228,9 +313,9 @@ class TestBiclique:
     def test_found_cases(self):
         g = complete_bipartite(3, 3)
         emb = find_biclique(g, 3)
-        assert emb is not None and is_embedding(g, emb)
+        assert emb is not None and embedding_violation(g, emb) is None
         emb2 = find_biclique(complete_bipartite(2, 3), 2)
-        assert emb2 is not None and is_embedding(complete_bipartite(2, 3), emb2)
+        assert emb2 is not None and embedding_violation(complete_bipartite(2, 3), emb2) is None
 
     def test_none_cases(self):
         assert find_biclique(theta_graph(3, 3, 3), 3) is None
@@ -246,7 +331,7 @@ class TestBiclique:
             got = find_biclique(g, s)
             assert (got is not None) == oracles.has_induced_biclique(g, s)
             if got is not None:
-                assert is_embedding(g, got)
+                assert embedding_violation(g, got) is None
 
     def test_cap(self):
         with pytest.raises(CapExceeded):
@@ -326,7 +411,7 @@ class TestThreeInATree:
     def test_net_is_constricted(self):
         net = build_graph(6, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 4), (2, 5)])
         assert three_in_a_tree(net, (3, 4, 5)) is None
-        assert is_constricted(net, (3, 4, 5))
+        assert three_in_a_tree(net, (3, 4, 5)) is None
 
     def test_biclique_side(self):
         g = complete_bipartite(3, 3)
@@ -376,13 +461,13 @@ class TestWallLineExclusion:
         # and triangle-freeness of the host proves nothing.
         rep = excludes_wall_line_graphs(petersen(), 2)
         assert not rep.excluded
-        assert rep.embedding is not None and is_embedding(petersen(), rep.embedding)
+        assert rep.embedding is not None and embedding_violation(petersen(), rep.embedding) is None
 
     def test_contains_itself(self):
         h = line_graph(wall(3))
         rep = excludes_wall_line_graphs(h, 3)
         assert not rep.excluded and not rep.partial
-        assert rep.embedding is not None and is_embedding(h, rep.embedding)
+        assert rep.embedding is not None and embedding_violation(h, rep.embedding) is None
 
     def test_small_host_r1(self):
         rep = excludes_wall_line_graphs(cycle_graph(5), 1)
@@ -391,7 +476,7 @@ class TestWallLineExclusion:
     def test_long_cycle_r1(self):
         rep = excludes_wall_line_graphs(cycle_graph(7), 1)
         assert not rep.excluded
-        assert rep.embedding is not None and is_embedding(cycle_graph(7), rep.embedding)
+        assert rep.embedding is not None and embedding_violation(cycle_graph(7), rep.embedding) is None
 
     def test_clique_host_exhausts_budget(self):
         rep = excludes_wall_line_graphs(complete_graph(20), 2, pattern_budget=1)

@@ -25,9 +25,9 @@ from thetakit.generators import (
     wall,
 )
 from thetakit.graphs import (
+    ab_tree_violation,
     build_graph,
     connected_components,
-    is_ab_tree,
     is_clique,
     is_induced_cycle,
     is_induced_path,
@@ -131,7 +131,7 @@ def test_ab_tree_graph_validates():
     for a, b in [(1, 1), (1, 2), (2, 2), (3, 2), (2, 4), (3, 3), (4, 3), (5, 1)]:
         g, root = ab_tree_graph(a, b)
         assert root == 0
-        assert is_ab_tree(g, ab_tree_cert(a, b))
+        assert ab_tree_violation(g, ab_tree_cert(a, b)) is None
     assert ab_tree_graph(6, 6)[0].n == 4687
     assert ab_tree_graph(3, 2)[0] == complete_bipartite(1, 3)
     with pytest.raises(ValueError):

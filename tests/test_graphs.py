@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
+from thetakit.generators import petersen
 from thetakit.graphs import (
     ABTreeCert,
     PathFamily,
@@ -14,12 +16,12 @@ from thetakit.graphs import (
     build_graph,
     connected_components,
     induced_subgraph,
-    is_ab_tree,
     is_clique,
     is_induced_cycle,
     is_induced_path,
     is_stable_set,
     iter_bits,
+    iter_induced_paths,
     mask_of,
     max_disjoint_paths,
     neighborhood_mask,
@@ -176,26 +178,26 @@ def test_ab_tree_validation():
     # A path on five vertices is a (2,3)-tree rooted at its middle vertex.
     p5 = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
     mid = ((0, 1), (1, 2), (3, 2), (4, 3))
-    assert is_ab_tree(p5, cert(2, 3, 2, (0, 1, 2, 3, 4), mid))
+    assert ab_tree_violation(p5, cert(2, 3, 2, (0, 1, 2, 3, 4), mid)) is None
     off = ((0, 1), (2, 1), (3, 2), (4, 3))
-    assert not is_ab_tree(p5, cert(2, 3, 1, (0, 1, 2, 3, 4), off))
-    assert is_ab_tree(p5, cert(1, 2, 0, (0, 1), ((1, 0),)))
-    assert is_ab_tree(p5, cert(2, 2, 1, (0, 1, 2), ((0, 1), (2, 1))))
-    assert is_ab_tree(p5, cert(5, 1, 3, (3,), ()))
+    assert ab_tree_violation(p5, cert(2, 3, 1, (0, 1, 2, 3, 4), off)) is not None
+    assert ab_tree_violation(p5, cert(1, 2, 0, (0, 1), ((1, 0),))) is None
+    assert ab_tree_violation(p5, cert(2, 2, 1, (0, 1, 2), ((0, 1), (2, 1)))) is None
+    assert ab_tree_violation(p5, cert(5, 1, 3, (3,), ())) is None
     # Root degree must match the branching exactly.
-    assert not is_ab_tree(p5, cert(2, 2, 0, (0, 1), ((1, 0),)))
+    assert ab_tree_violation(p5, cert(2, 2, 0, (0, 1), ((1, 0),))) is not None
 
     star = build_graph(4, [(0, 1), (0, 2), (0, 3)])
     fan = ((1, 0), (2, 0), (3, 0))
-    assert is_ab_tree(star, cert(3, 2, 0, (0, 1, 2, 3), fan))
-    assert not is_ab_tree(star, cert(2, 2, 0, (0, 1, 2, 3), fan))
-    assert is_ab_tree(star, cert(2, 2, 0, (0, 1, 2), ((1, 0), (2, 0))))
+    assert ab_tree_violation(star, cert(3, 2, 0, (0, 1, 2, 3), fan)) is None
+    assert ab_tree_violation(star, cert(2, 2, 0, (0, 1, 2, 3), fan)) is not None
+    assert ab_tree_violation(star, cert(2, 2, 0, (0, 1, 2), ((1, 0), (2, 0)))) is None
 
     # Depth three is unreachable with a = 1: the sole child is already a leaf.
     p3 = build_graph(3, [(0, 1), (1, 2)])
-    assert not is_ab_tree(p3, cert(1, 3, 0, (0, 1, 2), ((1, 0), (2, 1))))
+    assert ab_tree_violation(p3, cert(1, 3, 0, (0, 1, 2), ((1, 0), (2, 1)))) is not None
     # Rooting a 3-path at an end breaks the root degree requirement.
-    assert not is_ab_tree(p3, cert(2, 2, 0, (0, 1, 2), ((1, 0), (2, 1))))
+    assert ab_tree_violation(p3, cert(2, 2, 0, (0, 1, 2), ((1, 0), (2, 1)))) is not None
 
     # Extra edges beyond the parent links invalidate the certificate.
     triangle = build_graph(3, [(0, 1), (1, 2), (2, 0)])
@@ -203,8 +205,8 @@ def test_ab_tree_validation():
     assert ab_tree_violation(triangle, bad) is not None
 
     # The parent map itself is checked: links must be edges, cover non-roots.
-    assert not is_ab_tree(star, cert(3, 2, 0, (0, 1, 2, 3), ((1, 0), (2, 0))))
-    assert not is_ab_tree(star, cert(3, 2, 0, (0, 1, 2, 3), ((1, 2), (2, 0), (3, 0))))
+    assert ab_tree_violation(star, cert(3, 2, 0, (0, 1, 2, 3), ((1, 0), (2, 0)))) is not None
+    assert ab_tree_violation(star, cert(3, 2, 0, (0, 1, 2, 3), ((1, 2), (2, 0), (3, 0)))) is not None
 
 
 @given(graphs())
@@ -258,3 +260,26 @@ def test_max_disjoint_paths_matches_networkx_connectivity(g, data):
     h.add_edges_from(("s", v) for v in iter_bits(sources & within))
     h.add_edges_from((v, "t") for v in iter_bits(sinks & within))
     assert max_disjoint_paths(g, sources, sinks, within) == nx.node_connectivity(h, "s", "t")
+
+
+def test_iter_induced_paths_order_is_frozen():
+    g = petersen()
+    every = [(0, 1, 2), (0, 4, 3, 2), (0, 4, 9, 7, 2), (0, 5, 7, 2), (0, 5, 8, 3, 2)]
+    assert list(iter_induced_paths(g, 0, 2, g.full_mask & ~0b101)) == every
+    assert list(iter_induced_paths(g, 0, 2, g.full_mask & ~0b101, 4)) == [
+        (0, 1, 2), (0, 4, 3, 2), (0, 5, 7, 2),
+    ]
+
+
+@given(graphs(max_n=9), st.data())
+@settings(max_examples=80, deadline=None)
+def test_iter_induced_paths_limit_keeps_exactly_the_short_paths(g, data):
+    if g.n < 2:
+        return
+    x, y = data.draw(st.lists(st.integers(0, g.n - 1), min_size=2, max_size=2, unique=True))
+    allowed = g.full_mask & ~(1 << x) & ~(1 << y)
+    every = list(iter_induced_paths(g, x, y, allowed))
+    assert all(is_induced_path(g, p, x, y) for p in every)
+    assert sorted(mask_of(p[1:-1]) for p in every) == sorted(oracles.induced_path_interiors(g, x, y))
+    for limit in range(g.n + 2):
+        assert list(iter_induced_paths(g, x, y, allowed, limit)) == [p for p in every if len(p) <= limit]
