@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .generators import complete_bipartite, cycle_graph, line_graph, prism_graph, subdivide, wall
 from .graphs import (
     Graph,
     PathFamily,
     are_anticomplete,
-    bfs_layers,
     is_induced_path,
     is_stable_set,
     iter_bits,
@@ -227,95 +227,145 @@ def _triangles(g: Graph, within: int | None = None):
                     yield a, b, c
 
 
+def _least_line_graph(g: Graph, chains, pattern) -> tuple[Embedding | None, int]:
+    """The least induced line graph of a subdivided skeleton in g, embedded.
+
+    Chain i = (u, v, m) joins branch vertices u != v, each the end of exactly
+    three chains, and has at least m >= 1 edges.  By Whitney's theorem the
+    line graph of a subdivision is a host triangle per branch vertex and, per
+    chain, an induced path of l_i >= m vertices between corners of its ends'
+    triangles (one vertex: a corner both share); ``pattern(ls)`` builds it.
+    Returns the embedding that trying every pattern with find_induced in
+    ascending order of (sum(ls), *ls) returns first, or None, and the number
+    of find_induced calls made.  Too few host triangles rule out every
+    pattern; else the unsubdivided one is tried, then branch vertices take
+    triangles in turn, with every bijection of chains to corners, and each
+    chain with both ends placed is linked by ``iter_induced_paths``.  Placed
+    vertices see exactly their placed pattern neighbours, save pairs a later
+    choice settles: a new corner and its chain's far corner (adjacent iff
+    l_i = 2), and far corners of chains with m = 1 toward one branch vertex
+    (adjacent iff both join its triangle).  Paths stay within what the least
+    key so far leaves, unused triangles must suffice for the branch vertices
+    left (paths keep off them when just enough are left), and equal chains
+    take ascending corners where first placed, their lengths sorted in the
+    key.  One more find_induced call embeds the least key.
+    """
+    adj, full = g.adj, g.full_mask
+    # The chain ends (chain, side) at each branch vertex.
+    ends = {b: [(i, s) for i, c in enumerate(chains) for s in (0, 1) if c[s] == b]
+            for u, v, _ in chains for b in (u, v)}
+    tris = [mask_of(t) for t in _triangles(g)]
+    if len(tris) < len(ends):
+        return None, 0
+    least = [m for _, _, m in chains]
+    if (emb := find_induced(g, pattern(least))) is not None:
+        return emb, 1
+    order = list(ends)
+    alike = [[j for j, d in enumerate(chains) if d == c] for c in chains]  # interchangeable chains
+    corner = [[-1, -1] for _ in chains]  # host vertex at each end of each chain
+    lens = least.copy()  # path lengths where linked, lower bounds elsewhere
+    best = (g.n + 1,)  # above the key of every pattern in g
+
+    def spare(k: int, placed: int, opened: int, taken) -> int | None:
+        # Triangles other than the placed ones (taken) that order[k:] can
+        # take, whose new corners see no placed vertex but open corners: None
+        # if too few, their vertices if exactly enough, else 0.
+        usable, need, left = full & ~placed & ~neighborhood_mask(g, placed & ~opened) | opened, len(order) - k, 0
+        for t in tris:
+            if not t & ~usable and t not in taken:
+                need -= 1
+                if need < 0:
+                    return 0
+                left |= t
+        return None if need else left
+
+    def grow(k: int, todo, placed: int, opened: int, taken: tuple[int, ...]) -> None:
+        # Link the chains in todo, then place order[k:], keeping the least key
+        # in best.  opened holds the corners of chains not yet linked.
+        nonlocal best
+        if k == len(order) and not todo:
+            key = [sorted(lens[j] for j in alike[i])[alike[i].index(i)] for i in range(len(chains))]
+            best = min(best, (sum(key), *key))
+            return
+        left = spare(k, placed, opened, taken)
+        if left is None or sum(lens) > best[0]:
+            return
+        if todo:
+            (i, c, z), rest = todo[0], todo[1:]
+            pair = (1 << c) | (1 << z)
+            block = placed & ~pair | left
+            allowed = full & ~placed & ~block & ~neighborhood_mask(g, block)
+            low = lens[i]
+            for p in iter_induced_paths(g, c, z, allowed, best[0] - sum(lens) + low):
+                if len(p) >= least[i]:
+                    lens[i] = len(p)
+                    grow(k, rest, placed | mask_of(p[1:-1]), opened & ~pair, taken)
+                    lens[i] = low
+            return
+        b = order[k]
+        far = {i: corner[i][1 - s] for i, s in ends[b] if corner[i][1 - s] >= 0}
+        fmask = mask_of(far.values())
+        # Far corners that see each other across triangles must both join b's;
+        # a new corner of an m = 1 chain may see such far corners of its far end.
+        must, defer, seen = 0, {}, fmask
+        for i, s in ends[b]:
+            w = chains[i][1 - s]
+            if i in far and adj[far[i]] & fmask & ~mask_of(corner[j][t] for j, t in ends[w]):
+                must |= 1 << far[i]
+            if i not in far and least[i] <= 1:
+                defer[i] = mask_of(corner[j][1 - t] for j, t in ends[w] if corner[j][1 - t] >= 0 and least[j] <= 1)
+                seen |= defer[i]
+        region = full & ~placed & ~neighborhood_mask(g, placed & ~seen)
+        share = mask_of(z for i, z in far.items() if least[i] <= 1)
+        ascending = [(x, y) for x, (i, _) in enumerate(ends[b]) for y, (j, _) in enumerate(ends[b])
+                     if i < j and i not in far and j in alike[i]]
+        saved = lens.copy()
+        for tri in _triangles(g, region | share):
+            if k == 1 and len(alike[0]) == len(chains) and tri[0] < min(iter_bits(taken[0])):
+                continue  # a theta's two branch vertices are interchangeable too
+            tmask = mask_of(tri)
+            for perm in itertools.permutations(tri):
+                if any(perm[x] > perm[y] for x, y in ascending):
+                    continue
+                todo, done = [], 0
+                for (i, _), c in zip(ends[b], perm):
+                    z = far.get(i, -1)
+                    zbit = 1 << z if z >= 0 else 0
+                    if c == z:  # a shared corner, so l_i = m = 1
+                        done |= zbit
+                    elif (placed >> c & 1 or zbit & must or adj[c] & placed & ~tmask & ~defer.get(i, 0) & ~zbit
+                          or adj[c] & zbit and least[i] > 2):
+                        break
+                    elif adj[c] & zbit:
+                        lens[i] = 2
+                        done |= (1 << c) | zbit
+                    elif zbit:
+                        lens[i] = max(least[i], 3)
+                        todo.append((i, c, z))
+                else:
+                    for (i, s), c in zip(ends[b], perm):
+                        corner[i][s] = c
+                    grow(k + 1, todo, placed | tmask, (opened | tmask) & ~done, taken + (tmask,))
+                    for i, s in ends[b]:
+                        corner[i][s] = -1
+                lens[:] = saved
+
+    grow(0, [], 0, 0, ())
+    return (None, 1) if len(best) == 1 else (find_induced(g, pattern(best[1:])), 2)
+
+
 def find_prism(g: Graph, cap: int | None = THETA_PRISM_CAP) -> Embedding | None:
     """Search for an induced prism: the least shape, embedded by find_induced.
 
     A prism is the line graph of a theta: triangles {a1, a2, a3} and {b1, b2,
     b3}, no edge a_i-b_j for i != j, and induced a_i-b_i paths of l_i >= 2
     vertices whose interiors are pairwise anticomplete and see no a_j or b_j
-    for j != i.  Its shape is prism_graph(l1, l2, l3) with l1 <= l2 <= l3,
-    ordered by the key (l1 + l2 + l3, l1, l2, l3).
-
-    The triangular prism, the least shape, is tried first with find_induced.
-    Otherwise a branch and bound over skeletons finds the least key: every
-    pair of disjoint triangles (the first before the second in lexicographic
-    order) with every bijection between them that leaves no edge a_i-b_j,
-    taken in ascending order of a lower bound on the total (shortest a_i-b_i
-    distances in g) and completed path by path with ``iter_induced_paths``.
-    Each later path avoids the earlier interiors and their neighbours, and no
-    path may grow past the vertex count that the least key found so far
-    leaves it; the search ends when the lower bound passes that key.  One
-    find_induced call then embeds the least shape.  So the result is the
-    same embedding as trying every shape in ascending key order with
-    find_induced and returning the first hit.  None is exhaustive.
+    for j != i.  The wall search's engine, on the skeleton theta(2, 2, 2),
+    returns find_induced's first hit over prism_graph(l1, l2, l3), l1 <= l2
+    <= l3, in ascending order of (l1 + l2 + l3, l1, l2, l3); None if none.
     """
     check_cap("find_prism", g.n, cap)
-    tris = list(_triangles(g))
-    if not tris:
-        return None
-    emb = find_induced(g, prism_graph(2, 2, 2))
-    if emb is not None:
-        return emb
-    adj, full = g.adj, g.full_mask
-    spans: dict[int, list[int]] = {}
-
-    def span(x: int, y: int) -> int:
-        # Vertices on a shortest x-y path of g (0 if none): a lower bound on
-        # the vertex count of every induced x-y path.
-        if x not in spans:
-            row = spans[x] = [0] * g.n
-            for d, layer in enumerate(bfs_layers(g, x)):
-                for u in iter_bits(layer):
-                    row[u] = d + 1
-        return spans[x][y]
-
-    def skeletons():
-        for a in tris:
-            x, y, z = (adj[v] for v in a)
-            # The second triangle lies above a's least corner and among the
-            # vertices that see at most one corner of a (no corner qualifies).
-            rest = full & ~(x & y | x & z | y & z) >> (a[0] + 1) << (a[0] + 1)
-            for b in _triangles(g, rest):
-                bmask = mask_of(b)
-                cross = [adj[v] & bmask for v in a]
-                for perm in itertools.permutations(b):
-                    if any(c & ~(1 << v) for c, v in zip(cross, perm)):
-                        continue
-                    lbs = tuple(map(span, a, perm))
-                    if all(lbs):
-                        yield lbs, a, perm
-
-    best = (g.n + 1,)  # above the key of every prism in g
-
-    def link(k: int, a, b, allowed, lbs, block: int, lens: tuple[int, ...]) -> None:
-        # Complete paths k.. of the skeleton, keeping the least key in best.
-        nonlocal best
-        if k == 3:
-            best = min(best, (sum(lens), *sorted(lens)))
-            return
-        others = sum(lens) + sum(lbs[k + 1:])  # vertices the other paths take, at least
-        bound = None
-        while bound != best[0]:
-            # A better key found below restarts this level under its tighter limit.
-            bound = best[0]
-            for p in iter_induced_paths(g, a[k], b[k], allowed[k] & ~block, bound - others):
-                inner = mask_of(p[1:-1])
-                block_next = block | inner | neighborhood_mask(g, inner)
-                link(k + 1, a, b, allowed, lbs, block_next, lens + (len(p),))
-                if best[0] < bound:
-                    break
-
-    for lbs, a, b in sorted(skeletons(), key=lambda s: sum(s[0])):
-        if sum(lbs) > best[0]:
-            break
-        # Path i's interior sees neither end of the other two paths.
-        seen = [adj[x] | adj[y] for x, y in zip(a, b)]
-        free = full & ~mask_of(a + b)
-        allowed = [free & ~seen[(i + 1) % 3] & ~seen[(i + 2) % 3] for i in range(3)]
-        link(0, a, b, allowed, lbs, 0, ())
-    if len(best) == 1:
-        return None
-    return find_induced(g, prism_graph(*best[1:]))
+    return _least_line_graph(g, ((0, 1, 2),) * 3, lambda ls: prism_graph(*ls))[0]
 
 
 def clique_number(g: Graph) -> tuple[int, tuple[int, ...]]:
@@ -533,12 +583,9 @@ def three_in_a_tree(
 
 @dataclass(frozen=True)
 class WallLineReport:
-    """Outcome of the scoped search for line graphs of wall subdivisions.
-
-    ``excluded`` is meaningful relative to the scope: when ``partial`` is
-    true the pattern budget ran out before every candidate subdivision was
-    tried, so ``excluded=True`` only covers the ``patterns_tried`` listed.
-    """
+    """Outcome of the exhaustive search for line graphs of wall subdivisions:
+    ``excluded`` is True exactly when ``embedding`` is None, ``partial`` is
+    always False, and ``patterns_tried`` counts the find_induced calls made."""
 
     excluded: bool
     r: int
@@ -549,28 +596,22 @@ class WallLineReport:
     embedding: Embedding | None = None
 
 
-def _chains(w: Graph) -> list[list[tuple[int, int]]]:
-    # Maximal edge runs whose interior vertices have degree 2, between
-    # branch vertices (degree >= 3); assumes every run ends at branch vertices.
-    branch = [v for v in range(w.n) if w.degree(v) >= 3]
-    chains = []
-    seen = set()
-    for v in branch:
-        for u in w.neighbors(v):
-            if (v, u) in seen:
-                continue
-            run = [(v, u)]
-            prev, cur = v, u
+@lru_cache(maxsize=None)
+def _wall_chains(r: int) -> tuple[Graph, tuple[tuple[int, int, int], ...], tuple[int, ...]]:
+    # wall(r); its chains (u, v, edges), maximal runs of edges between branch vertices,
+    # by first branch vertex and first step; and each chain's first edge in w.edges().
+    w = wall(r)
+    chains, firsts, seen = [], [], set()
+    for u in (v for v in range(w.n) if w.degree(v) == 3):
+        for x in w.neighbors(u):
+            prev, cur, k = u, x, 1
             while w.degree(cur) == 2:
-                nxt = next(x for x in w.neighbors(cur) if x != prev)
-                run.append((cur, nxt))
-                prev, cur = cur, nxt
-            seen.add((v, u))
-            seen.add((cur, prev))
-            key = tuple(sorted((min(a, b), max(a, b)) for a, b in run))
-            if key not in {tuple(sorted((min(a, b), max(a, b)) for a, b in r)) for r in chains}:
-                chains.append(run)
-    return chains
+                prev, cur, k = cur, next(y for y in w.neighbors(cur) if y != prev), k + 1
+            if (u, x) not in seen:
+                seen.add((cur, prev))
+                chains.append((u, cur, k))
+                firsts.append(w.edges().index((min(u, x), max(u, x))))
+    return w, tuple(chains), tuple(firsts)
 
 
 def excludes_wall_line_graphs(
@@ -579,78 +620,35 @@ def excludes_wall_line_graphs(
     cap: int | None = WALL_LINE_CAP,
     pattern_budget: int = 2000,
 ) -> WallLineReport:
-    """Scoped test that no line graph of a subdivision of wall(r) embeds in g.
+    """Exact test that no line graph of a subdivision of wall(r) embeds in g.
 
-    Candidate subdivisions are enumerated by how many extra vertices each
-    topological chain of the wall receives (placement within a chain does not
-    change the isomorphism type), ascending by total, and their line graphs
-    are matched with find_induced.  The scope ends when patterns outgrow the
-    host; if the pattern budget runs out first the report is flagged partial.
+    From r = 3 on, find_prism's engine runs on the wall's chains (maximal
+    runs of edges between branch vertices, by first branch vertex and first
+    step) and returns the embedding that trying line_graph(subdivide(wall(r),
+    counts)), each chain's added vertices on its first edge, ascending by
+    total and then by chain lengths, with find_induced returns first.  wall(1)
+    and wall(2) are the 6-cycle, so cycles of length 6 and more are tried in
+    ascending length.  ``pattern_budget`` has no effect; it stays only because
+    the benchmark corpus (``perfbench/corpus.py``) passes it.
     """
     if r < 1:
         raise ValueError("wall size must be positive")
     check_cap("excludes_wall_line_graphs", g.n, cap)
-    if r >= 3 and next(_triangles(g), None) is None:
-        # wall(r) has branch vertices only from r = 3 on; each one puts a
-        # triangle into every subdivision's line graph.
-        return WallLineReport(
-            excluded=True, r=r, host_n=g.n, patterns_tried=0, partial=False,
-            reason="host is triangle-free but every such line graph has triangles",
-        )
-    tried = 0
     if r <= 2:
-        # Subdivided 6-cycles have cycle line graphs: search induced long cycles.
-        for k in range(6, g.n + 1):
-            if tried >= pattern_budget:
-                return WallLineReport(
-                    excluded=True, r=r, host_n=g.n, patterns_tried=tried,
-                    partial=True, reason="pattern budget exhausted",
-                )
-            tried += 1
-            emb = find_induced(g, cycle_graph(k))
-            if emb is not None:
-                return WallLineReport(
-                    excluded=False, r=r, host_n=g.n, patterns_tried=tried,
-                    partial=False, reason=f"induced {k}-cycle found", embedding=emb,
-                )
-        return WallLineReport(
-            excluded=True, r=r, host_n=g.n, patterns_tried=tried, partial=False,
-            reason="all pattern sizes up to the host size were tried",
-        )
-    w = wall(r)
-    chains = _chains(w)
-    edge_index = {e: i for i, e in enumerate(w.edges())}
-    room = g.n - w.m
-    if room < 0:
-        return WallLineReport(
-            excluded=True, r=r, host_n=g.n, patterns_tried=0, partial=False,
-            reason="host is smaller than every pattern",
-        )
-    for extra in range(0, max(room, 0) + 1):
-        for split in itertools.combinations(range(extra + len(chains) - 1), len(chains) - 1):
-            if tried >= pattern_budget:
-                return WallLineReport(
-                    excluded=True, r=r, host_n=g.n, patterns_tried=tried,
-                    partial=True, reason="pattern budget exhausted",
-                )
-            tried += 1
-            bounds = (-1,) + split + (extra + len(chains) - 1,)
-            per_chain = [bounds[i + 1] - bounds[i] - 1 for i in range(len(chains))]
-            counts = [0] * w.m
-            for chain, k in zip(chains, per_chain):
-                u, v = chain[0]
-                counts[edge_index[(min(u, v), max(u, v))]] = k
-            emb = find_induced(g, line_graph(subdivide(w, counts)))
-            if emb is not None:
-                return WallLineReport(
-                    excluded=False, r=r, host_n=g.n, patterns_tried=tried,
-                    partial=False,
-                    reason=f"line graph of a subdivision with {extra} extra vertices found",
-                    embedding=emb,
-                )
+        emb = next(filter(None, (find_induced(g, cycle_graph(k)) for k in range(6, g.n + 1))), None)
+        tried = emb.pattern.n - 5 if emb else max(g.n - 5, 0)
+    else:
+        w, chains, firsts = _wall_chains(r)
+
+        def pattern(ls):
+            added = {e: l - k for e, (_, _, k), l in zip(firsts, chains, ls)}
+            return line_graph(subdivide(w, [added.get(e, 0) for e in range(w.m)]))
+
+        emb, tried = _least_line_graph(g, chains, pattern)
     return WallLineReport(
-        excluded=True, r=r, host_n=g.n, patterns_tried=tried, partial=False,
-        reason="all subdivision profiles with patterns fitting the host were tried",
+        excluded=emb is None, r=r, host_n=g.n, patterns_tried=tried, partial=False, embedding=emb,
+        reason="pattern found" if emb else "no pattern embeds" if tried else
+        "host is triangle-free or has fewer triangles than the wall has branch vertices",
     )
 
 

@@ -470,11 +470,6 @@ def path_family_violation(g: Graph, fam: PathFamily) -> str | None:
     return None
 
 
-def validate_path_family(g: Graph, fam: PathFamily) -> bool:
-    """True iff every family invariant holds in g."""
-    return path_family_violation(g, fam) is None
-
-
 @dataclass(frozen=True)
 class ABTreeCert:
     """A rooted tree found inside a host graph, with its parent map.

@@ -38,6 +38,7 @@ from thetakit.generators import (
     prism_graph,
     random_graph,
     random_subdivision,
+    subdivide,
     theta_graph,
     wall,
 )
@@ -450,6 +451,125 @@ class TestThreeInATree:
             three_in_a_tree(path_graph(5), (0, 2, 4), cap=4)
 
 
+def wall_chains(w):
+    """(u, v, edges, index of the first edge) for each chain of w, a maximal
+    run of edges between branch vertices, listed by u and the first step."""
+    index = {e: i for i, e in enumerate(w.edges())}
+    chains, seen = [], set()
+    for u in range(w.n):
+        if w.degree(u) < 3:
+            continue
+        for x in w.neighbors(u):
+            if (u, x) in seen:
+                continue
+            prev, cur, k = u, x, 1
+            while w.degree(cur) == 2:
+                prev, cur, k = cur, next(y for y in w.neighbors(cur) if y != prev), k + 1
+            seen.add((cur, prev))
+            chains.append((u, cur, k, index[(min(u, x), max(u, x))]))
+    return chains
+
+
+def wall_by_profiles(g, r):
+    """The profile-ordered reference for r >= 3: find_induced on the line
+    graph of every subdivision of wall(r), ascending by total added vertices
+    and then by per-chain counts in chain order, first hit returned; a
+    chain's added vertices go on its first edge."""
+    w = wall(r)
+    firsts = [e for _, _, _, e in wall_chains(w)]
+    k = len(firsts)
+    for extra in range(g.n - w.m + 1):
+        for split in itertools.combinations(range(extra + k - 1), k - 1):
+            bounds = (-1,) + split + (extra + k - 1,)
+            counts = [0] * w.m
+            for e, lo, hi in zip(firsts, bounds, bounds[1:]):
+                counts[e] = hi - lo - 1
+            emb = find_induced(g, line_graph(subdivide(w, counts)))
+            if emb is not None:
+                return emb
+    return None
+
+
+def wall3_with_lengths(lengths, chords=0, rng=None):
+    """The line graph of wall(3)'s branch vertices joined by chains of the
+    given edge counts, which may fall below wall(3)'s, plus ``chords`` edges
+    between the corners that chains i and i + 1 (i < chords, counted among
+    the chains with one edge in wall(3)) have at their first branch
+    vertices, relabelled by rng."""
+    chains = wall_chains(wall(3))
+    edges, corners, n = [], [], 16
+    for (u, v, _, _), l in zip(chains, lengths):
+        path = [u] + list(range(n, n + l - 1)) + [v]
+        n += l - 1
+        edges += zip(path, path[1:])
+        corners.append((min(path[:2]), max(path[:2])))
+    h = line_graph(build_graph(n, edges))
+    at = {e: i for i, e in enumerate(build_graph(n, edges).edges())}
+    ones = [corners[i] for i, c in enumerate(chains) if c[2] == 1]
+    h = build_graph(h.n, set(h.edges()) | {(at[ones[i]], at[ones[i + 1]]) for i in range(chords)})
+    return shuffled(h, rng) if rng else h
+
+
+def wall3_line(rng, extra):
+    """L(wall(3)) with extra vertices spread over its edges, relabelled."""
+    counts = [0] * wall(3).m
+    for _ in range(extra):
+        counts[rng.randrange(len(counts))] += 1
+    return shuffled(line_graph(subdivide(wall(3), counts)), rng)
+
+
+def host_triangles(g):
+    return [t for t in itertools.combinations(range(g.n), 3)
+            if all(g.has_edge(a, b) for a, b in itertools.combinations(t, 2))]
+
+
+def with_chord(g, rng):
+    edges = set(g.edges())
+    chord = rng.choice([e for e in itertools.combinations(range(g.n), 2) if e not in edges])
+    return build_graph(g.n, edges | {chord})
+
+
+def with_pendant(g, rng):
+    return build_graph(g.n + 1, set(g.edges()) | {(rng.randrange(g.n), g.n)})
+
+
+def short_chain_hosts(rng):
+    """wall3_with_lengths with one chain a vertex shorter than in wall(3),
+    two vertices where three are needed or three where four are, alone and
+    with another chain one edge longer."""
+    chains = wall_chains(wall(3))
+    for i, (_, _, k, _) in enumerate(chains):
+        if k >= 2:
+            lengths = [c[2] for c in chains]
+            lengths[i] -= 1
+            yield wall3_with_lengths(lengths, 0, rng)
+            lengths[rng.choice([j for j in range(len(chains)) if j != i])] += 1
+            yield wall3_with_lengths(lengths, 0, rng)
+
+
+WALL_HOSTS = {
+    "wall3-lines": lambda: (wall3_line(rng, k % 3) for rng in [random.Random(47_000)] for k in range(12)),
+    "wall3-lines-chord": lambda: (
+        with_chord(wall3_line(rng, k % 3), rng) for rng in [random.Random(48_000)] for k in range(9)
+    ),
+    "wall3-lines-pendant": lambda: (
+        with_pendant(wall3_line(rng, k % 3), rng) for rng in [random.Random(49_000)] for k in range(9)
+    ),
+    "triangle-poor-gnp": lambda: (
+        random_graph(19 + k % 3, 0.2, seed=50_000 + k) for k in range(10)
+    ),
+    "short-chain-lines": lambda: short_chain_hosts(random.Random(53_000)),
+    # Two chains with one edge in wall(3) toward the same branch vertex,
+    # lengthened, with their far corners joined, and maybe one more chord.
+    "corner-chord-lines": lambda: (
+        wall3_with_lengths([k + (k == 1 and j < 4) for j, (_, _, k, _) in enumerate(wall_chains(wall(3)))],
+                           1 + t % 2, rng)
+        for rng in [random.Random(54_000)]
+        for t in range(6)
+    ),
+}
+
+
 class TestWallLineExclusion:
     def test_triangle_free_host(self):
         rep = excludes_wall_line_graphs(petersen(), 3)
@@ -478,9 +598,9 @@ class TestWallLineExclusion:
         assert not rep.excluded
         assert rep.embedding is not None and embedding_violation(cycle_graph(7), rep.embedding) is None
 
-    def test_clique_host_exhausts_budget(self):
+    def test_clique_host_has_no_long_induced_cycle(self):
         rep = excludes_wall_line_graphs(complete_graph(20), 2, pattern_budget=1)
-        assert rep.excluded and rep.partial and rep.patterns_tried == 1
+        assert rep.excluded and not rep.partial and rep.embedding is None
 
     def test_small_triangle_host(self):
         rep = excludes_wall_line_graphs(complete_graph(4), 2)
@@ -491,6 +611,43 @@ class TestWallLineExclusion:
             excludes_wall_line_graphs(cycle_graph(4), 0)
         with pytest.raises(CapExceeded):
             excludes_wall_line_graphs(line_graph(wall(4)), 3)
+
+    def test_subdivided_wall_line_graph_is_decided(self):
+        rng = random.Random(51_000)
+        counts = [1] * 10 + [0] * 9
+        rng.shuffle(counts)
+        h = shuffled(line_graph(subdivide(wall(3), counts)), rng)
+        assert h.n == 29
+        rep = excludes_wall_line_graphs(h, 3)
+        assert not rep.excluded and not rep.partial
+        assert rep.embedding is not None and embedding_violation(h, rep.embedding) is None
+
+    @pytest.mark.parametrize("triangles", range(1, 6))
+    def test_too_few_triangles_is_decided(self, triangles):
+        # Dropping one edge of a triangle of L(subdivided wall(3)) removes that triangle.
+        rng = random.Random(52_000 + triangles)
+        h = line_graph(subdivide(wall(3), [rng.randint(0, 1) for _ in range(wall(3).m)]))
+        edges = set(h.edges())
+        for a, b, _ in host_triangles(h)[triangles:]:
+            edges.discard((a, b))
+        h = shuffled(build_graph(h.n, edges), rng)
+        assert len(host_triangles(h)) == triangles
+        rep = excludes_wall_line_graphs(h, 3, pattern_budget=40)
+        assert rep.excluded and not rep.partial and rep.embedding is None
+
+    def test_walls_above_the_host_size(self):
+        rep = excludes_wall_line_graphs(complete_graph(20), 4)
+        assert rep.excluded and not rep.partial
+
+    @pytest.mark.parametrize("family", sorted(WALL_HOSTS))
+    def test_same_embedding_as_the_profile_loop(self, family):
+        for g in WALL_HOSTS[family]():
+            rep = excludes_wall_line_graphs(g, 3)
+            assert rep.embedding == wall_by_profiles(g, 3)
+            assert rep.excluded == (rep.embedding is None) and not rep.partial
+            # A second find_induced call embeds the least key the search found,
+            # so it cannot miss.
+            assert rep.embedding is not None or rep.patterns_tried <= 1
 
 
 class TestMaxPathFan:

@@ -47,7 +47,7 @@ from thetakit.graphs import (
     is_induced_path,
     is_stable_set,
     iter_bits,
-    validate_path_family,
+    path_family_violation,
 )
 
 UNMET_NAMES = {
@@ -115,7 +115,7 @@ def greedy_family(g, x, y, paths):
     if not chosen:
         return None
     fam = PathFamily(x, y, tuple(chosen))
-    return fam if validate_path_family(g, fam) else None
+    return fam if path_family_violation(g, fam) is None else None
 
 
 def seeded_families(count, start=0, max_tries=None):

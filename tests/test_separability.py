@@ -14,7 +14,7 @@ from thetakit.generators import (
     random_graph,
     theta_graph,
 )
-from thetakit.graphs import build_graph, induced_subgraph, validate_path_family
+from thetakit.graphs import build_graph, induced_subgraph, path_family_violation
 from thetakit.separability import (
     PACKING_CAP,
     SeparabilityReport,
@@ -51,19 +51,19 @@ class TestPairMaximum:
         r = max_internally_disjoint_paths(g, 0, 1)
         assert (r.count, r.exact, r.upper_bound) == (3, True, 3)
         assert r.family.paths == ((0, 2, 1), (0, 3, 1), (0, 4, 1))
-        assert validate_path_family(g, r.family)
+        assert path_family_violation(g, r.family) is None
 
     def test_cycle_arcs(self):
         count, fam = max_internally_disjoint_paths(cycle_graph(5), 0, 2)
         assert count == 2
-        assert validate_path_family(cycle_graph(5), fam)
+        assert path_family_violation(cycle_graph(5), fam) is None
 
     def test_petersen_pairs(self):
         g = petersen()
         for x, y in [(0, 2), (0, 7), (1, 4)]:
             r = max_internally_disjoint_paths(g, x, y)
             assert r.count == 3 and r.exact
-            assert validate_path_family(g, r.family)
+            assert path_family_violation(g, r.family) is None
 
     def test_no_route(self):
         g = build_graph(4, [(0, 1), (2, 3)])
@@ -91,7 +91,7 @@ class TestPairMaximum:
                         continue
                     r = max_internally_disjoint_paths(g, x, y)
                     assert r.count == max_disjoint_path_family(g, x, y), (seed, x, y)
-                    assert validate_path_family(g, r.family)
+                    assert path_family_violation(g, r.family) is None
                     assert len(r.family.paths) == r.count
 
     def test_deleting_outsiders_keeps_maximum(self):
@@ -117,7 +117,7 @@ class TestBoundedMode:
         g = cycle_graph(20)
         r = max_internally_disjoint_paths(g, 0, 10)
         assert (r.count, r.exact, r.upper_bound) == (2, True, 2)
-        assert validate_path_family(g, r.family)
+        assert path_family_violation(g, r.family) is None
 
     def test_flagged_when_uncertified(self):
         # Two branch vertices joined by 5 long spokes, plus chords between
@@ -153,7 +153,7 @@ class TestReport:
     def test_biclique(self):
         rep = separability(complete_bipartite(2, 3))
         assert rep.lambda_star == 3 and rep.pair == (0, 1) and not rep.vacuous
-        assert validate_path_family(complete_bipartite(2, 3), rep.witness)
+        assert path_family_violation(complete_bipartite(2, 3), rep.witness) is None
         assert len(rep.witness.paths) == 3
         assert not rep.is_separable(3) and rep.is_separable(4)
 
@@ -232,7 +232,7 @@ def test_packing_within_flow_bound(seed):
                 continue
             r = max_internally_disjoint_paths(g, x, y)
             assert r.count <= r.upper_bound <= min(g.degree(x), g.degree(y))
-            assert validate_path_family(g, r.family)
+            assert path_family_violation(g, r.family) is None
             break
         else:
             continue
