@@ -553,10 +553,12 @@ def three_in_a_tree(
     """An induced tree of g containing at least three vertices of z, or None.
 
     z must be a stable set with at least three vertices.  A minimal such tree
-    is an induced path through three z-vertices or a spider: a center with
-    three legs to z-vertices, pairwise anticomplete away from the center.
-    Both shapes are searched exhaustively, triples of z in ascending order;
-    the spider search shares its leg search with find_theta.
+    is a spider (Chudnovsky–Seymour, Combinatorica 2010): a hub joined by
+    induced legs, pairwise anticomplete away from it, to each of three
+    z-vertices but itself; a path is the spider whose hub is its middle
+    z-vertex.  For each triple (a, b, c) of z in ascending order, hubs c, b,
+    a and then every other vertex ascending are tried with the leg search
+    find_theta shares, so None is exhaustive.
     """
     zs = tuple(sorted(set(z)))
     if len(zs) < 3:
@@ -564,20 +566,14 @@ def three_in_a_tree(
     if not is_stable_set(g, mask_of(zs)):
         raise ValueError("the set must be stable")
     check_cap("three_in_a_tree", g.n, cap)
-    full = g.full_mask
     for a, b, c in itertools.combinations(zs, 3):
-        tri = mask_of((a, b, c))
-        for u, w, mid in ((a, b, c), (a, c, b), (b, c, a)):
-            allowed = full & ~(1 << u) & ~(1 << w)
-            for p in iter_induced_paths(g, u, w, allowed):
-                if mask_of(p) >> mid & 1:
-                    return tuple(sorted(p))
-        base = full & ~tri
-        for v in iter_bits(base):
-            if g.adj[v].bit_count() < 3:
+        base = g.full_mask & ~mask_of((a, b, c))
+        for hub in itertools.chain((c, b, a), iter_bits(base)):
+            ends = tuple(t for t in (a, b, c) if t != hub)
+            if g.adj[hub].bit_count() < len(ends):
                 continue
-            for la, lb, lc in _legs(g, v, (a, b, c), base & ~(1 << v), 1 << v):
-                return tuple(sorted({v, *la, *lb, *lc}))
+            for legs in _legs(g, hub, ends, base & ~(1 << hub), 1 << hub):
+                return tuple(sorted({hub}.union(*legs)))
     return None
 
 

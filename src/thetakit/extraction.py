@@ -360,15 +360,18 @@ def _digraph_stable(d: Digraph, r: int, s: int, steps: list, cap: int | None) ->
     steps.append(TraceStep("digraph_stable", "choose", "stable", found))
     if size >= s:
         return Success(found, tuple(steps))
-    return ThresholdUnmet("digraph_low", 2 * r * s, len(low), tuple(steps))
+    return ThresholdUnmet("digraph_low", (2 * r + 1) * (s - 1) + 1, len(low), tuple(steps))
 
 
 def digraph_stable(d: Digraph, r: int, s: int, cap: int | None = EXTRACTION_CAP) -> Outcome:
     """A largest stable set among vertices of out-degree at most r.
 
     Stability is in the underlying graph: no arc either way between chosen
-    vertices.  With at least 2rs vertices of out-degree at most r a stable
-    set of size s always exists; a miss reports that bound.
+    vertices.  That graph, on the n vertices of out-degree at most r, has
+    average degree at most 2r, so by Caro–Wei it holds a stable set of at
+    least n / (2r + 1) vertices.  With at least (2r + 1)(s - 1) + 1 of them
+    a stable set of size s always exists; s - 1 disjoint regular tournaments
+    on 2r + 1 vertices show the bound is tight.  A miss reports that bound.
     """
     steps: list[TraceStep] = []
     return _digraph_stable(d, r, s, steps, cap)
@@ -729,29 +732,29 @@ def _low_branch_theta(g: Graph, x: int, chosen_paths, steps: list) -> Outcome:
     pos = {v: i for i, v in enumerate(back)}
     z = sorted(pos[p[1]] for p in chosen_paths)
     steps.append(TraceStep(op, "choose", "Z", tuple(back[v] for v in z)))
-    tree = three_in_a_tree(sub, z)
+    tree = three_in_a_tree(sub, z, cap=None)
     if tree is None:
         steps.append(TraceStep(op, "branch", "constricted", ()))
         return ThresholdUnmet("three_in_tree", 1, 0, tuple(steps))
-    tset = set(tree)
-    tips = sorted(tset & set(z))[:3]
-    # In an induced tree the unique path between two tips is its one induced path.
+    # S is stable in D, so each tip sees only its own path and no tip is the
+    # hub: the tree is a spider, each leg the tree's one tip-center path.
     tmask = mask_of(tree)
-    p01 = next(iter_induced_paths(sub, tips[0], tips[1], tmask))
-    p02 = next(iter_induced_paths(sub, tips[0], tips[2], tmask))
-    p12 = next(iter_induced_paths(sub, tips[1], tips[2], tmask))
-    meet = set(p01) & set(p02) & set(p12)
-    if len(meet) != 1:
-        raise RuntimeError("the family tips must have a single meeting vertex")
-    center = meet.pop()
-    legs = []
-    for tip, path in ((tips[0], p01), (tips[1], p12), (tips[2], p02)):
-        walk = path if path[0] == tip else path[::-1]
-        legs.append(walk[: walk.index(center) + 1])
-    paths = tuple(tuple([x] + [back[v] for v in leg]) for leg in legs)
+    center = next((v for v in tree if (sub.adj[v] & tmask).bit_count() == 3), None)
+    if center is None:
+        raise RuntimeError("the tree on the family tips must be a spider")
+    paths = tuple((x,) + tuple(back[v] for v in next(iter_induced_paths(sub, tip, center, tmask)))
+                  for tip in z if tmask >> tip & 1)
     witness = ThetaWitness(x, back[center], paths)
     steps.append(TraceStep(op, "choose", "theta", paths))
     return PreconditionWitness("theta", witness, tuple(steps))
+
+
+def _check_family(g: Graph, x: int, y: int, fam: PathFamily) -> None:
+    if fam.x != x or fam.y != y:
+        raise ValueError("the family ends must match the given vertices")
+    bad = path_family_violation(g, fam)
+    if bad is not None:
+        raise ValueError(bad)
 
 
 def _grow(g, x, y, fam, a, b, child_count, policy, steps):
@@ -760,11 +763,7 @@ def _grow(g, x, y, fam, a, b, child_count, policy, steps):
         raise ValueError("tree parameters must be positive")
     if a == 1 and b > 2:
         raise ValueError("branching 1 cannot reach depth beyond 1")
-    if fam.x != x or fam.y != y:
-        raise ValueError("the family ends must match the given vertices")
-    bad = path_family_violation(g, fam)
-    if bad is not None:
-        raise ValueError(bad)
+    _check_family(g, x, y, fam)
 
     def consts(n):
         return tree_constants(a, n)
@@ -798,8 +797,9 @@ def _grow(g, x, y, fam, a, b, child_count, policy, steps):
     alpha_t, bad = _target(steps, policy, op, "tip_stable", tip_target, 1, len(tips))
     if bad is not None:
         return bad
-    # The family is caller-controlled, so the tip search runs uncapped; the
-    # capped operations protect only the adversarial-input entry points.
+    # The family is caller-controlled, so the tip search here and the low
+    # branch's stable-set and tree searches run uncapped; the capped
+    # operations protect only the adversarial-input entry points.
     out = _mapped_eh(g, sorted(tips), 3, t_like, alpha_t, steps, cap=None)
     if not isinstance(out, Success):
         return out
@@ -858,7 +858,7 @@ def _grow(g, x, y, fam, a, b, child_count, policy, steps):
         s_int, bad = _target(steps, policy, op, "stable_size", s_target, 3, d.n)
         if bad is not None:
             return bad
-        out = _digraph_stable(d, q_int * r_int, s_int, steps, EXTRACTION_CAP)
+        out = _digraph_stable(d, q_int * r_int, s_int, steps, None)
         if isinstance(out, ThresholdUnmet):
             return out
         chosen = [long_paths[i] for i in out.value]
@@ -965,11 +965,7 @@ def embed_forest(g: Graph, x: int, y: int, fam: PathFamily, h: Graph, thresholds
         # One vertex embeds anywhere; no growth is needed, and growth could
         # even fail on hosts this small.  The root end is the deterministic
         # pick, once the family has been checked like any other call.
-        if fam.x != x or fam.y != y:
-            raise ValueError("the family ends must match the given vertices")
-        bad = path_family_violation(g, fam)
-        if bad is not None:
-            raise ValueError(bad)
+        _check_family(g, x, y, fam)
         steps.append(TraceStep("embed_forest", "choose", "phi", (x,)))
         return Success(Embedding(h, (x,)), tuple(steps))
     out = _grow(g, x, y, fam, hplus.n, hplus.n, hplus.n, policy, steps)

@@ -1,8 +1,8 @@
 """Exact treewidth for small graphs, with witnessing decompositions.
 
 The main solver runs branch-and-bound over elimination orderings, sandwiched
-between a degeneracy lower bound and a min-fill upper bound, and returns a
-decomposition built from the winning order.
+between a contraction-degeneracy lower bound and a min-fill upper bound, and
+returns a decomposition built from the winning order.
 
 Every step works on the elimination graph: a filled adjacency list ``fadj``
 in which, once a vertex set S has been eliminated, ``fadj[v] & remaining``
@@ -78,20 +78,12 @@ def _eliminate(fadj: list[int], v: int, remaining: int) -> int:
     return nb
 
 
-def _degeneracy(g: Graph) -> int:
-    remaining = g.full_mask
-    best = 0
-    while remaining:
-        v = min(iter_bits(remaining), key=lambda u: (g.adj[u] & remaining).bit_count())
-        best = max(best, (g.adj[v] & remaining).bit_count())
-        remaining &= ~(1 << v)
-    return best
-
-
 def _contraction_degeneracy(g: Graph) -> int:
     # Max over contractions of the minimum degree; a treewidth lower bound
     # since minors never increase treewidth.  Min-degree vertex contracted
-    # into its least-degree neighbor, ties broken by index.
+    # into its least-degree neighbor, ties broken by index.  It is at least
+    # the degeneracy k: while the minimum degree stays below k, the vertex
+    # contracted lies outside the k-core, which survives as a subgraph.
     adj = list(g.adj)
     remaining = g.full_mask
     best = 0
@@ -242,7 +234,7 @@ def treewidth_exact(g: Graph, cap: int | None = TREEWIDTH_CAP) -> tuple[int, Tre
     check_cap("treewidth_exact", g.n, cap)
     if g.n == 0:
         return -1, TreeDecomposition(build_graph(1, []), (0,))
-    low = max(_degeneracy(g), _contraction_degeneracy(g))
+    low = _contraction_degeneracy(g)
     prefix, alive, fadj, low = _preprocess(g, low)
     if alive:
         keep = list(iter_bits(alive))

@@ -327,6 +327,21 @@ class TestTowerCompare:
             assert tower_compare(a, b) == want
             assert tower_compare(b, a) == -want
 
+    def test_different_bases_beyond_cap(self):
+        # Exponents equal or symbolic on both sides, so the bases' log2
+        # bounds decide, one exponent level down.
+        x = nat(2) ** nat(10 ** 6)
+        cases = [
+            (nat(2) ** x, nat(3) ** x, -1),
+            (nat(4) ** x, nat(3) ** x, 1),
+            (nat(7) ** x, nat(8) ** x, -1),
+            # 3^300000 * log2(2) against 2^400000 * log2(3).
+            (nat(2) ** (nat(3) ** nat(300000)), nat(3) ** (nat(2) ** nat(400000)), 1),
+        ]
+        for a, b, want in cases:
+            assert tower_compare(a, b) == want
+            assert tower_compare(b, a) == -want
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10 ** 9))
     def test_agreement_property(self, seed):

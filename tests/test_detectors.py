@@ -14,6 +14,7 @@ from thetakit.detectors import (
     ConstellationWitness,
     Embedding,
     ThetaWitness,
+    _legs,
     clique_number,
     constellation_witness_violation,
     embedding_violation,
@@ -42,7 +43,7 @@ from thetakit.generators import (
     theta_graph,
     wall,
 )
-from thetakit.graphs import build_graph, mask_of, relabel
+from thetakit.graphs import build_graph, iter_bits, iter_induced_paths, mask_of, relabel
 
 
 def seeded_hosts(count, max_n=8, start=0):
@@ -449,6 +450,45 @@ class TestThreeInATree:
     def test_cap(self):
         with pytest.raises(CapExceeded):
             three_in_a_tree(path_graph(5), (0, 2, 4), cap=4)
+
+    @staticmethod
+    def two_half_search(g, zs):
+        # The earlier search, kept as a reference: induced paths through a
+        # middle terminal, then spiders on hubs of degree at least 3.
+        full = g.full_mask
+        for a, b, c in itertools.combinations(zs, 3):
+            for u, w, mid in ((a, b, c), (a, c, b), (b, c, a)):
+                for p in iter_induced_paths(g, u, w, full & ~(1 << u) & ~(1 << w)):
+                    if mask_of(p) >> mid & 1:
+                        return tuple(sorted(p))
+            base = full & ~mask_of((a, b, c))
+            for v in iter_bits(base):
+                if g.adj[v].bit_count() >= 3:
+                    for la, lb, lc in _legs(g, v, (a, b, c), base & ~(1 << v), 1 << v):
+                        return tuple(sorted({v, *la, *lb, *lc}))
+        return None
+
+    def test_agrees_with_two_half_search(self):
+        rng = random.Random(2010)
+        hits = misses = 0
+        for i in range(1500):
+            n = 5 + i % 12
+            g = random_graph(n, rng.choice((0.15, 0.25, 0.35, 0.5)), seed=rng.randrange(1 << 30))
+            z, free = [], g.full_mask
+            for v in rng.sample(range(n), n):
+                if free >> v & 1 and len(z) < 4:
+                    z.append(v)
+                    free &= ~g.adj[v]
+            if len(z) < 3:
+                continue
+            got = three_in_a_tree(g, z)
+            assert (got is None) == (self.two_half_search(g, sorted(z)) is None), i
+            if got is None:
+                misses += 1
+            else:
+                hits += 1
+                self.check_tree(g, got, z)
+        assert hits > 900 and misses > 300
 
 
 def wall_chains(w):

@@ -219,7 +219,23 @@ class TestDigraphStableExamples:
         out = digraph_stable(d, 2, 2)
         assert isinstance(out, ThresholdUnmet)
         assert out.name == "digraph_low"
-        assert out.required == 8 and out.available == 3
+        assert out.required == 6 and out.available == 3
+
+    @pytest.mark.parametrize("r", range(4))
+    @pytest.mark.parametrize("s", range(1, 5))
+    def test_regular_tournaments_are_extremal(self, r, s):
+        # s - 1 disjoint regular tournaments on 2r + 1 vertices: every
+        # vertex is low, the largest stable set has s - 1, one short of the
+        # bound; one more isolated vertex meets it.  For r = 1, s = 3 these
+        # are two directed triangles: required 7, available 6.
+        k = 2 * r + 1
+        arcs = [(b + i, b + (i + j) % k)
+                for b in range(0, k * (s - 1), k) for i in range(k) for j in range(1, r + 1)]
+        out = digraph_stable(build_digraph(k * (s - 1), arcs), r, s)
+        assert isinstance(out, ThresholdUnmet) and out.name == "digraph_low"
+        assert out.required == k * (s - 1) + 1 and out.available == k * (s - 1)
+        out = digraph_stable(build_digraph(k * (s - 1) + 1, arcs), r, s)
+        assert isinstance(out, Success) and len(out.value) == s
 
     def test_isolated_vertices(self):
         out = digraph_stable(build_digraph(4, []), 1, 2)
@@ -447,6 +463,22 @@ class TestGrowExamples:
         assert out.witness.x == 0 and out.witness.y == 7
         assert witness_violation(g, out) is None
 
+    @pytest.mark.parametrize("count, inner", [(11, 3), (49, 2)])
+    def test_low_branch_runs_uncapped(self, count, inner):
+        # Pairwise anticomplete x-y paths: the low branch takes all of them,
+        # a tree region of 34 vertices for 11 paths and 49 low vertices for
+        # 49, both above the detectors' and extraction's default caps.
+        edges, paths = [], []
+        for i in range(count):
+            path = (0, *range(2 + i * inner, 2 + (i + 1) * inner), 1)
+            edges += zip(path, path[1:])
+            paths.append(path)
+        g = build_graph(2 + count * inner, edges)
+        out = grow_ab_tree(g, 0, 1, PathFamily(0, 1, tuple(paths)), 2, 2,
+                           FixedThresholds(0, fanout_high=10 ** 6))
+        assert isinstance(out, PreconditionWitness) and out.kind == "theta"
+        assert witness_violation(g, out) is None
+
     def test_deep_recursion_builds_four_four_tree(self):
         g, x, y, fam = build_deep_instance()
         out = grow_ab_tree(g, x, y, fam, 4, 4, FixedThresholds(0))
@@ -540,10 +572,10 @@ class TestDigraphStableGuarantee:
         for i in range(100_000):
             n = 2 + i % 9
             d = random_digraph(rng, n)
-            r, s = 1 + i % 2, 1 + (i >> 1) % 2
+            r, s = 1 + i % 2, 1 + (i >> 1) % 3
             low = sum(1 for u in range(n) if bin(d.out[u]).count("1") <= r)
             out = digraph_stable(d, r, s)
-            if low >= 2 * r * s:
+            if low >= (2 * r + 1) * (s - 1) + 1:
                 assert isinstance(out, Success)
                 assert len(out.value) >= s
                 assert stable_in_digraph(d, out.value)
@@ -740,12 +772,12 @@ class TestDeterminism:
 
 
 @settings(deadline=None, max_examples=150)
-@given(st.integers(0, 10 ** 9), st.integers(2, 6), st.integers(1, 2), st.integers(1, 2))
+@given(st.integers(0, 10 ** 9), st.integers(2, 6), st.integers(1, 2), st.integers(1, 3))
 def test_digraph_stable_guarantee_property(seed, n, r, s):
     d = random_digraph(random.Random(seed), n)
     low = sum(1 for u in range(n) if bin(d.out[u]).count("1") <= r)
     out = digraph_stable(d, r, s)
-    if low >= 2 * r * s:
+    if low >= (2 * r + 1) * (s - 1) + 1:
         assert isinstance(out, Success)
         assert len(out.value) >= s and stable_in_digraph(d, out.value)
 

@@ -23,6 +23,7 @@ from thetakit.graphs import build_graph
 from thetakit.detectors import CapExceeded
 from thetakit.treewidth import (
     TreeDecomposition,
+    _contraction_degeneracy,
     _decide,
     _eliminate,
     treewidth_dp,
@@ -134,6 +135,13 @@ class TestCrossCheck:
         for seed in range(200):
             g = random_graph(4 + seed % 7, 0.15 + (seed % 6) * 0.14, seed)
             assert solved(g) == treewidth_dp(g), seed
+
+    def test_contraction_degeneracy_covers_degeneracy(self):
+        for seed in range(300):
+            g = random_graph(4 + seed % 17, 0.1 + (seed % 8) * 0.1, seed)
+            nxg = nx.Graph(g.edges())
+            nxg.add_nodes_from(range(g.n))
+            assert _contraction_degeneracy(g) >= max(nx.core_number(nxg).values()), seed
 
     def test_disjoint_union_takes_max(self):
         g = disjoint_union(complete_graph(4), cycle_graph(5))
