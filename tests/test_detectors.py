@@ -44,6 +44,7 @@ from thetakit.generators import (
     wall,
 )
 from thetakit.graphs import build_graph, iter_bits, iter_induced_paths, mask_of, relabel
+from thetakit.treewidth import treewidth_exact
 
 
 def seeded_hosts(count, max_n=8, start=0):
@@ -688,6 +689,25 @@ class TestWallLineExclusion:
             # A second find_induced call embeds the least key the search found,
             # so it cannot miss.
             assert rep.embedding is not None or rep.patterns_tried <= 1
+
+
+class TestNecessityFamily:
+    """Hypothesis (b) of the paper is necessary: line graphs of subdivided
+    walls are theta-free (claw-free, and a theta's branch vertex with its
+    three neighbours is an induced claw) with clique number 3, and their
+    treewidth grows with the wall."""
+
+    def test_wall_line_graphs(self):
+        hosts = [(3, line_graph(random_subdivision(wall(3), 1, seed))) for seed in range(3)]
+        hosts.append((4, line_graph(wall(4))))
+        widths = {3: [], 4: []}
+        for r, h in hosts:
+            assert find_theta(h) is None
+            assert clique_number(h)[0] == 3
+            rep = excludes_wall_line_graphs(h, r, cap=None)
+            assert not rep.excluded and embedding_violation(h, rep.embedding) is None
+            widths[r].append(treewidth_exact(h, cap=None)[0])
+        assert max(widths[3]) <= min(widths[4]), widths
 
 
 class TestMaxPathFan:

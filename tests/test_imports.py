@@ -1,6 +1,8 @@
-"""Every name a library module or test module imports is used in it."""
+"""Every name a library module or test module imports is used in it, and
+every module-level constant of the library is read somewhere."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -11,6 +13,8 @@ MODULES = sorted(
     + list((ROOT / "tests").glob("*.py")),
     key=lambda p: p.relative_to(ROOT).as_posix(),
 )
+
+CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -34,3 +38,35 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.relative_to(ROOT).as_posix())
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def module_constants(source: str) -> list[str]:
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        names += [t.id for t in targets if isinstance(t, ast.Name) and CONSTANT.fullmatch(t.id)]
+    return names
+
+
+def names_read(source: str) -> set[str]:
+    nodes = list(ast.walk(ast.parse(source)))
+    return {n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)} | {
+        n.attr for n in nodes if isinstance(n, ast.Attribute)
+    }
+
+
+def test_the_check_sees_an_unread_constant():
+    source = "A = 1\n_B: int = A\nc = 3\nprint(c.real)\n"
+    assert module_constants(source) == ["A", "_B"]
+    assert names_read(source) == {"A", "int", "print", "c", "real"}
+
+
+def test_every_library_constant_is_read():
+    library = sorted((ROOT / "src" / "thetakit").glob("*.py"))
+    read = set().union(*(names_read(p.read_text()) for p in library + list((ROOT / "tests").glob("*.py"))))
+    assert [f"{p.name}: {c}" for p in library for c in module_constants(p.read_text()) if c not in read] == []

@@ -14,16 +14,16 @@ from thetakit.generators import (
     random_graph,
     theta_graph,
 )
-from thetakit.graphs import build_graph, induced_subgraph, path_family_violation
+from thetakit.graphs import build_graph, induced_subgraph, iter_induced_paths, mask_of, path_family_violation
 from thetakit.separability import (
-    PACKING_CAP,
+    PACKING_BUDGET,
     SeparabilityReport,
     max_internally_disjoint_paths,
     separability,
 )
 
 
-def reference_scan(g, cap):
+def reference_scan(g, budget):
     """separability with no skip: every nonadjacent pair is packed.
 
     The earliest strict maximum is kept.  ``exact`` holds when no pair
@@ -35,7 +35,7 @@ def reference_scan(g, cap):
         for y in range(x + 1, g.n):
             if g.has_edge(x, y):
                 continue
-            r = max_internally_disjoint_paths(g, x, y, cap)
+            r = max_internally_disjoint_paths(g, x, y, budget)
             if not r.exact:
                 open_bound = max(open_bound, r.upper_bound)
             if best is None or r.count > best[0]:
@@ -43,6 +43,18 @@ def reference_scan(g, cap):
     if best is None:
         return SeparabilityReport(0, None, None, True, True)
     return SeparabilityReport(best[0], best[1], best[2], open_bound <= best[0], False)
+
+
+def greedy_count(g, x, y):
+    """The first-fit family over induced x-y paths in enumeration order."""
+    used = 0
+    count = 0
+    for p in iter_induced_paths(g, x, y, g.full_mask & ~(1 << x) & ~(1 << y)):
+        inner = mask_of(p[1:-1])
+        if not inner & used:
+            used |= inner
+            count += 1
+    return count
 
 
 class TestPairMaximum:
@@ -83,8 +95,8 @@ class TestPairMaximum:
             max_internally_disjoint_paths(c5, 0, 9)
 
     def test_oracle_agreement(self):
-        for seed in range(120):
-            g = random_graph(4 + seed % 5, 0.2 + (seed % 4) * 0.2, seed)
+        for seed in range(140):
+            g = random_graph(4 + seed % 7, 0.2 + (seed % 4) * 0.2, seed)
             for x in range(g.n):
                 for y in range(x + 1, g.n):
                     if g.has_edge(x, y):
@@ -120,27 +132,46 @@ class TestBoundedMode:
         assert path_family_violation(g, r.family) is None
 
     def test_flagged_when_uncertified(self):
-        # Two branch vertices joined by 5 long spokes, plus chords between
-        # spoke interiors that the greedy pass routes through first.
+        # Two branch vertices joined by 5 spokes of 3 interior vertices.
         edges = []
         n = 2
-        spokes = []
         for _ in range(5):
             a, b, c = n, n + 1, n + 2
             edges += [(0, a), (a, b), (b, c), (c, 1)]
-            spokes.append((a, b, c))
             n += 3
         g = build_graph(n, edges)
-        exact = max_internally_disjoint_paths(g, 0, 1, cap=None)
-        capped = max_internally_disjoint_paths(g, 0, 1, cap=16)
-        assert exact.count == 5 and exact.exact
-        assert capped.count <= capped.upper_bound == 5
-        assert capped.exact == (capped.count == 5)
+        exact = max_internally_disjoint_paths(g, 0, 1, budget=None)
+        cut = max_internally_disjoint_paths(g, 0, 1, budget=1)
+        assert (exact.count, exact.exact, exact.upper_bound) == (5, True, 5)
+        assert (cut.count, cut.exact, cut.upper_bound) == (1, False, 5)
+        assert path_family_violation(g, cut.family) is None
 
-    def test_cap_none_forces_exhaustive(self):
+    def test_budget_none_is_exhaustive(self):
         g = cycle_graph(18)
-        r = max_internally_disjoint_paths(g, 0, 9, cap=None)
+        r = max_internally_disjoint_paths(g, 0, 9, budget=None)
         assert r.count == 2 and r.exact
+
+    def test_small_budgets_against_oracle_and_greedy(self):
+        # The first dive takes at most deg(x) + 1 nodes and finds the greedy
+        # family, so from that budget on the count never falls below it.
+        cut_short = 0
+        for seed in range(60):
+            g = random_graph(8 + seed % 3, (0.3, 0.45, 0.6)[seed % 3], 900 + seed)
+            for x in range(g.n):
+                for y in range(x + 1, g.n):
+                    if g.has_edge(x, y):
+                        continue
+                    oracle = max_disjoint_path_family(g, x, y)
+                    for budget in (0, 1, 2, 4, g.degree(x) + 1):
+                        r = max_internally_disjoint_paths(g, x, y, budget)
+                        assert path_family_violation(g, r.family) is None
+                        assert len(r.family.paths) == r.count
+                        assert r.count <= oracle <= r.upper_bound, (seed, x, y, budget)
+                        assert not r.exact or r.count == oracle
+                        if budget > g.degree(x):
+                            assert r.count >= greedy_count(g, x, y), (seed, x, y)
+                        cut_short += not r.exact
+        assert cut_short
 
 
 class TestReport:
@@ -175,6 +206,18 @@ class TestReport:
         with pytest.raises(ValueError):
             rep.is_separable(0)
 
+    def test_inexact_report_decides_only_what_it_can(self):
+        # The true value is 5; a budget of 20 nodes per pair reaches 4.
+        g = random_graph(32, 0.1, 2)
+        cut = separability(g, budget=20)
+        assert (cut.lambda_star, cut.exact) == (4, False)
+        assert not cut.is_separable(3) and not cut.is_separable(4)
+        with pytest.raises(ValueError):
+            cut.is_separable(5)
+        full = separability(g)
+        assert (full.lambda_star, full.exact) == (5, True)
+        assert not full.is_separable(5) and full.is_separable(6)
+
     def test_argmax_is_lexicographically_first(self):
         # C6 has maximum 2 on every opposite pair; (0, 2) comes first.
         rep = separability(cycle_graph(6))
@@ -199,14 +242,15 @@ class TestReport:
     def test_reference_scan_exact_mode(self):
         for seed in range(80):
             g = random_graph(2 + seed % 8, (0.2, 0.35, 0.5, 0.7)[seed % 4], seed)
-            assert separability(g) == reference_scan(g, PACKING_CAP), seed
+            assert separability(g) == reference_scan(g, PACKING_BUDGET), seed
+            assert separability(g, budget=None) == reference_scan(g, None), seed
 
     def test_reference_scan_bounded_mode(self):
         reports = []
         for seed in range(120):
             g = random_graph(10 + seed % 3, (0.2, 0.3, 0.5, 0.6)[seed % 4], 500 + seed)
-            rep = separability(g, cap=6)
-            assert rep == reference_scan(g, 6), seed
+            rep = separability(g, budget=2)
+            assert rep == reference_scan(g, 2), seed
             reports.append(rep)
         assert any(r.exact for r in reports) and not all(r.exact for r in reports)
 
@@ -215,10 +259,10 @@ class TestReport:
         certified = 0
         for seed in range(120):
             g = random_graph(10 + seed % 3, (0.2, 0.3, 0.5, 0.6)[seed % 4], 500 + seed)
-            rep = separability(g, cap=6)
+            rep = separability(g, budget=2)
             if rep.exact:
                 certified += 1
-                assert rep.lambda_star == separability(g, cap=None).lambda_star, seed
+                assert rep.lambda_star == separability(g, budget=None).lambda_star, seed
         assert certified
 
 
