@@ -74,7 +74,7 @@ def embedding_violation(host: Graph, emb: Embedding) -> str | None:
         return "map does not cover the pattern's vertices"
     if len(set(phi)) != len(phi):
         return "map is not injective"
-    if any(not 0 <= v < host.n for v in phi):
+    if not host.has_vertices(phi):
         return "map leaves the host's vertex range"
     for i in range(pat.n):
         for j in range(i + 1, pat.n):
@@ -462,9 +462,11 @@ def constellation_witness_violation(
         return f"needs exactly {s} centers"
     if l is not None and len(w.paths) != l:
         return f"needs exactly {l} path components"
-    cmask = mask_of(w.centers)
     if len(set(w.centers)) != len(w.centers):
         return "centers repeat"
+    if not g.has_vertices(w.centers):
+        return "centers outside the graph"
+    cmask = mask_of(w.centers)
     if not is_stable_set(g, cmask):
         return "centers are not stable"
     masks = []
@@ -563,6 +565,8 @@ def three_in_a_tree(
     zs = tuple(sorted(set(z)))
     if len(zs) < 3:
         raise ValueError("needs at least three vertices")
+    if not g.has_vertices(zs):
+        raise ValueError("the set must lie in the graph")
     if not is_stable_set(g, mask_of(zs)):
         raise ValueError("the set must be stable")
     check_cap("three_in_a_tree", g.n, cap)
@@ -659,6 +663,8 @@ def max_path_fan(g: Graph, y: int, z) -> int:
     if not 0 <= y < g.n:
         raise ValueError("the hub must be a vertex of the graph")
     zs = sorted(set(z))
+    if not g.has_vertices(zs):
+        raise ValueError("the target set must lie in the graph")
     if y in zs:
         raise ValueError("the hub must lie outside the target set")
     return max_disjoint_paths(g, g.adj[y], mask_of(zs), g.full_mask & ~(1 << y))

@@ -136,7 +136,7 @@ def biclique_violation(g: Graph, w: Biclique) -> str | None:
         return "the sides must have equal size"
     if len(set(a)) != len(a) or len(set(b)) != len(b) or set(a) & set(b):
         return "the sides must be disjoint and repetition-free"
-    if (mask_of(a) | mask_of(b)) & ~g.full_mask:
+    if not g.has_vertices((*a, *b)):
         return "vertices outside the graph"
     if not is_stable_set(g, mask_of(a)) or not is_stable_set(g, mask_of(b)):
         return "each side must be a stable set"
@@ -155,7 +155,7 @@ def witness_violation(g: Graph, w: PreconditionWitness) -> str | None:
         vs = w.witness
         if len(set(vs)) != len(vs) or len(vs) < 2:
             return "a clique witness needs at least two distinct vertices"
-        if mask_of(vs) & ~g.full_mask:
+        if not g.has_vertices(vs):
             return "vertices outside the graph"
         if not is_clique(g, mask_of(vs)):
             return "the vertices are not pairwise adjacent"
@@ -609,7 +609,7 @@ def _anticomplete(g: Graph, sets, alpha: int, s: int, policy, steps: list) -> Ou
     clean = [tuple(sorted(set(x))) for x in sets]
     if not clean or any(not x for x in clean):
         raise ValueError("the family must be a nonempty list of nonempty sets")
-    if any(mask_of(x) & ~g.full_mask for x in clean):
+    if not all(g.has_vertices(x) for x in clean):
         raise ValueError("the family mentions vertices outside the graph")
     masks = [mask_of(x) for x in clean]
     for i in range(len(masks)):
@@ -669,10 +669,7 @@ def _anticomplete(g: Graph, sets, alpha: int, s: int, policy, steps: list) -> Ou
             sig = sigma(s, r - 1)
             return nat(alpha) ** sig * nat(t_like) ** sig.minus(1)
 
-        v = policy.value("x_minus", x_minus)
-        ok = _met(v, len(smaller))
-        steps.append(TraceStep(op, "threshold", "x_minus", (v, len(smaller), ok)))
-        if ok:
+        if _gate(steps, policy, op, "x_minus", x_minus, len(smaller)) is None:
             out = _anticomplete(g, smaller, alpha, s, policy, steps)
             if not isinstance(out, ThresholdUnmet):
                 return out
@@ -845,11 +842,7 @@ def _grow(g, x, y, fam, a, b, child_count, policy, steps):
         return 2 * q_default() ** nat(2) * r_default()
 
     high = sum(1 for v in range(d.n) if d.out_degree(v) >= q_int * r_int)
-    v = policy.value("fanout_high", high_target)
-    take_high = _met(v, high)
-    steps.append(TraceStep(op, "threshold", "fanout_high", (v, high, take_high)))
-
-    if not take_high:
+    if _gate(steps, policy, op, "fanout_high", high_target, high) is not None:
         steps.append(TraceStep(op, "branch", "direction", ("low",)))
 
         def s_target():

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Collection, Iterable, Iterator
 
 
 def mask_of(vertices: Iterable[int]) -> int:
@@ -80,6 +80,10 @@ class Graph:
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
+
+    def has_vertices(self, vertices: Collection[int]) -> bool:
+        """True iff every id in ``vertices`` lies in ``0..n-1``."""
+        return not vertices or (min(vertices) >= 0 and max(vertices) < self.n)
 
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
@@ -258,24 +262,27 @@ def is_induced_path(
     When given, ``x`` and ``y`` additionally pin the required endpoints.
     """
     k = len(seq)
-    if k == 0 or len(set(seq)) != k:
+    if k == 0 or len(set(seq)) != k or not g.has_vertices(seq):
         return False
     if x is not None and seq[0] != x:
         return False
     if y is not None and seq[-1] != y:
         return False
-    for i in range(k):
-        for j in range(i + 1, k):
-            adjacent = g.has_edge(seq[i], seq[j])
-            if adjacent != (j == i + 1):
-                return False
+    # Each vertex must see exactly its neighbours in the sequence.
+    mask = mask_of(seq)
+    before = 0
+    for i, v in enumerate(seq):
+        after = 1 << seq[i + 1] if i + 1 < k else 0
+        if g.adj[v] & mask != before | after:
+            return False
+        before = 1 << v
     return True
 
 
 def is_induced_cycle(g: Graph, seq: tuple[int, ...] | list[int]) -> bool:
     """True iff ``seq`` lists the vertices of an induced cycle in cyclic order."""
     k = len(seq)
-    if k < 3 or len(set(seq)) != k:
+    if k < 3 or len(set(seq)) != k or not g.has_vertices(seq):
         return False
     for i in range(k):
         for j in range(i + 1, k):
@@ -457,6 +464,8 @@ def path_family_violation(g: Graph, fam: PathFamily) -> str | None:
     """The first broken family invariant, or None if the family is valid."""
     if fam.x == fam.y:
         return "the two ends coincide"
+    if not g.has_vertices((fam.x, fam.y)):
+        return "an end is outside the graph"
     if g.has_edge(fam.x, fam.y):
         return "the two ends are adjacent"
     for i, p in enumerate(fam.paths):
@@ -504,11 +513,11 @@ def ab_tree_violation(g: Graph, cert: ABTreeCert) -> str | None:
     vs = cert.vertices
     if len(set(vs)) != len(vs):
         return "repeated vertices"
-    mask = mask_of(vs)
-    if mask & ~g.full_mask:
+    if not g.has_vertices(vs):
         return "vertices outside the graph"
-    if not mask >> cert.root & 1:
+    if cert.root not in vs:
         return "root is not among the vertices"
+    mask = mask_of(vs)
     if b == 1:
         if len(vs) != 1 or cert.parent:
             return "depth-1 tree must be the bare root"

@@ -75,7 +75,7 @@ def max_internally_disjoint_paths(
     Exact unless the search runs past ``budget`` nodes; ``None`` means no
     budget.  The search stops early once the flow bound is met.
     """
-    if not (0 <= x < g.n and 0 <= y < g.n):
+    if not g.has_vertices((x, y)):
         raise ValueError("endpoints must be vertices of the graph")
     if x == y:
         raise ValueError("endpoints must differ")

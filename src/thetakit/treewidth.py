@@ -1,8 +1,10 @@
 """Exact treewidth for small graphs, with witnessing decompositions.
 
-The main solver runs branch-and-bound over elimination orderings, sandwiched
-between a contraction-degeneracy lower bound and a min-fill upper bound, and
-returns a decomposition built from the winning order.
+The main solver raises a contraction-degeneracy lower bound through safe
+reductions, then decides k = low, low + 1, ... by branch-and-bound over
+elimination orderings of what the reductions leave.  The first k that
+succeeds is the width, and the decomposition built from its order
+witnesses it.
 
 Every step works on the elimination graph: a filled adjacency list ``fadj``
 in which, once a vertex set S has been eliminated, ``fadj[v] & remaining``
@@ -10,9 +12,10 @@ is v's neighbourhood among the vertices not in S.  ``_eliminate`` is its one
 update: it turns the eliminated vertex's live neighbourhood into a clique.
 That neighbourhood depends only on S, not on the order S was eliminated in,
 so the search carries the list down its recursion, copying it for a child
-only once the child survives the base case and the memo of failed vertex
-sets, and each fill neighbourhood is a lookup.  Preprocessing, the min-fill
-bound and the decomposition built from an order use the same update.
+only once the child survives the memo of failed vertex sets, and each fill
+neighbourhood is a lookup.  The reductions hand their filled list to the
+search in the host's own labels, and the decomposition built from an order
+uses the same update.
 
 A separate subset dynamic program recomputes the width from scratch for
 cross-checking; the two share no search state.
@@ -103,28 +106,6 @@ def _contraction_degeneracy(g: Graph) -> int:
     return best
 
 
-def _min_fill_order(g: Graph) -> tuple[int, list[int]]:
-    adj = list(g.adj)
-    remaining = g.full_mask
-    order = []
-    width = 0
-    while remaining:
-        choice = None
-        for v in iter_bits(remaining):
-            nb = adj[v] & remaining
-            missing = 0
-            for u in iter_bits(nb):
-                missing += (nb & ~adj[u] & ~(1 << u)).bit_count()
-            key = (missing // 2, nb.bit_count(), v)
-            if choice is None or key < choice:
-                choice = key
-                pick = v
-        width = max(width, _eliminate(adj, pick, remaining).bit_count())
-        remaining &= ~(1 << pick)
-        order.append(pick)
-    return width, order
-
-
 def _preprocess(g: Graph, low: int) -> tuple[list[int], int, list[int], int]:
     """Shrink g by safe eliminations before the search.
 
@@ -163,15 +144,19 @@ def _preprocess(g: Graph, low: int) -> tuple[list[int], int, list[int], int]:
     return prefix, alive, adj, low
 
 
-def _decide(g: Graph, k: int) -> list[int] | None:
-    """An elimination order of back-degree at most k, or None."""
-    if g.n <= k + 1:
-        return list(range(g.n))
+def _decide(fadj: list[int], alive: int, k: int) -> list[int] | None:
+    """An order of ``alive`` of back-degree at most k in ``fadj``, or None.
+
+    ``fadj`` is an elimination graph in which ``alive`` is still to be
+    eliminated, as ``_preprocess`` leaves it; it is read, never written.
+    """
     failed: set[int] = set()
     order: list[int] = []
 
     def rec(remaining: int, fadj: list[int]) -> bool:
-        # remaining is above the base case and not known to fail.
+        if remaining.bit_count() <= k + 1:
+            order.extend(iter_bits(remaining))
+            return True
         cands = []
         for v in iter_bits(remaining):
             rs = fadj[v] & remaining
@@ -181,32 +166,23 @@ def _decide(g: Graph, k: int) -> list[int] | None:
             # Eliminating a vertex whose fill neighborhood is a clique is
             # always safe, so commit to it without trying alternatives.
             if all(rs & ~fadj[u] == 1 << u for u in iter_bits(rs)):
-                if branch(remaining, fadj, v):
-                    return True
-                failed.add(remaining)
-                return False
+                cands = [(d, v)]
+                break
             cands.append((d, v))
         for _, v in sorted(cands):
-            if branch(remaining, fadj, v):
+            child = remaining & ~(1 << v)
+            if child in failed:
+                continue
+            filled = fadj.copy()
+            _eliminate(filled, v, child)
+            order.append(v)
+            if rec(child, filled):
                 return True
+            order.pop()
         failed.add(remaining)
         return False
 
-    def branch(remaining: int, fadj: list[int], v: int) -> bool:
-        child = remaining & ~(1 << v)
-        order.append(v)
-        if child.bit_count() <= k + 1:
-            order.extend(iter_bits(child))
-            return True
-        if child not in failed:
-            filled = fadj.copy()
-            _eliminate(filled, v, child)
-            if rec(child, filled):
-                return True
-        order.pop()
-        return False
-
-    return order if rec(g.full_mask, list(g.adj)) else None
+    return order if rec(alive, fadj) else None
 
 
 def _decomposition_from_order(g: Graph, order: list[int]) -> TreeDecomposition:
@@ -234,30 +210,10 @@ def treewidth_exact(g: Graph, cap: int | None = TREEWIDTH_CAP) -> tuple[int, Tre
     check_cap("treewidth_exact", g.n, cap)
     if g.n == 0:
         return -1, TreeDecomposition(build_graph(1, []), (0,))
-    low = _contraction_degeneracy(g)
-    prefix, alive, fadj, low = _preprocess(g, low)
-    if alive:
-        keep = list(iter_bits(alive))
-        back = {v: i for i, v in enumerate(keep)}
-        core = build_graph(
-            len(keep),
-            [
-                (back[u], back[v])
-                for u in keep
-                for v in iter_bits(fadj[u] & alive)
-                if u < v
-            ],
-        )
-        high, order = _min_fill_order(core)
-        for k in range(low, high):
-            better = _decide(core, k)
-            if better is not None:
-                order = better
-                break
-        full = prefix + [keep[i] for i in order]
-    else:
-        full = prefix
-    dec = _decomposition_from_order(g, full)
+    prefix, alive, fadj, k = _preprocess(g, _contraction_degeneracy(g))
+    while (order := _decide(fadj, alive, k)) is None:
+        k += 1
+    dec = _decomposition_from_order(g, prefix + order)
     return dec.width(), dec
 
 

@@ -43,7 +43,20 @@ from thetakit.generators import (
     theta_graph,
     wall,
 )
-from thetakit.graphs import build_graph, iter_bits, iter_induced_paths, mask_of, relabel
+from thetakit.extraction import Biclique, PreconditionWitness, biclique_violation, witness_violation
+from thetakit.graphs import (
+    ABTreeCert,
+    PathFamily,
+    ab_tree_violation,
+    build_graph,
+    is_induced_cycle,
+    is_induced_path,
+    iter_bits,
+    iter_induced_paths,
+    mask_of,
+    path_family_violation,
+    relabel,
+)
 from thetakit.treewidth import treewidth_exact
 
 
@@ -742,6 +755,54 @@ class TestMaxPathFan:
 def test_max_path_fan_rejects_a_hub_outside_the_graph(hub):
     with pytest.raises(ValueError):
         max_path_fan(path_graph(3), hub, (0, 2))
+
+
+@pytest.mark.parametrize("target", [-1, 3])
+def test_max_path_fan_rejects_a_target_outside_the_graph(target):
+    with pytest.raises(ValueError):
+        max_path_fan(path_graph(3), 0, (2, target))
+
+
+@pytest.mark.parametrize("z", [(0, 2, 9), (-1, 0, 2)])
+def test_three_in_a_tree_rejects_terminals_outside_the_graph(z):
+    with pytest.raises(ValueError):
+        three_in_a_tree(path_graph(5), z)
+
+
+# Each check meets a vertex id outside cycle_graph(5); a validator must name
+# the fault and a predicate must answer False, not raise or accept.
+@pytest.mark.parametrize(
+    "check",
+    [
+        pytest.param(lambda g: path_family_violation(g, PathFamily(9, 2, ((9, 1, 2),))), id="family-end"),
+        pytest.param(lambda g: path_family_violation(g, PathFamily(0, 2, ((0, 9, 2),))), id="family-path"),
+        pytest.param(
+            lambda g: theta_witness_violation(g, ThetaWitness(9, 2, ((9, 1, 2), (9, 3, 2), (9, 4, 2)))),
+            id="theta-end",
+        ),
+        pytest.param(
+            lambda g: constellation_witness_violation(g, ConstellationWitness((9,), ((1,),))),
+            id="constellation-center-9",
+        ),
+        pytest.param(
+            lambda g: constellation_witness_violation(g, ConstellationWitness((-1,), ((1,),))),
+            id="constellation-center-minus-1",
+        ),
+        pytest.param(
+            lambda g: constellation_witness_violation(g, ConstellationWitness((0,), ((1, 9),))),
+            id="constellation-path",
+        ),
+        pytest.param(lambda g: ab_tree_violation(g, ABTreeCert(1, 2, 0, (0, -1), ((-1, 0),))), id="ab-tree-vertex"),
+        pytest.param(lambda g: ab_tree_violation(g, ABTreeCert(1, 1, -1, (0,), ())), id="ab-tree-root"),
+        pytest.param(lambda g: biclique_violation(g, Biclique((0,), (-1,))), id="biclique"),
+        pytest.param(lambda g: witness_violation(g, PreconditionWitness("clique", (0, 9), ())), id="clique"),
+        pytest.param(lambda g: is_induced_path(g, (9,)), id="induced-path"),
+        pytest.param(lambda g: is_induced_cycle(g, (9, 0, 1)), id="induced-cycle"),
+    ],
+)
+def test_validators_report_vertices_outside_the_graph(check):
+    verdict = check(cycle_graph(5))
+    assert verdict is False or isinstance(verdict, str)
 
 
 @settings(max_examples=60, deadline=None)

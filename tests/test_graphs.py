@@ -1,6 +1,6 @@
 import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -120,6 +120,20 @@ def test_induced_path_and_cycle():
     assert not is_induced_cycle(c5, (0, 1, 2))
     k4 = build_graph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
     assert not is_induced_cycle(k4, (0, 1, 2, 3))
+
+
+@given(graphs(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_induced_path_matches_networkx(g, data):
+    assume(g.n > 0)
+    seq = data.draw(st.lists(st.integers(0, g.n - 1), min_size=1, max_size=6, unique=True))
+    h = nx.Graph(g.edges())
+    h.add_nodes_from(range(g.n))
+    sub = h.subgraph(seq)
+    want = sub.number_of_edges() == len(seq) - 1 and all(
+        sub.has_edge(u, v) for u, v in zip(seq, seq[1:])
+    )
+    assert is_induced_path(g, tuple(seq)) == want
 
 
 def test_components_and_layers():

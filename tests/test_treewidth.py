@@ -26,6 +26,7 @@ from thetakit.treewidth import (
     _contraction_degeneracy,
     _decide,
     _eliminate,
+    _preprocess,
     treewidth_dp,
     treewidth_exact,
     validate_decomposition,
@@ -210,8 +211,9 @@ def back_degree(g, order):
 
 
 class TestBranchingSearch:
-    # Deciding one below the width on these graphs exhausts 68 to 7,099
-    # branches; on the two largest, treewidth_exact's own search branches too.
+    # Deciding one below the width on these whole graphs takes 31 to 1,608
+    # eliminations; _preprocess eliminates all of the first two and leaves a
+    # core of 12 and 14 vertices on the last two, where the search branches.
     @pytest.mark.parametrize(
         "n,p,seed", [(13, 0.4, 2), (14, 0.4, 3), (15, 0.4, 3), (16, 0.4, 0)]
     )
@@ -219,12 +221,25 @@ class TestBranchingSearch:
         g = random_graph(n, p, seed)
         tw = treewidth_dp(g)
         assert solved(g) == tw
-        assert _decide(g, tw - 1) is None
-        order = _decide(g, tw)
+        assert _decide(list(g.adj), g.full_mask, tw - 1) is None
+        order = _decide(list(g.adj), g.full_mask, tw)
         assert sorted(order) == list(range(n))
         assert back_degree(g, order) <= tw
 
-    # Past the lower bounds, the search visits 176 to 1,145 nodes on each.
+    # _preprocess eliminates 3, 1, 13, 11 and 5 here and stops below the
+    # width, so the search runs on a core in the host's scattered labels.
+    @pytest.mark.parametrize("n,p,seed", [(14, 0.3, 4)])
+    def test_searches_the_preprocessed_core(self, n, p, seed):
+        g = random_graph(n, p, seed)
+        tw = treewidth_dp(g)
+        prefix, alive, fadj, low = _preprocess(g, _contraction_degeneracy(g))
+        assert prefix and alive and low < tw
+        assert _decide(fadj, alive, tw - 1) is None
+        order = prefix + _decide(fadj, alive, tw)
+        assert sorted(order) == list(range(n))
+        assert back_degree(g, order) <= tw
+
+    # Past the lower bounds, the search makes 181 to 1,153 eliminations on each.
     @pytest.mark.parametrize(
         "n,p,seed",
         [(21, 0.2, 1), (21, 0.25, 1), (22, 0.2, 1), (23, 0.2, 2), (24, 0.15, 2), (24, 0.2, 1)],
