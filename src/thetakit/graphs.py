@@ -41,6 +41,17 @@ def _as_mask(vertices: int | Iterable[int]) -> int:
     return mask_of(vertices)
 
 
+def _vertex_mask(g: Graph, vertices: int | Iterable[int]) -> int:
+    # _as_mask, for a set that must lie in g; a negative id fails mask_of's shift.
+    try:
+        s = _as_mask(vertices)
+    except ValueError:
+        s = -1
+    if s & ~g.full_mask:
+        raise ValueError("vertex set mentions ids outside the graph")
+    return s
+
+
 class Graph:
     """An undirected graph on vertices ``0..n-1`` with bitmask adjacency.
 
@@ -210,9 +221,7 @@ def induced_subgraph(g: Graph, vertices: int | Iterable[int]) -> tuple[Graph, tu
 
     The kept vertices are renumbered ascending, so the mapping tuple is sorted.
     """
-    keep = _as_mask(vertices)
-    if keep & ~g.full_mask:
-        raise ValueError("vertex set mentions ids outside the graph")
+    keep = _vertex_mask(g, vertices)
     old = list(iter_bits(keep))
     index = {v: i for i, v in enumerate(old)}
     adj = []
@@ -234,18 +243,18 @@ def neighborhood_mask(g: Graph, vertices: int | Iterable[int]) -> int:
 
 
 def is_stable_set(g: Graph, vertices: int | Iterable[int]) -> bool:
-    s = _as_mask(vertices)
+    s = _vertex_mask(g, vertices)
     return all(g.adj[v] & s == 0 for v in iter_bits(s))
 
 
 def is_clique(g: Graph, vertices: int | Iterable[int]) -> bool:
-    s = _as_mask(vertices)
+    s = _vertex_mask(g, vertices)
     return all(s & ~g.adj[v] == 1 << v for v in iter_bits(s))
 
 
 def are_anticomplete(g: Graph, a: int | Iterable[int], b: int | Iterable[int]) -> bool:
     """True iff the two vertex sets are disjoint with no edges between them."""
-    am, bm = _as_mask(a), _as_mask(b)
+    am, bm = _vertex_mask(g, a), _vertex_mask(g, b)
     if am & bm:
         return False
     return all(g.adj[v] & bm == 0 for v in iter_bits(am))

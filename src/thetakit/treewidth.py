@@ -1,21 +1,28 @@
 """Exact treewidth for small graphs, with witnessing decompositions.
 
 The main solver raises a contraction-degeneracy lower bound through safe
-reductions, then decides k = low, low + 1, ... by branch-and-bound over
-elimination orderings of what the reductions leave.  The first k that
-succeeds is the width, and the decomposition built from its order
-witnesses it.
+reductions, then decides k = low, low + 1, ... on what the reductions leave.
+The first k that succeeds is the width, and the decomposition built from
+its elimination order witnesses it.
 
-Every step works on the elimination graph: a filled adjacency list ``fadj``
-in which, once a vertex set S has been eliminated, ``fadj[v] & remaining``
-is v's neighbourhood among the vertices not in S.  ``_eliminate`` is its one
-update: it turns the eliminated vertex's live neighbourhood into a clique.
-That neighbourhood depends only on S, not on the order S was eliminated in,
-so the search carries the list down its recursion, copying it for a child
-only once the child survives the memo of failed vertex sets, and each fill
-neighbourhood is a lookup.  The reductions hand their filled list to the
-search in the host's own labels, and the decomposition built from an order
-uses the same update.
+The reductions work on the elimination graph: a filled adjacency list
+``fadj`` in which, once a vertex set S has been eliminated,
+``fadj[v] & remaining`` is v's neighbourhood among the vertices not in S.
+``_eliminate`` is its one update: it turns the eliminated vertex's live
+neighbourhood into a clique.  The reductions hand their filled list to the
+decision in the host's own labels, and the decomposition built from an
+order uses the same update.
+
+The decision is the block recursion of Arnborg, Corneil and Proskurowski
+(1987), run bottom-up from the positive instances as in Tamaki's
+positive-instance-driven dynamic program (2017).  A feasible block is a
+connected vertex set C with at most k neighbours that can be eliminated
+before its neighbourhood N(C) at back-degree at most k.  C is feasible iff
+|N(C)| <= k and some v in C leaves only feasible components of C - v: the
+components' orders, then v, whose back-degree is then |N(C)|.  A graph has
+treewidth at most k iff each of its components is a feasible block.  The
+search keeps one state per block, so regions of the graph that do not touch
+are never multiplied together.
 
 A separate subset dynamic program recomputes the width from scratch for
 cross-checking; the two share no search state.
@@ -26,8 +33,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .detectors import check_cap
-from .graphs import Graph, build_graph, connected_components, iter_bits, mask_of, neighborhood_mask
+from .graphs import (
+    Graph,
+    _trusted_graph,
+    build_graph,
+    connected_components,
+    iter_bits,
+    mask_of,
+    neighborhood_mask,
+)
 
+# G(32, 0.2) takes under 1 s of CPU; G(36, 0.2) already takes over 15 s.
 TREEWIDTH_CAP = 32
 DP_CAP = 16
 
@@ -84,25 +100,26 @@ def _eliminate(fadj: list[int], v: int, remaining: int) -> int:
 def _contraction_degeneracy(g: Graph) -> int:
     # Max over contractions of the minimum degree; a treewidth lower bound
     # since minors never increase treewidth.  Min-degree vertex contracted
-    # into its least-degree neighbor, ties broken by index.  It is at least
-    # the degeneracy k: while the minimum degree stays below k, the vertex
-    # contracted lies outside the k-core, which survives as a subgraph.
+    # into its least-degree neighbor, ties broken by index (the dict keeps
+    # its keys in index order).  It is at least the degeneracy k: while the
+    # minimum degree stays below k, the vertex contracted lies outside the
+    # k-core, which survives as a subgraph.  ``adj`` of a remaining vertex
+    # holds only remaining vertices.
     adj = list(g.adj)
-    remaining = g.full_mask
+    deg = {v: a.bit_count() for v, a in enumerate(adj)}
     best = 0
-    while remaining:
-        v = min(
-            iter_bits(remaining), key=lambda u: ((adj[u] & remaining).bit_count(), u)
-        )
-        nb = adj[v] & remaining
-        best = max(best, nb.bit_count())
+    while deg:
+        v = min(deg, key=deg.__getitem__)
+        nb = adj[v]
+        best = max(best, deg.pop(v))
         if nb:
-            u = min(iter_bits(nb), key=lambda w: ((adj[w] & remaining).bit_count(), w))
+            u = min(iter_bits(nb), key=deg.__getitem__)
             merged = (adj[u] | nb) & ~(1 << u) & ~(1 << v)
             adj[u] = merged
+            deg[u] = merged.bit_count()
             for w in iter_bits(merged):
                 adj[w] = (adj[w] & ~(1 << v)) | (1 << u)
-        remaining &= ~(1 << v)
+                deg[w] = adj[w].bit_count()
     return best
 
 
@@ -127,15 +144,22 @@ def _preprocess(g: Graph, low: int) -> tuple[list[int], int, list[int], int]:
         changed = False
         for v in iter_bits(alive):
             nb = adj[v] & alive
-            missing = []
-            for u in iter_bits(nb):
-                for w in iter_bits(nb & ~adj[u] & ~((1 << (u + 1)) - 1)):
-                    missing.append((u, w))
             d = nb.bit_count()
-            if not missing:
+            # lonely counts the neighbours that miss a partner in nb, common
+            # keeps the vertices equal to or missing each of them, and pairs
+            # counts the missing pairs twice.  Some w lies in every missing
+            # pair iff w is in common and its lonely - 1 pairs are all there is.
+            lonely = pairs = 0
+            common = nb
+            for u in iter_bits(nb):
+                miss = nb & ~adj[u]
+                if miss != 1 << u:
+                    lonely += 1
+                    pairs += miss.bit_count() - 1
+                    common &= miss
+            if not lonely:
                 low = max(low, d)
-            elif d > low or not set.intersection(*(set(p) for p in missing)):
-                # Almost simplicial needs a vertex common to every missing pair.
+            elif d > low or not common or pairs != 2 * (lonely - 1):
                 continue
             _eliminate(adj, v, alive)
             alive &= ~(1 << v)
@@ -149,40 +173,83 @@ def _decide(fadj: list[int], alive: int, k: int) -> list[int] | None:
 
     ``fadj`` is an elimination graph in which ``alive`` is still to be
     eliminated, as ``_preprocess`` leaves it; it is read, never written.
+
+    Feasible blocks (see the module docstring) are built bottom-up.  The
+    stack starts with every vertex of degree at most k as a block of one.
+    Popping a block d, for each v in N(d), the walk joins d and v with each
+    set of blocks popped before d that have v in their neighbourhood and
+    touch neither d nor each other, and records the union as a new block if
+    it has at most k neighbours.  Its neighbourhood is the union of the
+    parts' stored ones, less the union itself.  Every block with v in its
+    neighbourhood is joined once it is popped, so each combination is tried
+    exactly once, when its last part is popped, and every feasible block is
+    found.  The walk prunes soundly: a neighbour of the partial union that
+    no later candidate contains stays in N(C), so once more than k of those
+    remain no extension can be recorded.  Blocks are popped newest first,
+    which grows a component quickly when k suffices, and blocks inside a
+    component already found are skipped.  The answer is yes once every
+    component of ``alive`` is a block with no neighbours; its order unfolds
+    from the vertex each block was recorded with.
     """
-    failed: set[int] = set()
-    order: list[int] = []
+    nbr = {v: fadj[v] & alive for v in iter_bits(alive)}
+    around: dict[int, int] = {}  # each block found -> its neighbourhood
+    last: dict[int, int] = {}  # each block found -> the vertex eliminated last
+    touching: dict[int, list[int]] = {v: [] for v in nbr}  # popped blocks around v
+    stack: list[int] = []
+    whole = 0  # the components of alive found as blocks
 
-    def rec(remaining: int, fadj: list[int]) -> bool:
-        if remaining.bit_count() <= k + 1:
-            order.extend(iter_bits(remaining))
-            return True
-        cands = []
-        for v in iter_bits(remaining):
-            rs = fadj[v] & remaining
-            d = rs.bit_count()
-            if d > k:
-                continue
-            # Eliminating a vertex whose fill neighborhood is a clique is
-            # always safe, so commit to it without trying alternatives.
-            if all(rs & ~fadj[u] == 1 << u for u in iter_bits(rs)):
-                cands = [(d, v)]
-                break
-            cands.append((d, v))
-        for _, v in sorted(cands):
-            child = remaining & ~(1 << v)
-            if child in failed:
-                continue
-            filled = fadj.copy()
-            _eliminate(filled, v, child)
-            order.append(v)
-            if rec(child, filled):
-                return True
-            order.pop()
-        failed.add(remaining)
-        return False
+    def record(c: int, n: int, v: int) -> None:
+        nonlocal whole
+        around[c] = n
+        last[c] = v
+        stack.append(c)
+        if not n:
+            whole |= c
 
-    return order if rec(alive, fadj) else None
+    def walk(c: int, n: int, reach: int, i: int) -> None:
+        # c is v, d and the blocks taken from cands[:i]; reach is d, those
+        # blocks and their neighbourhoods, and n the union of all the parts'
+        # neighbourhoods.  later[j] is the union of cands[j:].
+        n &= ~c
+        if n.bit_count() <= k and c not in around:
+            record(c, n, v)
+        for j in range(i, len(cands)):
+            if (n & ~later[j]).bit_count() > k:
+                return
+            b = cands[j]
+            if not b & reach:
+                walk(c | b, n | around[b], reach | b | around[b], j + 1)
+
+    for v, nv in nbr.items():
+        if nv.bit_count() <= k:
+            record(1 << v, nv, v)
+    while stack and whole != alive:
+        d = stack.pop()
+        if d & whole:
+            continue
+        nd = around[d]
+        for v in iter_bits(nd):
+            cands = [b for b in touching[v] if not b & (d | nd)]
+            later = [0] * (len(cands) + 1)
+            for j in range(len(cands) - 1, -1, -1):
+                later[j] = later[j + 1] | cands[j]
+            walk(d | 1 << v, nd | nbr[v], d | nd, 0)
+        for v in iter_bits(nd):
+            touching[v].append(d)
+    if whole != alive:
+        return None
+    # A block's order is that of each component of it less its last vertex,
+    # then that vertex.  Listing each last vertex before its parts' vertices
+    # and reversing the list gives every block's order.
+    h = _trusted_graph(len(fadj), tuple(fadj))
+    order = []
+    todo = connected_components(h, alive)
+    while todo:
+        c = todo.pop()
+        order.append(last[c])
+        todo.extend(connected_components(h, c & ~(1 << last[c])))
+    order.reverse()
+    return order
 
 
 def _decomposition_from_order(g: Graph, order: list[int]) -> TreeDecomposition:

@@ -285,3 +285,53 @@ def fill_neighbourhood_bfs(g: Graph, v: int, remaining: int) -> int:
             nxt |= g.adj[u]
         frontier = nxt & ~seen
     return out & ~(1 << v)
+
+
+def contraction_degeneracy_by_scan(g: Graph) -> int:
+    """The contraction-degeneracy bound as first written: every step scans
+    the remaining vertices for the least (degree, index) and contracts it
+    into its least (degree, index) neighbour."""
+    adj = list(g.adj)
+    remaining = g.full_mask
+    best = 0
+    while remaining:
+        v = min(_bits(remaining), key=lambda u: ((adj[u] & remaining).bit_count(), u))
+        nb = adj[v] & remaining
+        best = max(best, nb.bit_count())
+        if nb:
+            u = min(_bits(nb), key=lambda w: ((adj[w] & remaining).bit_count(), w))
+            merged = (adj[u] | nb) & ~(1 << u) & ~(1 << v)
+            adj[u] = merged
+            for w in _bits(merged):
+                adj[w] = (adj[w] & ~(1 << v)) | (1 << u)
+        remaining &= ~(1 << v)
+    return best
+
+
+def preprocess_by_pairs(g: Graph, low: int) -> tuple[list[int], int, list[int], int]:
+    """The simplicial and almost-simplicial reductions as first written: list
+    every missing pair of a neighbourhood and intersect them as sets.  Returns
+    the prefix, the surviving mask, the filled adjacency and the bound."""
+    adj = list(g.adj)
+    alive = g.full_mask
+    prefix: list[int] = []
+    changed = True
+    while changed and alive:
+        changed = False
+        for v in _bits(alive):
+            nb = adj[v] & alive
+            missing = []
+            for u in _bits(nb):
+                for w in _bits(nb & ~adj[u] & ~((1 << (u + 1)) - 1)):
+                    missing.append((u, w))
+            d = nb.bit_count()
+            if not missing:
+                low = max(low, d)
+            elif d > low or not set.intersection(*(set(p) for p in missing)):
+                continue
+            for u in _bits(nb):
+                adj[u] |= nb & ~(1 << u)
+            alive &= ~(1 << v)
+            prefix.append(v)
+            changed = True
+    return prefix, alive, adj, low

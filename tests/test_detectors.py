@@ -720,7 +720,10 @@ class TestNecessityFamily:
             rep = excludes_wall_line_graphs(h, r, cap=None)
             assert not rep.excluded and embedding_violation(h, rep.embedding) is None
             widths[r].append(treewidth_exact(h, cap=None)[0])
-        assert max(widths[3]) <= min(widths[4]), widths
+        # find_theta's exhaustive miss on L(wall(5)) runs for minutes, so the
+        # fifth wall only extends the treewidth chain.
+        chain = [max(widths[3]), min(widths[4]), treewidth_exact(line_graph(wall(5)), cap=None)[0]]
+        assert chain == [4, 5, 6], widths
 
 
 class TestMaxPathFan:

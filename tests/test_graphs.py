@@ -99,6 +99,26 @@ def test_induced_subgraph_renumbers_ascending():
     assert sub == build_graph(3, [(0, 1), (0, 2)])
 
 
+@pytest.mark.parametrize(
+    "check",
+    [
+        pytest.param(lambda g: is_stable_set(g, (0, 9)), id="stable-9"),
+        pytest.param(lambda g: is_stable_set(g, (0, -1)), id="stable-minus-1"),
+        pytest.param(lambda g: is_clique(g, (0, 9)), id="clique-9"),
+        pytest.param(lambda g: is_clique(g, (0, -1)), id="clique-minus-1"),
+        pytest.param(lambda g: is_clique(g, -1), id="clique-negative-mask"),
+        pytest.param(lambda g: are_anticomplete(g, (0,), (9,)), id="anticomplete-9"),
+        pytest.param(lambda g: are_anticomplete(g, (-1,), (2,)), id="anticomplete-minus-1"),
+        pytest.param(lambda g: induced_subgraph(g, (9,)), id="subgraph-9"),
+        pytest.param(lambda g: induced_subgraph(g, (-1,)), id="subgraph-minus-1"),
+    ],
+)
+def test_set_predicates_reject_vertices_outside_the_graph(check):
+    g = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
+    with pytest.raises(ValueError, match="^vertex set mentions ids outside the graph$"):
+        check(g)
+
+
 def test_set_predicates():
     g = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
     assert is_stable_set(g, [0, 2])

@@ -1,5 +1,7 @@
 """Exact treewidth solver against frozen values and the independent DP."""
 
+import time
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings
@@ -211,9 +213,9 @@ def back_degree(g, order):
 
 
 class TestBranchingSearch:
-    # Deciding one below the width on these whole graphs takes 31 to 1,608
-    # eliminations; _preprocess eliminates all of the first two and leaves a
-    # core of 12 and 14 vertices on the last two, where the search branches.
+    # Refuting one below the width on these whole graphs records 5 to 30
+    # feasible blocks; _preprocess eliminates all of the first two and leaves
+    # a core of 12 and 14 vertices on the last two, where blocks combine.
     @pytest.mark.parametrize(
         "n,p,seed", [(13, 0.4, 2), (14, 0.4, 3), (15, 0.4, 3), (16, 0.4, 0)]
     )
@@ -239,16 +241,48 @@ class TestBranchingSearch:
         assert sorted(order) == list(range(n))
         assert back_degree(g, order) <= tw
 
-    # Past the lower bounds, the search makes 181 to 1,153 eliminations on each.
+    # Past the lower bounds, treewidth_exact's decisions record 67 to 115
+    # feasible blocks on each of the first six, and 674 and 552 on G(32, 0.2).
     @pytest.mark.parametrize(
         "n,p,seed",
-        [(21, 0.2, 1), (21, 0.25, 1), (22, 0.2, 1), (23, 0.2, 2), (24, 0.15, 2), (24, 0.2, 1)],
+        [
+            (21, 0.2, 1),
+            (21, 0.25, 1),
+            (22, 0.2, 1),
+            (23, 0.2, 2),
+            (24, 0.15, 2),
+            (24, 0.2, 1),
+            (32, 0.2, 1),
+            (32, 0.2, 2),
+        ],
     )
     def test_within_networkx_heuristics(self, n, p, seed):
         g = random_graph(n, p, seed)
         h = nx.Graph()
         h.add_nodes_from(range(n))
         h.add_edges_from(g.edges())
-        tw = solved(g)
+        tw = solved(g, cap=None)
         assert tw <= treewidth_min_fill_in(h)[0]
         assert tw <= treewidth_min_degree(h)[0]
+
+    # Each vertex of the large side is a block of one whose neighbourhood is
+    # the whole small side, and no two of them touch, so without the walk's
+    # prune a decision tries 2^26 or more subsets.
+    @pytest.mark.parametrize("a,b", [(3, 28), (6, 26)])
+    def test_bicliques_are_fast(self, a, b):
+        start = time.process_time()
+        assert solved(complete_bipartite(a, b), cap=None) == a
+        assert time.process_time() - start < 0.1
+
+    def test_past_the_cap(self):
+        assert solved(wall(6), cap=None) == 6
+        assert solved(line_graph(wall(5)), cap=None) == 6
+
+
+def test_fixed_costs_match_the_first_versions():
+    for seed in range(1200):
+        g = random_graph(1 + seed % 30, 0.05 + (seed % 10) * 0.1, seed)
+        low = oracles.contraction_degeneracy_by_scan(g)
+        assert _contraction_degeneracy(g) == low, seed
+        for bound in (max(low - 2, 0), low, low + 1):
+            assert _preprocess(g, bound) == oracles.preprocess_by_pairs(g, bound), (seed, bound)
