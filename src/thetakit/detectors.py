@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 
 from .generators import complete_bipartite, cycle_graph, line_graph, prism_graph, subdivide, wall
 from .graphs import (
     Graph,
     PathFamily,
     are_anticomplete,
+    connected_components,
     is_induced_path,
     is_stable_set,
     iter_bits,
@@ -191,23 +192,31 @@ def _legs(g: Graph, hub: int, ends, allowed: int, keep: int):
     return rec(0, allowed)
 
 
+def _is_claw_centre(adj, v: int) -> bool:
+    """True iff v has three pairwise nonadjacent neighbours."""
+    nb = adj[v]
+    return any(nb & ~adj[a] & ~adj[b] >> (b + 1) << (b + 1)
+               for a in iter_bits(nb) for b in iter_bits(nb & ~adj[a] >> (a + 1) << (a + 1)))
+
+
 def find_theta(g: Graph, cap: int | None = THETA_PRISM_CAP) -> ThetaWitness | None:
     """Search for a theta: branch pairs ascending, then paths depth-first.
 
-    Both branch vertices need host degree at least 3.  The three x-y paths
-    come from the leg search that three_in_a_tree's spiders share: each later
-    path avoids the interiors already chosen and their neighbors, so any
-    completed triple is a theta by construction.  None is exhaustive.
+    Both branch vertices are centres of induced claws: the three paths have
+    interiors, pairwise anticomplete, so their first interior vertices are
+    three pairwise nonadjacent neighbours of x, and their last ones of y.
+    Only such pairs are tried, which skips just the pairs whose leg search
+    finds nothing, so claw-free hosts (line graphs among them) end at once.
+    The three x-y paths come from the leg search that three_in_a_tree's
+    spiders share: each later path avoids the interiors already chosen and
+    their neighbors, so any completed triple is a theta by construction.
+    None is exhaustive.
     """
     check_cap("find_theta", g.n, cap)
-    full = g.full_mask
-    degs = [g.adj[v].bit_count() for v in range(g.n)]
-    for x in range(g.n):
-        if degs[x] < 3:
-            continue
-        for y in range(x + 1, g.n):
-            if degs[y] < 3 or g.has_edge(x, y):
-                continue
+    full, adj = g.full_mask, g.adj
+    claws = mask_of(v for v in range(g.n) if _is_claw_centre(adj, v))
+    for x in iter_bits(claws):
+        for y in iter_bits(claws & ~adj[x] >> (x + 1) << (x + 1)):
             ends = (1 << x) | (1 << y)
             for paths in _legs(g, x, (y, y, y), full & ~ends, ends):
                 return ThetaWitness(x, y, paths)
@@ -496,7 +505,13 @@ def find_constellation(
     Stable center sets are tried in ascending order; component paths are
     chosen with strictly increasing minimum vertex from a region that shrinks
     by each chosen path's closed neighborhood, which makes the components
-    pairwise anticomplete and the search free of permuted duplicates.
+    pairwise anticomplete and the search free of permuted duplicates.  Before
+    each choice the region drops its vertices up to the last minimum and
+    keeps only the components of the rest that meet every center's
+    neighborhood: a path seen by every center lies in such a component, and
+    components only split as the region shrinks, so no dropped vertex could
+    serve a later path either.  The witnesses are those of the search
+    without this cut.
     """
     if s < 1 or l < 1:
         raise ValueError("need at least one center and one component")
@@ -520,7 +535,9 @@ def find_constellation(
     def pick_paths(centers, region: int, chosen: list[tuple[int, ...]], floor: int):
         if len(chosen) == l:
             return ConstellationWitness(centers, tuple(chosen))
-        for p in paths_in(region & ~((1 << (floor + 1)) - 1)):
+        region = sum(comp for comp in connected_components(g, region & ~((1 << (floor + 1)) - 1))
+                     if covers(comp, centers))
+        for p in paths_in(region):
             pm = mask_of(p)
             if not covers(pm, centers):
                 continue
@@ -560,7 +577,10 @@ def three_in_a_tree(
     z-vertices but itself; a path is the spider whose hub is its middle
     z-vertex.  For each triple (a, b, c) of z in ascending order, hubs c, b,
     a and then every other vertex ascending are tried with the leg search
-    find_theta shares, so None is exhaustive.
+    find_theta shares, so None is exhaustive.  A hub outside {a, b, c} must
+    be the centre of an induced claw, since its three legs start at pairwise
+    nonadjacent vertices (a leg of one edge at its z-vertex); the other hubs
+    have no legs to find and are skipped, each tested once per call.
     """
     zs = tuple(sorted(set(z)))
     if len(zs) < 3:
@@ -570,11 +590,12 @@ def three_in_a_tree(
     if not is_stable_set(g, mask_of(zs)):
         raise ValueError("the set must be stable")
     check_cap("three_in_a_tree", g.n, cap)
+    claw = cache(lambda v: _is_claw_centre(g.adj, v))
     for a, b, c in itertools.combinations(zs, 3):
         base = g.full_mask & ~mask_of((a, b, c))
         for hub in itertools.chain((c, b, a), iter_bits(base)):
             ends = tuple(t for t in (a, b, c) if t != hub)
-            if g.adj[hub].bit_count() < len(ends):
+            if g.adj[hub].bit_count() < len(ends) or len(ends) == 3 and not claw(hub):
                 continue
             for legs in _legs(g, hub, ends, base & ~(1 << hub), 1 << hub):
                 return tuple(sorted({hub}.union(*legs)))

@@ -180,6 +180,31 @@ def has_tree_with_three(g: Graph, z) -> bool:
     return False
 
 
+def has_constellation(g: Graph, s: int, l: int) -> bool:
+    """Some stable set of s centres and a vertex set, disjoint from it, whose
+    components are exactly l induced paths, each with a neighbour of every
+    centre.  Subset enumeration, for hosts of at most about 10 vertices."""
+    families = []
+    for mask in range(1 << g.n):
+        comps = _components_within(g, mask)
+        # A component is a tree when it has one edge fewer than vertices,
+        # and a tree of maximum degree 2 is a path.
+        if len(comps) == l and all(
+            sum((g.adj[v] & c).bit_count() for v in _bits(c)) == 2 * (c.bit_count() - 1)
+            and all((g.adj[v] & c).bit_count() <= 2 for v in _bits(c))
+            for c in comps
+        ):
+            families.append((mask, comps))
+    for centres in itertools.combinations(range(g.n), s):
+        if any(g.adj[x] >> y & 1 for x, y in itertools.combinations(centres, 2)):
+            continue
+        cmask = sum(1 << v for v in centres)
+        for mask, comps in families:
+            if not mask & cmask and all(g.adj[x] & c for x in centres for c in comps):
+                return True
+    return False
+
+
 def least_induced_embedding(host: Graph, pattern: Graph) -> tuple[int, ...] | None:
     """First valid map in lexicographic order over injective vertex tuples."""
     pairs = list(itertools.combinations(range(pattern.n), 2))

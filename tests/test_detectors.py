@@ -31,6 +31,7 @@ from thetakit.detectors import (
 from thetakit.generators import (
     complete_bipartite,
     complete_graph,
+    constellation,
     cycle_graph,
     disjoint_union,
     line_graph,
@@ -51,9 +52,11 @@ from thetakit.graphs import (
     build_graph,
     is_induced_cycle,
     is_induced_path,
+    is_stable_set,
     iter_bits,
     iter_induced_paths,
     mask_of,
+    neighborhood_mask,
     path_family_violation,
     relabel,
 )
@@ -215,10 +218,9 @@ def random_cubic(n, seed):
     return build_graph(n, nx.random_regular_graph(3, n, seed=seed).edges())
 
 
-def perturbed_prism(rng, lengths, extra, toggles):
-    """prism_graph(*lengths) plus extra vertices of random adjacency, with
-    some vertex pairs toggled, relabelled at random."""
-    g = prism_graph(*lengths)
+def perturbed(rng, g, extra, toggles):
+    """g plus extra vertices of random adjacency, with some vertex pairs
+    toggled, relabelled at random."""
     n = g.n + extra
     edges = set(g.edges())
     for v in range(g.n, n):
@@ -248,7 +250,7 @@ PRISM_HOSTS = {
     ),
     "dense-gnp": lambda: (random_graph(n, 0.5, seed=45_000 + n) for n in range(6, 15)),
     "perturbed-prisms": lambda: (
-        perturbed_prism(rng, [rng.randint(2, 5) for _ in range(3)], rng.randint(0, 2), rng.randint(0, 3))
+        perturbed(rng, prism_graph(*[rng.randint(2, 5) for _ in range(3)]), rng.randint(0, 2), rng.randint(0, 3))
         for rng in [random.Random(46_000)]
         for _ in range(40)
     ),
@@ -300,7 +302,7 @@ class TestPrism:
         rng = random.Random(40_000)
         small = ((2, 2, 2), (2, 2, 3), (2, 2, 4), (2, 3, 3))
         hosts = [random_graph(6 + i % 4, (0.3, 0.45, 0.6, 0.75)[i % 4], seed=40_000 + i) for i in range(80)]
-        hosts += [perturbed_prism(rng, small[i % 4], i % 2, i % 3) for i in range(120)]
+        hosts += [perturbed(rng, prism_graph(*small[i % 4]), i % 2, i % 3) for i in range(120)]
         for g in hosts:
             emb = find_prism(g)
             assert (emb is not None) == oracles.contains_prism(g)
@@ -402,6 +404,17 @@ class TestConstellation:
         with pytest.raises(CapExceeded):
             find_constellation(random_graph(25, 0.5, seed=1), 1, 1)
 
+    def test_oracle_agreement_seeded(self):
+        hits = 0
+        for i, g in enumerate(seeded_hosts(270, max_n=9, start=51_000)):
+            s, l = 1 + i // 6 % 3, 1 + i // 18 % 3
+            got = find_constellation(g, s, l)
+            assert (got is not None) == oracles.has_constellation(g, s, l)
+            if got is not None:
+                assert constellation_witness_violation(g, got, s, l) is None
+                hits += 1
+        assert 0 < hits < 270
+
 
 class TestThreeInATree:
     @staticmethod
@@ -488,11 +501,7 @@ class TestThreeInATree:
         for i in range(1500):
             n = 5 + i % 12
             g = random_graph(n, rng.choice((0.15, 0.25, 0.35, 0.5)), seed=rng.randrange(1 << 30))
-            z, free = [], g.full_mask
-            for v in rng.sample(range(n), n):
-                if free >> v & 1 and len(z) < 4:
-                    z.append(v)
-                    free &= ~g.adj[v]
+            z = random_stable(g, rng, 4)
             if len(z) < 3:
                 continue
             got = three_in_a_tree(g, z)
@@ -503,6 +512,155 @@ class TestThreeInATree:
                 hits += 1
                 self.check_tree(g, got, z)
         assert hits > 900 and misses > 300
+
+
+def theta_by_degree(g):
+    """find_theta without the claw-centre prune, kept as a reference: every
+    nonadjacent pair of vertices of degree at least 3, ascending."""
+    full = g.full_mask
+    degs = [g.adj[v].bit_count() for v in range(g.n)]
+    for x in range(g.n):
+        if degs[x] < 3:
+            continue
+        for y in range(x + 1, g.n):
+            if degs[y] < 3 or g.has_edge(x, y):
+                continue
+            ends = (1 << x) | (1 << y)
+            for paths in _legs(g, x, (y, y, y), full & ~ends, ends):
+                return ThetaWitness(x, y, paths)
+    return None
+
+
+def tree_by_degree_hubs(g, z):
+    """three_in_a_tree's hub loop without the claw-centre prune, kept as a
+    reference: every hub with at least as many neighbours as legs."""
+    for a, b, c in itertools.combinations(sorted(z), 3):
+        base = g.full_mask & ~mask_of((a, b, c))
+        for hub in itertools.chain((c, b, a), iter_bits(base)):
+            ends = tuple(t for t in (a, b, c) if t != hub)
+            if g.adj[hub].bit_count() < len(ends):
+                continue
+            for legs in _legs(g, hub, ends, base & ~(1 << hub), 1 << hub):
+                return tuple(sorted({hub}.union(*legs)))
+    return None
+
+
+def constellation_by_regions(g, s, l):
+    """find_constellation without the component cut, kept as a reference:
+    paths come from the whole region above the last minimum."""
+
+    def paths_in(region):
+        def extend(last, path, banned):
+            if len(path) == 1 or path[0] < path[-1]:
+                yield path
+            for c in iter_bits(g.adj[last] & region & ~banned):
+                yield from extend(c, path + (c,), banned | g.adj[last] | (1 << c))
+
+        for v in iter_bits(region):
+            yield from extend(v, (v,), 1 << v)
+
+    def pick_paths(centers, region, chosen, floor):
+        if len(chosen) == l:
+            return ConstellationWitness(centers, tuple(chosen))
+        for p in paths_in(region & ~((1 << (floor + 1)) - 1)):
+            pm = mask_of(p)
+            if not all(g.adj[c] & pm for c in centers):
+                continue
+            chosen.append(p)
+            got = pick_paths(centers, region & ~pm & ~neighborhood_mask(g, pm), chosen, min(p))
+            if got is not None:
+                return got
+            chosen.pop()
+        return None
+
+    for centers in itertools.combinations(range(g.n), s):
+        if is_stable_set(g, centers):
+            got = pick_paths(centers, g.full_mask & ~mask_of(centers), [], -1)
+            if got is not None:
+                return got
+    return None
+
+
+def spider(rng, legs, max_len):
+    """A hub with legs of 1..max_len edges."""
+    edges, nxt = [], 1
+    for _ in range(legs):
+        prev = 0
+        for _ in range(rng.randint(1, max_len)):
+            edges.append((prev, nxt))
+            prev, nxt = nxt, nxt + 1
+    return build_graph(nxt, edges)
+
+
+def random_stable(g, rng, most):
+    """A stable set of at most ``most`` vertices, grown in random order."""
+    z, free = [], g.full_mask
+    for v in rng.sample(range(g.n), g.n):
+        if free >> v & 1 and len(z) < most:
+            z.append(v)
+            free &= ~g.adj[v]
+    return z
+
+
+SEARCH_HOSTS = {
+    "gnp": lambda: (
+        random_graph(n, p, seed=47_000 + 10 * n + k)
+        for n in range(5, 17)
+        for k, p in enumerate((0.15, 0.25, 0.35, 0.5, 0.7))
+    ),
+    "random-lines": lambda: (
+        line_graph(random_graph(n, p, seed=48_000 + 10 * n + k))
+        for n in range(5, 11)
+        for k, p in enumerate((0.25, 0.4, 0.55))
+    ),
+    "wall3": lambda: (
+        h
+        for seed in range(3)
+        for h in (random_subdivision(wall(3), 1, seed), line_graph(random_subdivision(wall(3), 1, seed)))
+    ),
+    "spider-lines": lambda: (
+        line_graph(spider(rng, rng.randint(3, 5), 4)) for rng in [random.Random(49_000)] for _ in range(30)
+    ),
+}
+
+
+class TestSameWitnessAsTheUnprunedSearch:
+    """The claw-centre and component prunes skip only branches that find
+    nothing, so every witness equals the unpruned search's, not just its
+    existence."""
+
+    @pytest.mark.parametrize("family", sorted(SEARCH_HOSTS))
+    def test_theta(self, family):
+        for g in SEARCH_HOSTS[family]():
+            assert find_theta(g) == theta_by_degree(g)
+
+    @pytest.mark.parametrize("family", sorted(SEARCH_HOSTS))
+    def test_three_in_a_tree(self, family):
+        rng = random.Random(family)
+        hits = 0
+        for g in SEARCH_HOSTS[family]():
+            for _ in range(3):
+                z = random_stable(g, rng, rng.randint(3, 5))
+                if len(z) >= 3:
+                    got = three_in_a_tree(g, z, cap=None)
+                    assert got == tree_by_degree_hubs(g, z)
+                    hits += got is not None
+        assert hits
+
+    @pytest.mark.parametrize("s, l", list(itertools.product((1, 2, 3), repeat=2)))
+    def test_constellation(self, s, l):
+        rng = random.Random(50_000 + 3 * s + l)
+        hosts = [random_graph(n, p, seed=rng.randrange(1 << 30)) for n in range(5, 15) for p in (0.2, 0.35, 0.5)]
+        for _ in range(10):
+            lengths = [rng.randint(1, 4) for _ in range(l)]
+            attach = [[rng.randrange(1, 1 << k) for k in lengths] for _ in range(s)]
+            hosts.append(perturbed(rng, constellation(s, l, lengths, attach), 2, 2))
+        found = 0
+        for g in hosts:
+            got = find_constellation(g, s, l)
+            assert got == constellation_by_regions(g, s, l)
+            found += got is not None
+        assert found
 
 
 def wall_chains(w):
@@ -711,19 +869,17 @@ class TestNecessityFamily:
     treewidth grows with the wall."""
 
     def test_wall_line_graphs(self):
-        hosts = [(3, line_graph(random_subdivision(wall(3), 1, seed))) for seed in range(3)]
+        hosts = [(r, line_graph(random_subdivision(wall(r), 1, seed))) for r in (3, 4) for seed in range(3)]
         hosts.append((4, line_graph(wall(4))))
-        widths = {3: [], 4: []}
         for r, h in hosts:
             assert find_theta(h) is None
             assert clique_number(h)[0] == 3
             rep = excludes_wall_line_graphs(h, r, cap=None)
             assert not rep.excluded and embedding_violation(h, rep.embedding) is None
-            widths[r].append(treewidth_exact(h, cap=None)[0])
-        # find_theta's exhaustive miss on L(wall(5)) runs for minutes, so the
-        # fifth wall only extends the treewidth chain.
-        chain = [max(widths[3]), min(widths[4]), treewidth_exact(line_graph(wall(5)), cap=None)[0]]
-        assert chain == [4, 5, 6], widths
+            assert treewidth_exact(h, cap=None)[0] == r + 1
+        h = line_graph(wall(5))
+        assert find_theta(h) is None
+        assert treewidth_exact(h, cap=None)[0] == 6
 
 
 class TestMaxPathFan:
@@ -828,3 +984,33 @@ def test_witnesses_always_valid(seed, n, p):
 def test_theta_matches_oracle(seed, n):
     g = random_graph(n, 0.45, seed=seed)
     assert (find_theta(g) is not None) == oracles.contains_theta(g)
+
+
+def check_trees_are_paths(h, z):
+    """three_in_a_tree on claw-free h: any tree it returns induces a path."""
+    t = three_in_a_tree(h, z, cap=None)
+    if t is not None:
+        m = mask_of(t)
+        assert oracles.induces_tree(h, m) and all((h.adj[v] & m).bit_count() <= 2 for v in t)
+    return t
+
+
+# Line graphs are claw-free, and a theta's branch vertices and a spider's hub
+# are claw centres, so the pruned searches end with no theta and path trees.
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.integers(6, 12), st.sampled_from((0.2, 0.35, 0.5)))
+def test_line_graphs_hold_no_theta_and_only_path_trees(seed, n, p):
+    h = line_graph(random_graph(n, p, seed=seed))
+    assert find_theta(h, cap=None) is None
+    z = random_stable(h, random.Random(seed), 5)
+    if len(z) >= 3:
+        check_trees_are_paths(h, z)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10**6), st.integers(6, 9), st.sampled_from((0.2, 0.3, 0.4)))
+def test_line_graph_trees_match_oracle(seed, n, p):
+    h = line_graph(random_graph(n, p, seed=seed))
+    z = random_stable(h, random.Random(seed), 4)
+    if h.n <= 9 and len(z) >= 3:
+        assert (check_trees_are_paths(h, z) is not None) == oracles.has_tree_with_three(h, z)
