@@ -22,6 +22,7 @@ from .graphs import (
     Graph,
     PathFamily,
     are_anticomplete,
+    bfs_layers,
     connected_components,
     is_induced_path,
     is_stable_set,
@@ -246,18 +247,44 @@ def _least_line_graph(g: Graph, chains, pattern) -> tuple[Embedding | None, int]
     triangles (one vertex: a corner both share); ``pattern(ls)`` builds it.
     Returns the embedding that trying every pattern with find_induced in
     ascending order of (sum(ls), *ls) returns first, or None, and the number
-    of find_induced calls made.  Too few host triangles rule out every
-    pattern; else the unsubdivided one is tried, then branch vertices take
-    triangles in turn, with every bijection of chains to corners, and each
-    chain with both ends placed is linked by ``iter_induced_paths``.  Placed
-    vertices see exactly their placed pattern neighbours, save pairs a later
-    choice settles: a new corner and its chain's far corner (adjacent iff
-    l_i = 2), and far corners of chains with m = 1 toward one branch vertex
-    (adjacent iff both join its triangle).  Paths stay within what the least
-    key so far leaves, unused triangles must suffice for the branch vertices
-    left (paths keep off them when just enough are left), and equal chains
-    take ascending corners where first placed, their lengths sorted in the
-    key.  One more find_induced call embeds the least key.
+    of find_induced calls made.
+
+    Too few host triangles rule out every pattern; else the unsubdivided one
+    is tried, then branch vertices take triangles in turn, with every
+    bijection of chains to corners, and each chain with both ends placed is
+    linked by ``iter_induced_paths``.  Placed vertices see exactly their
+    placed pattern neighbours, save pairs a later choice settles: a new corner
+    and its chain's far corner (adjacent iff l_i = 2), and far corners of
+    chains with m = 1 toward one branch vertex (adjacent iff both join its
+    triangle).  Paths stay within what the least key so far leaves, unused
+    triangles must suffice for the branch vertices left (``spare``; paths keep
+    off them when just enough are left), and equal chains take ascending
+    corners where first placed, their lengths sorted in the key.  One more
+    find_induced call embeds the least key.
+
+    Two tests drop a triangle placement before the search recurses into it.
+    Each drops only branches that record no key, so the least key, the
+    embedding and the call count are those of the search without them.
+
+    - ``spare`` for the next level is taken once per triangle, with all three
+      corners open.  The recursion's open corners are a subset of these
+      (corners linked on the spot close), and fewer open corners leave no
+      more usable triangles.  So if this call finds too few, the recursion
+      returns at once; if it finds exactly enough, the recursion finds too
+      few or these same ones.
+    - A chain to link from new corner c to far corner z needs a c-z path
+      whose interior lies in the region its link searches, and
+      iter_induced_paths yields one whenever such a path exists (a shortest
+      one is induced).  That region avoids the placed vertices and the
+      triangles spare returns, with their neighbours.  Deeper in the
+      recursion more vertices are placed, and spare returns None (no link
+      is searched), the triangles found here, or any triangles where this
+      call found more than enough; so the region only shrinks.  If a
+      breadth-first search from c over the region that this placement and
+      the next level's spare give reaches no neighbour of z, no link of that
+      chain yields, and every bijection giving the chain corner c is
+      skipped.  The search runs once per (c, z) and triangle, since the
+      region depends on both corners.
     """
     adj, full = g.adj, g.full_mask
     # The chain ends (chain, side) at each branch vertex.
@@ -329,10 +356,21 @@ def _least_line_graph(g: Graph, chains, pattern) -> tuple[Embedding | None, int]
         ascending = [(x, y) for x, (i, _) in enumerate(ends[b]) for y, (j, _) in enumerate(ends[b])
                      if i < j and i not in far and j in alike[i]]
         saved = lens.copy()
+        # The link region of new corner c and far corner z, as the link step
+        # builds it from placed | tmask and after, avoids those vertices and
+        # the neighbours of all but c and z.  Only corners in tmask or fmask
+        # can be c or z, so the neighbours of the other placed vertices
+        # (fence) serve every triangle, and free every (c, z) of one triangle.
+        fence = neighborhood_mask(g, placed & ~fmask)
         for tri in _triangles(g, region | share):
             if k == 1 and len(alike[0]) == len(chains) and tri[0] < min(iter_bits(taken[0])):
                 continue  # a theta's two branch vertices are interchangeable too
             tmask = mask_of(tri)
+            after = spare(k + 1, placed | tmask, opened | tmask, taken + (tmask,))
+            if after is None:
+                continue
+            free = full & ~placed & ~tmask & ~after & ~fence & ~neighborhood_mask(g, after)
+            links = {}  # (c, z) -> whether the chain from new corner c can reach z
             for perm in itertools.permutations(tri):
                 if any(perm[x] > perm[y] for x, y in ascending):
                     continue
@@ -349,6 +387,11 @@ def _least_line_graph(g: Graph, chains, pattern) -> tuple[Embedding | None, int]
                         lens[i] = 2
                         done |= (1 << c) | zbit
                     elif zbit:
+                        if (c, z) not in links:
+                            within = free & ~neighborhood_mask(g, (tmask | fmask) & ~((1 << c) | zbit)) | 1 << c
+                            links[c, z] = any(layer & adj[z] for layer in bfs_layers(g, c, within))
+                        if not links[c, z]:
+                            break
                         lens[i] = max(least[i], 3)
                         todo.append((i, c, z))
                 else:

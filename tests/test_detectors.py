@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from thetakit import detectors
 from thetakit.detectors import (
     CapExceeded,
     ConstellationWitness,
@@ -218,6 +219,13 @@ def random_cubic(n, seed):
     return build_graph(n, nx.random_regular_graph(3, n, seed=seed).edges())
 
 
+def with_k4(g, rng):
+    """g plus a K4, one of whose vertices is joined to a random vertex of g."""
+    n = g.n
+    k4 = set(itertools.combinations(range(n, n + 4), 2))
+    return build_graph(n + 4, set(g.edges()) | k4 | {(rng.randrange(n), n + rng.randrange(4))})
+
+
 def perturbed(rng, g, extra, toggles):
     """g plus extra vertices of random adjacency, with some vertex pairs
     toggled, relabelled at random."""
@@ -259,6 +267,14 @@ PRISM_HOSTS = {
         shuffled(disjoint_union(prism_graph(*s), prism_graph(*t)), random.Random(k))
         for k in range(2)
         for s, t in itertools.permutations(((2, 2, 5), (2, 3, 4), (3, 3, 3)), 2)
+    ),
+    # More triangles than branch vertices: the next level's spare is 0, so
+    # each link's reachability is tested on an unblocked region.
+    "prisms-with-triangles": lambda: (
+        shuffled(with_k4(g, rng) if k % 2 else disjoint_union(g, complete_graph(3)), rng)
+        for rng in [random.Random(46_500)]
+        for k in range(16)
+        for g in [perturbed(rng, prism_graph(*[rng.randint(2, 4) for _ in range(3)]), 0, k % 3)]
     ),
     "none-cases": lambda: (cycle_graph(6), petersen(), complete_graph(5)),
 }
@@ -767,6 +783,16 @@ WALL_HOSTS = {
     "wall3-lines-pendant": lambda: (
         with_pendant(wall3_line(rng, k % 3), rng) for rng in [random.Random(49_000)] for k in range(9)
     ),
+    # More triangles than wall(3) has branch vertices, so the next level's
+    # spare is 0 and each link's reachability is tested on an unblocked region.
+    "wall3-lines-k4": lambda: (
+        shuffled(with_k4(wall3_line(rng, k % 3), rng), rng) for rng in [random.Random(55_000)] for k in range(6)
+    ),
+    "wall3-lines-triangle": lambda: (
+        shuffled(disjoint_union(wall3_line(rng, k % 3), complete_graph(3)), rng)
+        for rng in [random.Random(56_000)]
+        for k in range(6)
+    ),
     "triangle-poor-gnp": lambda: (
         random_graph(19 + k % 3, 0.2, seed=50_000 + k) for k in range(10)
     ),
@@ -862,6 +888,34 @@ class TestWallLineExclusion:
             assert rep.embedding is not None or rep.patterns_tried <= 1
 
 
+def count_calls(monkeypatch, module, name):
+    """Count the calls that go through module.name from now on, in a
+    one-item list."""
+    calls, real = [0], getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+# Link searches (iter_induced_paths calls) that excludes_wall_line_graphs made
+# on L(random_subdivision(wall(r), 1, s)) before triangle placements were
+# checked for reachability; the search now makes 72, 72, 50, 128, 106, 112.
+UNCHECKED_LINK_SEARCHES = {(3, 0): 1367, (3, 1): 1508, (3, 2): 956, (4, 0): 17318, (4, 1): 14058, (4, 2): 14552}
+
+
+@pytest.mark.parametrize("r, s", sorted(UNCHECKED_LINK_SEARCHES))
+def test_placements_that_cannot_link_are_dropped(monkeypatch, r, s):
+    h = line_graph(random_subdivision(wall(r), 1, s))
+    calls = count_calls(monkeypatch, detectors, "iter_induced_paths")
+    rep = excludes_wall_line_graphs(h, r, cap=None)
+    assert not rep.excluded and rep.patterns_tried == 2
+    assert calls[0] <= UNCHECKED_LINK_SEARCHES[r, s] // 10
+
+
 class TestNecessityFamily:
     """Hypothesis (b) of the paper is necessary: line graphs of subdivided
     walls are theta-free (claw-free, and a theta's branch vertex with its
@@ -871,8 +925,10 @@ class TestNecessityFamily:
     def test_wall_line_graphs(self):
         hosts = [(r, line_graph(random_subdivision(wall(r), 1, seed))) for r in (3, 4) for seed in range(3)]
         hosts.append((4, line_graph(wall(4))))
+        hosts += [(5, line_graph(random_subdivision(wall(5), 1, seed))) for seed in (1, 2)]
+        assert [h.n for _, h in hosts[-2:]] == [96, 103]
         for r, h in hosts:
-            assert find_theta(h) is None
+            assert find_theta(h, cap=None) is None
             assert clique_number(h)[0] == 3
             rep = excludes_wall_line_graphs(h, r, cap=None)
             assert not rep.excluded and embedding_violation(h, rep.embedding) is None

@@ -12,8 +12,8 @@ from thetakit.detectors import (
     find_theta,
     three_in_a_tree,
 )
-from thetakit.generators import line_graph, random_graph, wall
-from thetakit.graphs import relabel
+from thetakit.generators import line_graph, random_graph, random_subdivision, wall
+from thetakit.graphs import build_graph, relabel
 from thetakit.separability import separability
 from thetakit.treewidth import treewidth_exact
 
@@ -65,3 +65,26 @@ def test_small_hosts():
         for perm, h in relabellings(g, seed):
             assert answers(h, [perm[v] for v in z]) == want, seed
     assert all(hits), hits
+
+
+def least_patterns(g):
+    """The edges of the least wall(3) line graph and the least prism found in g."""
+    found = excludes_wall_line_graphs(g, 3).embedding, find_prism(g)
+    return tuple(None if emb is None else emb.pattern.edges() for emb in found)
+
+
+def test_least_keys():
+    # The least key is a minimum over every embedding, so the pattern built
+    # from it cannot depend on the labels, though triangles, corners and
+    # paths are tried in label order.
+    found = 0
+    for seed in range(4):
+        g = line_graph(random_subdivision(wall(3), 1, seed))
+        rng = random.Random(seed)
+        a, b = rng.sample(range(g.n), 2)
+        for h in (g, build_graph(g.n, set(g.edges()) ^ {(min(a, b), max(a, b))})):
+            want = least_patterns(h)
+            found += want != (None, None)
+            for _, k in relabellings(h, seed):
+                assert least_patterns(k) == want, seed
+    assert found == 8
