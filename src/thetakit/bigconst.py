@@ -39,7 +39,7 @@ _SHIFT_LIMIT = 16
 _LOG10_2 = (30103, 100000)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class TowerInt:
     """One node of an expression tree denoting a natural number.
 
@@ -48,27 +48,26 @@ class TowerInt:
     subtrahend of a sub node must be a plain literal, which keeps every
     subtree's value a natural number by construction.
 
-    The hash is computed once per node and kept outside the dataclass
-    fields, so cache lookups cost one tuple hash instead of a tree walk.
-    It is rebuilt, never carried, on pickling and copying, since string
-    hashes differ between processes.
+    Nodes are hash-consed: ``TowerInt(op, args)`` returns the one node in
+    ``_NODES`` for that pair, so equal trees are one object and compare and
+    hash by identity.  Only ``__new__`` sets the fields: an ``__init__``
+    would rebind a shared node's ``args`` (``nat(True)`` is ``nat(1)``).
+    Pickles and copies rebuild through ``__new__`` and so re-intern.
+    ``_NODES`` keeps every node for the life of the process, like the
+    unbounded caches below; a report of cache sizes should count it.
     """
 
     op: str
     args: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.op, self.args)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not TowerInt:
-            return NotImplemented
-        return self._hash == other._hash and self.op == other.op and self.args == other.args
+    def __new__(cls, op: str, args: tuple) -> "TowerInt":
+        key = (op, args)
+        node = _NODES.get(key)
+        if node is None:
+            node = _NODES[key] = object.__new__(cls)
+            object.__setattr__(node, "op", op)
+            object.__setattr__(node, "args", args)
+        return node
 
     def __reduce__(self):
         return TowerInt, (self.op, self.args)
@@ -104,10 +103,13 @@ class TowerInt:
         return d - 1 if _fits(v, d - 1) else d
 
 
+_NODES: dict[tuple, TowerInt] = {}
+
+
 def nat(k: int) -> TowerInt:
     if not isinstance(k, int) or k < 0:
         raise ValueError("naturals only")
-    return TowerInt("nat", (k,))
+    return TowerInt("nat", (int(k),))
 
 
 def _coerce(x: "TowerInt | int") -> TowerInt:
@@ -297,16 +299,12 @@ def normalize(e: TowerInt) -> TowerInt:
         for _ in range(64):
             coeff = 1
             groups: dict[TowerInt, list[TowerInt]] = {}
-            order: list[TowerInt] = []
             for part in parts:
                 c, factors = _mul_parts(part)
                 coeff *= c
                 for f in factors:
                     base, exp = (f.args if f.op == "pow" else (f, nat(1)))
-                    if base not in groups:
-                        groups[base] = []
-                        order.append(base)
-                    groups[base].append(exp)
+                    groups.setdefault(base, []).append(exp)
             if coeff == 0:
                 return nat(0)
             if coeff > 1:
@@ -320,8 +318,7 @@ def normalize(e: TowerInt) -> TowerInt:
                         leftover *= p ** k
                 coeff = leftover
             merged = []
-            for base in order:
-                exps = groups[base]
+            for base, exps in groups.items():
                 total = exps[0]
                 for x in exps[1:]:
                     total = TowerInt("add", (total, x))
@@ -409,10 +406,6 @@ def _compare_power_pair(e1: TowerInt, e2: TowerInt, depth: int) -> int:
     v1, v2 = evaluate(b1), evaluate(b2)
     if v1 is None or v2 is None:
         return _escalate(e1, e2)
-    if v1 < 2 or v2 < 2:
-        small, big = (e1, e2) if v1 < 2 else (e2, e1)
-        sign = 1 if small is e2 else -1
-        return sign if _compare_norm(big, nat(1), depth + 1) > 0 else 0
     for precision in _PRECISIONS:
         lo1, hi1 = _log2_bounds(v1, precision)
         lo2, hi2 = _log2_bounds(v2, precision)

@@ -755,12 +755,8 @@ def _check_family(g: Graph, x: int, y: int, fam: PathFamily) -> None:
 
 
 def _grow(g, x, y, fam, a, b, child_count, policy, steps):
+    # a, b and fam were checked on entry, or where a derived fam was built.
     op = "grow_ab_tree"
-    if a < 1 or b < 1:
-        raise ValueError("tree parameters must be positive")
-    if a == 1 and b > 2:
-        raise ValueError("branching 1 cannot reach depth beyond 1")
-    _check_family(g, x, y, fam)
 
     def consts(n):
         return tree_constants(a, n)
@@ -919,6 +915,11 @@ def grow_ab_tree(g: Graph, x: int, y: int, fam: PathFamily, a: int, b: int, thre
     three-in-a-tree search and assemble a theta.  Success yields a certificate
     whose root has exactly ``a`` children and every internal vertex ``a - 1``.
     """
+    if a < 1 or b < 1:
+        raise ValueError("tree parameters must be positive")
+    if a == 1 and b > 2:
+        raise ValueError("branching 1 cannot reach depth beyond 1")
+    _check_family(g, x, y, fam)
     policy = thresholds if thresholds is not None else PaperThresholds()
     steps: list[TraceStep] = []
     out = _grow(g, x, y, fam, a, b, a, policy, steps)
@@ -952,13 +953,12 @@ def embed_forest(g: Graph, x: int, y: int, fam: PathFamily, h: Graph, thresholds
     """
     policy = thresholds if thresholds is not None else PaperThresholds()
     hplus = _completed_tree(h)
+    _check_family(g, x, y, fam)
     steps: list[TraceStep] = []
     steps.append(TraceStep("embed_forest", "build", "H_plus", tuple(hplus.edges())))
     if h.n == 1:
         # One vertex embeds anywhere; no growth is needed, and growth could
-        # even fail on hosts this small.  The root end is the deterministic
-        # pick, once the family has been checked like any other call.
-        _check_family(g, x, y, fam)
+        # even fail on hosts this small.  The root end is the deterministic pick.
         steps.append(TraceStep("embed_forest", "choose", "phi", (x,)))
         return Success(Embedding(h, (x,)), tuple(steps))
     out = _grow(g, x, y, fam, hplus.n, hplus.n, hplus.n, policy, steps)

@@ -144,13 +144,13 @@ def wall(t: int) -> Graph:
 
 def complement(g: Graph) -> Graph:
     full = g.full_mask
-    return Graph(g.n, tuple(full & ~g.adj[v] & ~(1 << v) for v in range(g.n)))
+    return _trusted_graph(g.n, tuple(full & ~g.adj[v] & ~(1 << v) for v in range(g.n)))
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:
     """g followed by a shifted copy of h, with no edges between them."""
     adj = list(g.adj) + [m << g.n for m in h.adj]
-    return Graph(g.n + h.n, tuple(adj))
+    return _trusted_graph(g.n + h.n, tuple(adj))
 
 
 def subdivide(g: Graph, plan: Mapping[tuple[int, int], int] | Sequence[int]) -> Graph:

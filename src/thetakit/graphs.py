@@ -5,6 +5,10 @@ used as bitsets, so neighborhood algebra (intersection, anticompleteness,
 candidate pruning) is a single integer operation even on graphs with a few
 thousand vertices.
 
+Input is checked where it enters: ``Graph(...)``, ``build_graph`` and
+``graphio.parse_graph`` for adjacency, ``_vertex_mask`` for vertex sets.  A
+function deriving a graph from valid graphs builds it with ``_trusted_graph``.
+
 Determinism contract: every function that returns vertices returns them in
 ascending order, and every search elsewhere in the package iterates candidate
 vertices ascending.  Re-running any pipeline on the same input gives the same
@@ -213,7 +217,7 @@ def relabel(g: Graph, perm: Iterable[int]) -> Graph:
         for u in iter_bits(g.adj[v]):
             m |= 1 << perm[u]
         adj[perm[v]] = m
-    return Graph(g.n, tuple(adj))
+    return _trusted_graph(g.n, tuple(adj))
 
 
 def induced_subgraph(g: Graph, vertices: int | Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
@@ -230,7 +234,7 @@ def induced_subgraph(g: Graph, vertices: int | Iterable[int]) -> tuple[Graph, tu
         for u in iter_bits(g.adj[v] & keep):
             m |= 1 << index[u]
         adj.append(m)
-    return Graph(len(old), tuple(adj)), tuple(old)
+    return _trusted_graph(len(old), tuple(adj)), tuple(old)
 
 
 def neighborhood_mask(g: Graph, vertices: int | Iterable[int]) -> int:

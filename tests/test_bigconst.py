@@ -27,6 +27,7 @@ from thetakit.bigconst import (
     tree_constants,
     verify_sigma_inequalities,
 )
+from thetakit.bigconst import _as_power, _mul_parts
 
 
 def random_expr(rng: random.Random, budget: int) -> TowerInt:
@@ -99,18 +100,27 @@ class TestConstruction:
             assert expr.digits() == d
 
     def test_fields_are_op_and_args(self):
-        # Renderings that walk the dataclass fields must not see the hash.
+        # Renderings that walk the dataclass fields see exactly these two.
         assert [f.name for f in dataclasses.fields(TowerInt)] == ["op", "args"]
 
-    def test_copies_rebuild_the_hash(self):
+    def test_equal_trees_are_one_node(self):
+        assert nat(2) ** nat(3) is nat(2) ** nat(3)
+        s = sigma(2, 3)
+        normalize.cache_clear()
+        assert sigma(2, 3) is s
+
+    def test_bool_literal_is_the_int_node(self):
+        one = nat(1)
+        assert nat(True) is one
+        assert one.args == (1,) and type(one.args[0]) is int
+
+    def test_copies_return_the_interned_node(self):
         e = normalize(3 * nat(2) ** (nat(7) ** nat(40)) + nat(5) ** nat(10 ** 6))
         for twin in (pickle.loads(pickle.dumps(e)), copy.copy(e), copy.deepcopy(e)):
-            assert twin == e and hash(twin) == hash(e)
-            assert tower_compare(twin, e) == 0
+            assert twin is e
 
     def test_pickle_from_another_process(self):
-        # String hashes differ between processes, so a carried hash would
-        # disagree with the one this process computes for the same tree.
+        # Hashes are per-process identities, so unpickling must re-intern.
         code = (
             "import pickle, sys; from thetakit.bigconst import nat, normalize; "
             "sys.stdout.write(pickle.dumps(normalize(nat(2) ** (nat(3) ** nat(50)) * 7)).hex())"
@@ -119,8 +129,28 @@ class TestConstruction:
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         twin = pickle.loads(bytes.fromhex(out.stdout))
         e = normalize(nat(2) ** (nat(3) ** nat(50)) * 7)
-        assert twin == e and hash(twin) == hash(e)
+        assert twin is e
         assert {twin: 1}[e] == 1
+
+    def test_results_do_not_depend_on_hash_order(self):
+        # Node hashes are addresses and string hashes follow PYTHONHASHSEED,
+        # so a result read from a set's iteration order would differ here.
+        code = (
+            "from thetakit.bigconst import *\n"
+            "print(nat(True).args)\n"
+            "grid = [sigma(s, r) for s in (2, 3, 5) for r in (1, 2, 3)] + list(tree_constants(2, 2))\n"
+            "grid += [sigma(2, 3) * 7 + 5, nat(6) ** nat(100) * nat(2)]\n"
+            "print([[tower_compare(a, b) for b in grid] for a in grid])\n"
+            "print([to_tower_str(e) for e in grid])\n"
+            "print([verify_sigma_inequalities(al, t, s, 3) for al in (2, 3) for t in (1, 3) for s in (2, 5)])\n"
+        )
+        outs = []
+        for seed in ("0", "4242"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(sys.path))
+            run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+            outs.append(run.stdout)
+        assert outs[0] == outs[1]
+        assert outs[0].startswith("(1,)\n")
 
     def test_normalization_preserves_value(self):
         rng = random.Random(7)
@@ -129,6 +159,18 @@ class TestConstruction:
             v = evaluate(e)
             if v is not None:
                 assert evaluate(normalize(e)) == v
+
+    def test_normal_products_have_distinct_bases(self):
+        # The comparison drops a product's dominant factor by identity, which
+        # removes exactly one factor only while no two factors share a base.
+        rng = random.Random(11)
+        for _ in range(200):
+            e = nat(rng.randint(1, 10 ** 4))
+            for _ in range(rng.randint(1, 5)):
+                x = nat(10) ** nat(rng.randint(6, 9)) + rng.randint(0, 3)
+                e = e * nat(rng.choice([2, 3, 4, 6, 9, 12, 10 ** 7 + 19])) ** x
+            _, factors = _mul_parts(normalize(e))
+            assert len({_as_power(f)[0] for f in factors}) == len(factors)
 
 
 class TestSigma:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+import thetakit.extraction as extraction
 from deep_instance import build_deep_instance, expected_tree_vertices
 from thetakit.bigconst import TowerInt, nat, tower_compare, tree_constants
 from thetakit.detectors import CapExceeded, embedding_violation
@@ -487,6 +488,24 @@ class TestGrowExamples:
         assert ab_tree_violation(g, cert) is None
         assert set(cert.vertices) == expected_tree_vertices()
 
+    def test_each_family_is_checked_once(self, monkeypatch):
+        # The caller's family on entry, and each derived family once, where
+        # it is built.
+        g, x, y, fam = build_deep_instance()
+        checked, real = [], extraction.path_family_violation
+
+        def counted(host, family):
+            checked.append(family)
+            return real(host, family)
+
+        monkeypatch.setattr(extraction, "path_family_violation", counted)
+        out = grow_ab_tree(g, x, y, fam, 4, 4, FixedThresholds(0))
+        assert isinstance(out, Success)
+        derived = [step for step in out.trace if step.label == "P_R"]
+        assert len(derived) >= 3
+        assert len(checked) == 1 + len(derived)
+        assert checked[0] is fam
+
     def test_default_bounds_are_exact_towers(self):
         g, fam = self.k23()
         out = grow_ab_tree(g, 0, 4, fam, 3, 2)
@@ -515,6 +534,22 @@ class TestGrowExamples:
         with pytest.raises(ValueError):
             PaperThresholds(0)
 
+    def test_rejections_keep_their_messages_and_order(self):
+        g, fam = self.k23()
+        bad = PathFamily(0, 4, ((0, 1, 4), (0, 1, 4), (0, 3, 4)))
+        cases = [
+            (g, 0, 4, fam, 0, 1, "tree parameters must be positive"),
+            (g, 0, 4, bad, 2, 0, "tree parameters must be positive"),
+            (g, 0, 4, bad, 1, 3, "branching 1 cannot reach depth beyond 1"),
+            (g, 1, 4, fam, 2, 2, "the family ends must match the given vertices"),
+            (g, 0, 4, bad, 2, 2, "paths 0 and 1 share interior vertices"),
+            (g, 0, 4, PathFamily(0, 4, ((0, 1, 4), (0, 2, 3, 4))), 2, 2,
+             "path 1 is not an induced path from x to y"),
+        ]
+        for host, x, y, family, a, b, message in cases:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                grow_ab_tree(host, x, y, family, a, b, FixedThresholds(0))
+
 
 class TestEmbedExamples:
     def k23(self):
@@ -539,6 +574,19 @@ class TestEmbedExamples:
         g, fam = self.k23()
         with pytest.raises(ValueError):
             embed_forest(g, 0, 4, fam, cycle_graph(3), FixedThresholds(0))
+        # The pattern is checked before the family.
+        bad = PathFamily(0, 4, ((0, 1, 4), (0, 1, 4), (0, 3, 4)))
+        with pytest.raises(ValueError, match="^the pattern must be a forest$"):
+            embed_forest(g, 0, 4, bad, cycle_graph(3), FixedThresholds(0))
+
+    @pytest.mark.parametrize("h", [build_graph(0, []), build_graph(1, []), path_graph(2), path_graph(3)])
+    def test_bad_families_rejected_for_every_pattern(self, h):
+        g, fam = self.k23()
+        bad = PathFamily(0, 4, ((0, 1, 4), (0, 1, 4), (0, 3, 4)))
+        with pytest.raises(ValueError, match="^the family ends must match the given vertices$"):
+            embed_forest(g, 1, 4, fam, h, FixedThresholds(0))
+        with pytest.raises(ValueError, match="^paths 0 and 1 share interior vertices$"):
+            embed_forest(g, 0, 4, bad, h, FixedThresholds(0))
 
     def test_empty_forest(self):
         g, fam = self.k23()

@@ -25,15 +25,18 @@ from thetakit.generators import (
     wall,
 )
 from thetakit.graphs import (
+    Graph,
     ab_tree_violation,
     build_graph,
     connected_components,
+    induced_subgraph,
     is_clique,
     is_induced_cycle,
     is_induced_path,
     is_stable_set,
     mask_of,
     path_order_of_component,
+    relabel,
 )
 
 
@@ -125,6 +128,28 @@ def test_complement_and_union():
     u = disjoint_union(complete_graph(3), path_graph(2))
     assert u.n == 5 and u.m == 4
     assert connected_components(u) == [mask_of([0, 1, 2]), mask_of([3, 4])]
+
+
+def test_derived_graphs_pass_the_constructor_check():
+    # These builders skip Graph's validation, trusting their valid inputs;
+    # rebuilding each result through Graph(...) checks that trust.
+    densities = (0.0, 0.2, 0.5, 0.8, 1.0)
+    hosts = [random_graph(n, p, 16 * n + k) for n in range(13) for k, p in enumerate(densities)]
+    hosts += [wall(t) for t in (2, 3, 4)]
+    for g in hosts:
+        rng = random.Random(g.n)
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        keep = [v for v in range(g.n) if rng.random() < 0.6]
+        derived = (
+            complement(g),
+            induced_subgraph(g, keep)[0],
+            relabel(g, perm),
+            disjoint_union(g, complement(g)),
+            line_graph(g),
+        )
+        for h in derived:
+            assert Graph(h.n, h.adj) == h
 
 
 def test_ab_tree_graph_validates():

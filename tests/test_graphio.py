@@ -32,3 +32,56 @@ def test_edge_json_is_still_sniffed():
         assert sniff_format(text) == "edge-json"
         with pytest.raises(FormatError):
             parse_graph(text)
+
+
+@pytest.mark.parametrize("n", [63, 64, 200])
+def test_graph6_round_trip_with_a_four_byte_header(n):
+    for g in (path_graph(n), random_graph(n, 0.3, n)):
+        data = emit_graph(g)
+        assert data[0] == 126 and data[1] != 126
+        assert len(data) == 4 + (n * (n - 1) // 2 + 5) // 6
+        assert parse_graph(data) == g
+
+
+@pytest.mark.parametrize("data, message, position", [
+    (b"", "empty graph6 input", 0),
+    (b">>graph6<<\n", "empty graph6 input", 10),
+    (b"C ?", "byte 32 outside the graph6 range", 1),
+    (b">>graph6<<C ?", "byte 32 outside the graph6 range", 11),
+    (b"~~??", "truncated 8-byte size header", 4),
+    (b"~~?????~", "overlong size header", 0),
+    (b">>graph6<<~~?????~", "overlong size header", 10),
+    (b"~?", "truncated 4-byte size header", 2),
+    (b"~??}", "overlong size header", 0),
+    (b"C", "expected 1 adjacency bytes for n=4, got 0", 1),
+    (b"C??", "expected 1 adjacency bytes for n=4, got 2", 2),
+    # An 8-byte header for n = 258048, the least size that needs one.
+    (b"~~???~??", "expected 5549042688 adjacency bytes for n=258048, got 0", 8),
+    (b"B@", "nonzero padding bits", 1),
+])
+def test_graph6_format_errors(data, message, position):
+    with pytest.raises(FormatError) as info:
+        parse_graph(data, "graph6")
+    assert str(info.value) == f"{message} (position {position})"
+    assert info.value.position == position
+
+
+@pytest.mark.parametrize("data, message, position", [
+    (b'{"n": 2,', "invalid JSON: Expecting property name enclosed in double quotes", 8),
+    (b"[1]", "top level must be an object", 0),
+    (b'{"n": 1, "edges": [], "m": 0}', "unexpected key 'm'", 0),
+    (b'{"n": 1}', "both 'n' and 'edges' are required", 0),
+    (b'{"n": -1, "edges": []}', "'n' must be a nonnegative integer", 0),
+    (b'{"n": true, "edges": []}', "'n' must be a nonnegative integer", 0),
+    (b'{"n": 1, "edges": {}}', "'edges' must be a list", 0),
+    (b'{"n": 3, "edges": [[0, 1], [1]]}', "each edge must be a pair of integers", 1),
+    (b'{"n": 3, "edges": [[0, 1], [1, 2], [true, 0]]}', "each edge must be a pair of integers", 2),
+    (b'{"n": 3, "edges": [[0, 1], [1, 2.0]]}', "each edge must be a pair of integers", 1),
+    (b'{"n": 3, "edges": [[0, 1], [1, 2], [2, 3]]}', "edge endpoint out of range for n=3", 2),
+    (b'{"n": 3, "edges": [[0, 1], [1, 1]]}', "self-loop at 1", 1),
+])
+def test_edge_json_format_errors(data, message, position):
+    with pytest.raises(FormatError) as info:
+        parse_graph(data, "edge-json")
+    assert str(info.value) == f"{message} (position {position})"
+    assert info.value.position == position
