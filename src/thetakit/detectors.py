@@ -721,8 +721,8 @@ def max_path_fan(g: Graph, y: int, z) -> int:
 
     Paths are plain (not necessarily induced) and must end at distinct
     vertices of z, which disjointness outside y already forces.  Computed
-    by the shared flow :func:`~thetakit.graphs.max_disjoint_paths` from the
-    neighbours of y to z, with y itself removed.
+    by the package's one max-flow, :func:`~thetakit.graphs.max_disjoint_paths`,
+    from the neighbours of y to z with y itself removed.
     """
     if not 0 <= y < g.n:
         raise ValueError("the hub must be a vertex of the graph")

@@ -17,7 +17,6 @@ certificates.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Collection, Iterable, Iterator
 
@@ -374,44 +373,88 @@ def max_disjoint_paths(g: Graph, sources: int, sinks: int, within: int) -> int:
     """Most pairwise vertex-disjoint paths in G[within] from sources to sinks.
 
     Each path runs from a vertex of ``sources`` to a vertex of ``sinks``
-    through ``within`` only; a vertex in both masks is a one-vertex path.
-    Paths are plain, not necessarily induced.  This is Menger's value,
-    computed as an Edmonds-Karp unit-capacity flow with every vertex split
-    into an entry and an exit.
+    through ``within`` only; a vertex in both masks is a one-vertex path, and
+    sources or sinks outside ``within`` are ignored.  Paths are plain, not
+    necessarily induced.  A mask naming a vertex outside g raises
+    ``ValueError``.
+
+    The value is a maximum flow in the vertex-split network: S -> v_in for
+    each source, v_in -> v_out for each vertex, u_out -> v_in for each edge
+    and v_out -> T for each sink, all of capacity 1.  A vertex passes at most
+    one unit, so an integral flow is a family of disjoint paths and a cut is
+    a vertex separator: the max-flow min-cut theorem gives Menger's value
+    (Even-Tarjan, SIAM J. Comput. 1975).  Each used vertex v keeps ``prv[v]``
+    and ``nxt[v]``, its neighbours on its path; ``used`` and ``starts`` (the
+    vertices fed by S) are masks.  Each round searches the residual network
+    breadth-first, one mask per layer, with six moves:
+
+    - S -> v_in, for a source v not in ``starts``;
+    - v_in -> v_out, if v is unused;
+    - v_in -> prv[v]_out, if v is used and not in ``starts`` (cancels an arc);
+    - v_out -> u_in, for each neighbour u in ``within`` other than nxt[v];
+    - v_out -> v_in, if v is used (cancels v's internal arc);
+    - v_out -> T, if v is a sink whose path does not already end there.
+
+    The round then walks back from T through the layers, taking any
+    predecessor, and flips the arcs of that path.  For a used v, nxt[v]_in
+    is seen before v_out can be; a start, or a vertex whose path ends in T,
+    never becomes unused again.  So first-visit tests stand in for the two
+    "other than" conditions, and the flow is the number of starts.
     """
-    arcs: dict[object, dict[object, int]] = {}
-
-    def add(a, b):
-        arcs.setdefault(a, {})[b] = 1
-        arcs.setdefault(b, {}).setdefault(a, 0)
-
-    for v in iter_bits(sources & within):
-        add("S", (v, 0))
-    for v in iter_bits(sinks & within):
-        add((v, 1), "T")
-    for v in iter_bits(within):
-        add((v, 0), (v, 1))
-        for u in iter_bits(g.adj[v] & within):
-            add((v, 1), (u, 0))
-    flow = 0
+    within = _vertex_mask(g, within)
+    sources = _vertex_mask(g, sources) & within
+    sinks = _vertex_mask(g, sinks) & within
+    adj = g.adj
+    prv: dict[int, int] = {}
+    nxt: dict[int, int] = {}
+    used = starts = 0
     while True:
-        prev = {"S": None}
-        queue = deque(["S"])
-        while queue and "T" not in prev:
-            a = queue.popleft()
-            for b, c in arcs.get(a, {}).items():
-                if c > 0 and b not in prev:
-                    prev[b] = a
-                    queue.append(b)
-        if "T" not in prev:
-            return flow
-        b = "T"
-        while prev[b] is not None:
-            a = prev[b]
-            arcs[a][b] -= 1
-            arcs[b][a] += 1
-            b = a
-        flow += 1
+        layers = []  # the exits first reached in each layer
+        frontier = seen_in = sources & ~starts
+        seen_out = 0
+        while frontier:
+            exits = frontier & ~used
+            for v in iter_bits(frontier & used & ~starts):
+                exits |= 1 << prv[v]
+            exits &= ~seen_out
+            seen_out |= exits
+            layers.append(exits)
+            if exits & sinks:
+                break
+            near = exits & used
+            for v in iter_bits(exits):
+                near |= adj[v]
+            frontier = near & within & ~seen_in
+            seen_in |= frontier
+        else:
+            return starts.bit_count()
+        # Back from T: exit v was reached from v_in or from nxt[v]_in, and
+        # entry u from u_out or from any neighbour's exit one layer earlier.
+        end = exits & sinks
+        v = (end & -end).bit_length() - 1
+        path = []  # (entry, exit) per layer, from T back to S
+        for k in range(len(layers) - 1, -1, -1):
+            u = nxt[v] if used >> v & 1 else v
+            path.append((u, v))
+            if k:
+                prev = layers[k - 1]
+                if not prev >> u & 1:
+                    prev &= adj[u]
+                    v = (prev & -prev).bit_length() - 1
+                else:
+                    v = u
+        last = -1  # the exit before the current entry; -1 is S
+        for u, v in reversed(path):
+            if last < 0:
+                starts |= 1 << u
+            elif last == u:
+                used &= ~(1 << u)
+            else:
+                prv[u] = last
+                nxt[last] = u
+            if u == v:
+                used |= 1 << u
+            last = v
 
 
 def path_order_of_component(g: Graph, comp: int) -> tuple[int, ...] | None:

@@ -4,9 +4,10 @@ The packing here is over induced paths, which is what separates this
 computation from plain Menger flow: an optimal flow routes through paths
 with chords, so the flow value is only an upper bound.  It prunes and
 certifies a branch and bound that stops at that bound or after a budget of
-search nodes.  The flow is the package's shared one,
+search nodes.  The flow is the package's one max-flow,
 :func:`~thetakit.graphs.max_disjoint_paths`, from the neighbours of x to the
-neighbours of y with both ends removed.
+neighbours of y with both ends removed; the search asks it again, on the
+vertices still free, each time it has a family to beat.
 """
 
 from __future__ import annotations

@@ -1,10 +1,20 @@
+import random
+
 import networkx as nx
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from thetakit.generators import petersen
+from thetakit.generators import (
+    complete_graph,
+    line_graph,
+    path_graph,
+    petersen,
+    random_graph,
+    random_subdivision,
+    wall,
+)
 from thetakit.graphs import (
     ABTreeCert,
     PathFamily,
@@ -274,23 +284,111 @@ def test_relabel_preserves_edge_count_and_inverts(g, data):
     assert relabel(h, inverse) == g
 
 
-@given(graphs(max_n=12), st.data())
-@settings(max_examples=200, deadline=None)
-def test_max_disjoint_paths_matches_networkx_connectivity(g, data):
+def menger_by_networkx(g, sources, sinks, within):
     # Oracle: in G[within] plus a super-source joined to the sources and a
     # super-sink joined to the sinks, the local node connectivity between the
     # two counts the disjoint paths; a vertex in both masks is a one-vertex path.
-    def mask():
-        return data.draw(st.integers(min_value=0, max_value=g.full_mask))
-
-    sources, sinks, within = mask(), mask(), mask()
-    sinks |= sources & mask()
     h = nx.Graph()
     h.add_nodes_from(["s", "t", *iter_bits(within)])
     h.add_edges_from((u, v) for u, v in g.edges() if within >> u & 1 and within >> v & 1)
     h.add_edges_from(("s", v) for v in iter_bits(sources & within))
     h.add_edges_from((v, "t") for v in iter_bits(sinks & within))
-    assert max_disjoint_paths(g, sources, sinks, within) == nx.node_connectivity(h, "s", "t")
+    return nx.node_connectivity(h, "s", "t")
+
+
+@given(graphs(max_n=12), st.data())
+@settings(max_examples=200, deadline=None)
+def test_max_disjoint_paths_matches_networkx_connectivity(g, data):
+    def mask():
+        return data.draw(st.integers(min_value=0, max_value=g.full_mask))
+
+    sources, sinks, within = mask(), mask(), mask()
+    sinks |= sources & mask()
+    assert max_disjoint_paths(g, sources, sinks, within) == menger_by_networkx(g, sources, sinks, within)
+
+
+def test_max_disjoint_paths_on_structured_hosts():
+    # Larger hosts than the hypothesis test draws, with random masks and the
+    # two shapes the library asks for: N(x) to N(y) in G - x - y
+    # (separability) and N(y) to Z in G - y (max_path_fan).
+    rng = random.Random(17)
+    hosts = [wall(3), wall(4), line_graph(wall(3))]
+    hosts += [random_subdivision(wall(3), 2, seed) for seed in range(3)]
+    hosts += [line_graph(random_graph(9, 0.35, seed)) for seed in range(3)]
+    hosts += [random_graph(rng.randint(20, 40), rng.choice((0.08, 0.15, 0.3)), seed) for seed in range(6)]
+    cases = 0
+    for g in hosts:
+        for _ in range(8):
+            sources, sinks = rng.getrandbits(g.n), rng.getrandbits(g.n)
+            within = rng.choice((g.full_mask, rng.getrandbits(g.n) | sources | sinks, rng.getrandbits(g.n)))
+            expected = menger_by_networkx(g, sources, sinks, within)
+            assert max_disjoint_paths(g, sources, sinks, within) == expected
+            cases += 1
+        for _ in range(6):
+            x, y = rng.sample(range(g.n), 2)
+            within = g.full_mask & ~(1 << x) & ~(1 << y)
+            if not g.has_edge(x, y):
+                expected = menger_by_networkx(g, g.adj[x], g.adj[y], within)
+                assert max_disjoint_paths(g, g.adj[x], g.adj[y], within) == expected
+                cases += 1
+            zs = rng.getrandbits(g.n) & ~(1 << y)
+            within = g.full_mask & ~(1 << y)
+            assert max_disjoint_paths(g, g.adj[y], zs, within) == menger_by_networkx(g, g.adj[y], zs, within)
+            cases += 1
+    assert cases >= 250
+
+
+@pytest.mark.parametrize(
+    "n, edges, sources, sinks",
+    [
+        # The first path found, 0-2-4, must give up 2 to 1: 0-3-5 and 1-2-4.
+        pytest.param(6, [(0, 2), (0, 3), (1, 2), (2, 4), (3, 5)], 0b11, 0b110000, id="cancel-an-arc"),
+        # The path 4-3-0-1-2-5-6: the first path found, 0-1-2, is given up
+        # whole for 0-3-4 and 6-5-2, so vertex 1 is freed.
+        pytest.param(
+            7, [(0, 1), (0, 3), (1, 2), (2, 5), (3, 4), (5, 6)], 0b1000001, 0b10100, id="free-a-vertex"
+        ),
+    ],
+)
+def test_max_disjoint_paths_reroutes_a_path(n, edges, sources, sinks):
+    g = build_graph(n, edges)
+    assert max_disjoint_paths(g, sources, sinks, g.full_mask) == 2
+
+
+def test_max_disjoint_paths_edge_cases():
+    p5 = path_graph(5)
+    assert max_disjoint_paths(p5, 0b1, 0b10000, 0) == 0
+    # A vertex in both masks is a one-vertex path and blocks the others.
+    assert max_disjoint_paths(p5, 0b101, 0b10100, p5.full_mask) == 1
+    assert max_disjoint_paths(build_graph(3, []), 0b111, 0b111, 0b111) == 3
+    g = petersen()
+    assert max_disjoint_paths(g, 0b1011010110, 0b1011010110, 0b1011010110) == 6
+    for n in (1, 2, 5, 8):
+        k = complete_graph(n)
+        assert max_disjoint_paths(k, 0b1, 1 << n - 1, k.full_mask) == 1
+        half = (1 << n // 2) - 1
+        assert max_disjoint_paths(k, half, k.full_mask & ~half, k.full_mask) == n // 2
+        assert max_disjoint_paths(k, k.full_mask, k.full_mask, k.full_mask) == n
+    # Sources and sinks outside within are ignored.
+    assert max_disjoint_paths(p5, 0b11, 0b11000, 0b01110) == 1
+    assert max_disjoint_paths(p5, 0b1, 0b10000, 0b01110) == 0
+    assert max_disjoint_paths(p5, 0b11, 0b10000, 0b00111) == 0
+
+
+@pytest.mark.parametrize(
+    "sources, sinks, within",
+    [
+        pytest.param(1, 4, 15, id="within-names-3"),
+        pytest.param(1, 4, -1, id="negative-within"),
+        pytest.param(-1, 4, 7, id="negative-sources"),
+        pytest.param(1, -1, 7, id="negative-sinks"),
+        pytest.param(8, 4, 7, id="source-3"),
+        pytest.param(1, 16, 7, id="sink-4"),
+    ],
+)
+def test_max_disjoint_paths_rejects_masks_outside_the_graph(sources, sinks, within):
+    with pytest.raises(ValueError, match="^vertex set mentions ids outside the graph$"):
+        max_disjoint_paths(path_graph(3), sources, sinks, within)
 
 
 def test_iter_induced_paths_order_is_frozen():

@@ -9,10 +9,12 @@ from thetakit.generators import (
     complete_bipartite,
     complete_graph,
     cycle_graph,
+    line_graph,
     path_graph,
     petersen,
     random_graph,
     theta_graph,
+    wall,
 )
 from thetakit.graphs import build_graph, induced_subgraph, iter_induced_paths, mask_of, path_family_violation
 from thetakit.separability import (
@@ -191,6 +193,14 @@ class TestReport:
     def test_theta(self):
         rep = separability(theta_graph(3, 3, 3))
         assert rep.lambda_star == 3 and rep.pair == (0, 1) and rep.exact
+
+    def test_wall_line_graph(self):
+        # n = 63: the flow prune inside the packing search runs far past the
+        # sizes the oracle tests reach.
+        g = line_graph(wall(5))
+        rep = separability(g)
+        assert (rep.lambda_star, rep.pair, rep.exact) == (4, (4, 15), True)
+        assert path_family_violation(g, rep.witness) is None
 
     def test_edgeless_pairs_exist(self):
         rep = separability(build_graph(3, []))
