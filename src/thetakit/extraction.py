@@ -32,7 +32,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NoReturn, Sequence
 
 from .bigconst import TowerInt, evaluate, nat, normalize, sigma, tower_compare, tree_constants
 from .detectors import (
@@ -117,6 +117,37 @@ class ThresholdUnmet:
 
 
 Outcome = Success | PreconditionWitness | ThresholdUnmet
+
+
+class _Exit(Exception):
+    """Ends a pipeline run early, carrying its finished unmet or witness."""
+
+    # Read from args: a Python-level __init__ would slow every exit.
+    @property
+    def outcome(self) -> ThresholdUnmet | PreconditionWitness:
+        return self.args[0]
+
+
+def _unmet(steps: list, name: str, required, available: int) -> NoReturn:
+    raise _Exit(ThresholdUnmet(name, required, available, tuple(steps)))
+
+
+def _witness(steps: list, kind: str, witness) -> NoReturn:
+    raise _Exit(PreconditionWitness(kind, witness, tuple(steps)))
+
+
+def _settle(body: Callable[[list], object]) -> Outcome:
+    """Run a pipeline body on a fresh trace.
+
+    The body's return value is the ``Success`` value; a private step that
+    ends the run early raises ``_Exit``, whose outcome is returned as is.
+    """
+    steps: list[TraceStep] = []
+    try:
+        value = body(steps)
+    except _Exit as e:
+        return e.outcome
+    return Success(value, tuple(steps))
 
 
 @dataclass(frozen=True)
@@ -211,43 +242,35 @@ class FixedThresholds:
         return self.named.get(name, self.default)
 
 
-def _met(value, available: int) -> bool:
-    if isinstance(value, TowerInt):
-        return tower_compare(nat(available), value) >= 0
-    return available >= value
-
-
-def _amount(value, minimum: int) -> int | None:
-    # None means the required amount cannot even be materialized as an int.
-    if isinstance(value, TowerInt):
-        concrete = evaluate(value, cap=9)
-        if concrete is None:
-            return None
-        return max(concrete, minimum)
-    return max(value, minimum)
-
-
 def _clique_bound(policy) -> int:
-    # The clique bound the descent formulas raise to powers, at least 3.
-    return _amount(policy.value("clique_bound", lambda: nat(policy.t)), 3)
+    # The clique bound the descent formulas raise to powers, at least 3.  The
+    # paper policy gives the literal nat(t), whose int is exact at any size.
+    v = policy.value("clique_bound", lambda: nat(policy.t))
+    return max(v.args[0] if isinstance(v, TowerInt) else v, 3)
 
 
-def _gate(steps, policy, op, name, default, available):
+def _check(steps, policy, op, name, default, available):
+    """Log one threshold comparison; the requirement if it failed, else None."""
     v = policy.value(name, default)
-    ok = _met(v, available)
+    ok = tower_compare(nat(available), v) >= 0 if isinstance(v, TowerInt) else available >= v
     steps.append(TraceStep(op, "threshold", name, (v, available, ok)))
-    if ok:
-        return None
-    return ThresholdUnmet(name, v, available, tuple(steps))
+    return None if ok else v
 
 
-def _target(steps, policy, op, name, default, minimum, available):
+def _gate(steps, policy, op, name, default, available) -> None:
+    v = _check(steps, policy, op, name, default, available)
+    if v is not None:
+        _unmet(steps, name, v, available)
+
+
+def _target(steps, policy, op, name, default, minimum, available) -> int:
+    # A target too large to materialize as a 9-digit int cannot be met.
     v = policy.value(name, default)
-    amt = _amount(v, minimum)
+    amt = evaluate(v, cap=9) if isinstance(v, TowerInt) else v
     steps.append(TraceStep(op, "threshold", name, (v, available, amt is not None)))
     if amt is None:
-        return None, ThresholdUnmet(name, v, available, tuple(steps))
-    return amt, None
+        _unmet(steps, name, v, available)
+    return max(amt, minimum)
 
 
 # --------------------------------------------------------------------------
@@ -281,17 +304,17 @@ def _ramsey_search(g: Graph, mask: int, t: int, alpha: int):
     return None
 
 
-def _ramsey(g: Graph, t: int, alpha: int, steps: list) -> Outcome:
+def _ramsey(g: Graph, t: int, alpha: int, steps: list) -> tuple[str, tuple[int, ...]]:
     if t < 1 or alpha < 1:
         raise ValueError("both targets must be positive")
     hit = _ramsey_search(g, g.full_mask, t, alpha)
-    if hit is not None:
-        kind, vs = hit
-        steps.append(TraceStep("ramsey_extract", "choose", kind, vs))
-        return Success((kind, vs), tuple(steps))
-    required = math.comb(t + alpha - 2, t - 1)
-    steps.append(TraceStep("ramsey_extract", "threshold", "ramsey_order", (required, g.n, False)))
-    return ThresholdUnmet("ramsey_order", required, g.n, tuple(steps))
+    if hit is None:
+        required = math.comb(t + alpha - 2, t - 1)
+        steps.append(TraceStep("ramsey_extract", "threshold", "ramsey_order", (required, g.n, False)))
+        _unmet(steps, "ramsey_order", required, g.n)
+    kind, vs = hit
+    steps.append(TraceStep("ramsey_extract", "choose", kind, vs))
+    return hit
 
 
 def ramsey_extract(g: Graph, t: int, alpha: int) -> Outcome:
@@ -301,34 +324,33 @@ def ramsey_extract(g: Graph, t: int, alpha: int) -> Outcome:
     exist and the two-branch recursion finds it; below that the search is
     best-effort and a miss reports the order bound as unmet.
     """
-    steps: list[TraceStep] = []
-    return _ramsey(g, t, alpha, steps)
+    return _settle(lambda steps: _ramsey(g, t, alpha, steps))
 
 
 def _max_stable(g: Graph) -> tuple[int, tuple[int, ...]]:
     return clique_number(complement(g))
 
 
-def _eh(g: Graph, s: int, t: int, alpha: int, steps: list, cap: int | None) -> Outcome:
+def _eh(g: Graph, s: int, t: int, alpha: int, steps: list, cap: int | None) -> tuple[str, object]:
     if s < 1 or t < 1 or alpha < 1:
         raise ValueError("all three targets must be positive")
     check_cap("eh_extract", g.n, cap)
     size, stable = _max_stable(g)
     if size >= alpha:
         steps.append(TraceStep("eh_extract", "choose", "stable", stable))
-        return Success(("stable", stable), tuple(steps))
+        return "stable", stable
     emb = find_biclique(g, s)
     if emb is not None:
         w = Biclique(tuple(sorted(emb.phi[:s])), tuple(sorted(emb.phi[s:])))
         steps.append(TraceStep("eh_extract", "choose", "biclique", (w.side_a, w.side_b)))
-        return Success(("biclique", w), tuple(steps))
+        return "biclique", w
     size, clique = clique_number(g)
     if size >= t:
         steps.append(TraceStep("eh_extract", "choose", "clique", clique))
-        return Success(("clique", clique), tuple(steps))
+        return "clique", clique
     required = alpha**s * t ** (s - 1)
     steps.append(TraceStep("eh_extract", "threshold", "eh_order", (required, g.n, False)))
-    return ThresholdUnmet("eh_order", required, g.n, tuple(steps))
+    _unmet(steps, "eh_order", required, g.n)
 
 
 def eh_extract(g: Graph, s: int, t: int, alpha: int, cap: int | None = EXTRACTION_CAP) -> Outcome:
@@ -338,11 +360,10 @@ def eh_extract(g: Graph, s: int, t: int, alpha: int, cap: int | None = EXTRACTIO
     trimmed to ``alpha``; at or above ``alpha^s * t^(s-1)`` vertices one of
     the three outcomes is guaranteed to exist.
     """
-    steps: list[TraceStep] = []
-    return _eh(g, s, t, alpha, steps, cap)
+    return _settle(lambda steps: _eh(g, s, t, alpha, steps, cap))
 
 
-def _digraph_stable(d: Digraph, r: int, s: int, steps: list, cap: int | None) -> Outcome:
+def _digraph_stable(d: Digraph, r: int, s: int, steps: list, cap: int | None) -> tuple[int, ...]:
     if r < 0 or s < 1:
         raise ValueError("the degree bound must be nonnegative and the target positive")
     low = [v for v in range(d.n) if d.out_degree(v) <= r]
@@ -358,9 +379,9 @@ def _digraph_stable(d: Digraph, r: int, s: int, steps: list, cap: int | None) ->
     size, stable = _max_stable(underlying)
     found = tuple(low[i] for i in stable)
     steps.append(TraceStep("digraph_stable", "choose", "stable", found))
-    if size >= s:
-        return Success(found, tuple(steps))
-    return ThresholdUnmet("digraph_low", (2 * r + 1) * (s - 1) + 1, len(low), tuple(steps))
+    if size < s:
+        _unmet(steps, "digraph_low", (2 * r + 1) * (s - 1) + 1, len(low))
+    return found
 
 
 def digraph_stable(d: Digraph, r: int, s: int, cap: int | None = EXTRACTION_CAP) -> Outcome:
@@ -373,8 +394,7 @@ def digraph_stable(d: Digraph, r: int, s: int, cap: int | None = EXTRACTION_CAP)
     a stable set of size s always exists; s - 1 disjoint regular tournaments
     on 2r + 1 vertices show the bound is tight.  A miss reports that bound.
     """
-    steps: list[TraceStep] = []
-    return _digraph_stable(d, r, s, steps, cap)
+    return _settle(lambda steps: _digraph_stable(d, r, s, steps, cap))
 
 
 def _fanout_assignment(
@@ -395,7 +415,7 @@ def _fanout_assignment(
     return rec(0, 0)
 
 
-def _digraph_fanout(d: Digraph, q: int, r: int, s: int, steps: list, cap: int | None) -> Outcome:
+def _digraph_fanout(d: Digraph, q: int, r: int, s: int, steps: list, cap: int | None) -> tuple[int, ...]:
     if q < 1 or r < 1 or s < 1:
         raise ValueError("all three parameters must be positive")
     high = [v for v in range(d.n) if d.out_degree(v) >= q * r]
@@ -409,8 +429,8 @@ def _digraph_fanout(d: Digraph, q: int, r: int, s: int, steps: list, cap: int | 
                 for sub in itertools.combinations(cand, q)
             ):
                 steps.append(TraceStep("digraph_fanout", "choose", "S", cand))
-                return Success(cand, tuple(steps))
-    return ThresholdUnmet("digraph_high", 2 * q * r * s, len(high), tuple(steps))
+                return cand
+    _unmet(steps, "digraph_high", 2 * q * r * s, len(high))
 
 
 def digraph_fanout(d: Digraph, q: int, r: int, s: int, cap: int | None = FANOUT_CAP) -> Outcome:
@@ -421,8 +441,7 @@ def digraph_fanout(d: Digraph, q: int, r: int, s: int, cap: int | None = FANOUT_
     subset member; the property is verified exhaustively.  With at least 2qrs
     vertices of out-degree at least qr such a subset always exists.
     """
-    steps: list[TraceStep] = []
-    return _digraph_fanout(d, q, r, s, steps, cap)
+    return _settle(lambda steps: _digraph_fanout(d, q, r, s, steps, cap))
 
 
 # --------------------------------------------------------------------------
@@ -434,27 +453,23 @@ def _biclique_back(back: Sequence[int], side_a, side_b) -> Biclique:
     return Biclique(tuple(sorted(back[v] for v in side_a)), tuple(sorted(back[v] for v in side_b)))
 
 
-def _mapped_eh(g: Graph, verts: Sequence[int], s: int, t: int, alpha: int, steps: list, cap: int | None = EXTRACTION_CAP):
-    """Run the stable-first search on G[verts], with the labels of g.
+def _mapped_eh(g: Graph, verts: Sequence[int], s: int, t: int, alpha: int, steps: list, cap: int | None = EXTRACTION_CAP) -> tuple[int, ...]:
+    """Run the stable-first search on G[verts]; its stable set, with the labels of g.
 
-    A stable set comes back as ``Success(stable)``.  A clique or an induced
-    K_{s,s} contradicts the caller's assumption, so it comes back as the
-    ``PreconditionWitness`` that reports it; a shortfall comes back as is.
+    A clique or an induced K_{s,s} contradicts the caller's assumption, so it
+    ends the run as the ``PreconditionWitness`` that reports it.
     """
     sub, back = induced_subgraph(g, verts)
-    out = _eh(sub, s, t, alpha, steps, cap)
-    if not isinstance(out, Success):
-        return out
-    kind, payload = out.value
+    kind, payload = _eh(sub, s, t, alpha, steps, cap)
     if kind == "biclique":
-        return PreconditionWitness(kind, _biclique_back(back, payload.side_a, payload.side_b), out.trace)
+        _witness(steps, kind, _biclique_back(back, payload.side_a, payload.side_b))
     found = tuple(back[v] for v in payload)
     if kind == "clique":
-        return PreconditionWitness(kind, found, out.trace)
-    return Success(found, out.trace)
+        _witness(steps, kind, found)
+    return found
 
 
-def _family_fallback(g: Graph, w_sets, s: int, t_like: int, steps: list, fallthrough: Outcome):
+def _family_fallback(g: Graph, w_sets, s: int, t_like: int, steps: list) -> None:
     """Scan the working vertices for the assumed-absent structures directly.
 
     At a descent shortfall the counting argument has nothing more to say, but
@@ -466,16 +481,15 @@ def _family_fallback(g: Graph, w_sets, s: int, t_like: int, steps: list, fallthr
     if emb is not None:
         w = _biclique_back(back, emb.phi[:s], emb.phi[s:])
         steps.append(TraceStep("anticomplete_family", "choose", "fallback_biclique", (w.side_a, w.side_b)))
-        return PreconditionWitness("biclique", w, tuple(steps))
+        _witness(steps, "biclique", w)
     size, clique = clique_number(sub)
     if size >= t_like:
         found = tuple(back[v] for v in clique)
         steps.append(TraceStep("anticomplete_family", "choose", "fallback_clique", found))
-        return PreconditionWitness("clique", found, tuple(steps))
-    return fallthrough
+        _witness(steps, "clique", found)
 
 
-def _zeta_descent(g: Graph, w_sets, alpha: int, s: int, t_like: int, policy, steps: list) -> Outcome:
+def _zeta_descent(g: Graph, w_sets, alpha: int, s: int, t_like: int, policy, steps: list) -> tuple[tuple[int, ...], ...]:
     op = "anticomplete_family"
     gs = nat(2 * s) ** nat(2 * s - 1)
 
@@ -488,30 +502,18 @@ def _zeta_descent(g: Graph, w_sets, alpha: int, s: int, t_like: int, policy, ste
     def zeta_0():
         return zeta_1() ** nat(s) * nat(t_like) ** nat(s - 1)
 
-    bad = _gate(steps, policy, op, "zeta_0", zeta_0, len(w_sets))
-    if bad is not None:
-        return bad
+    _gate(steps, policy, op, "zeta_0", zeta_0, len(w_sets))
     pairs = [(min(w), max(w)) for w in w_sets]
     xs = [p[0] for p in pairs]
     ys = [p[1] for p in pairs]
 
-    z1, bad = _target(steps, policy, op, "zeta_1", zeta_1, 1, len(pairs))
-    if bad is not None:
-        return bad
-    out = _mapped_eh(g, sorted(xs), s, t_like, min(z1, len(pairs)), steps)
-    if not isinstance(out, Success):
-        return out
-    chosen = set(out.value)
+    z1 = _target(steps, policy, op, "zeta_1", zeta_1, 1, len(pairs))
+    chosen = set(_mapped_eh(g, sorted(xs), s, t_like, min(z1, len(pairs)), steps))
     i1 = [i for i, x in enumerate(xs) if x in chosen]
     steps.append(TraceStep(op, "choose", "I_1", tuple(i1)))
 
-    z2, bad = _target(steps, policy, op, "zeta_2", zeta_2, 1, len(i1))
-    if bad is not None:
-        return bad
-    out = _mapped_eh(g, sorted(ys[i] for i in i1), s, t_like, min(z2, len(i1)), steps)
-    if not isinstance(out, Success):
-        return out
-    chosen = set(out.value)
+    z2 = _target(steps, policy, op, "zeta_2", zeta_2, 1, len(i1))
+    chosen = set(_mapped_eh(g, sorted(ys[i] for i in i1), s, t_like, min(z2, len(i1)), steps))
     i2 = [i for i in i1 if ys[i] in chosen]
     steps.append(TraceStep(op, "choose", "I_2", tuple(i2)))
 
@@ -527,20 +529,12 @@ def _zeta_descent(g: Graph, w_sets, alpha: int, s: int, t_like: int, policy, ste
 
     # A stable target below 2 would let a single vertex satisfy the stable
     # side and starve the clique search that carries the success path.
-    gtarget, bad = _target(
-        steps, policy, op, "gamma_stable", lambda: gs, 2, len(i2)
-    )
-    if bad is not None:
-        return bad
-    out = _ramsey(gamma, alpha, max(2, min(gtarget, len(i2))), steps)
-    if isinstance(out, ThresholdUnmet):
-        return out
-    kind, payload = out.value
+    gtarget = _target(steps, policy, op, "gamma_stable", lambda: gs, 2, len(i2))
+    kind, payload = _ramsey(gamma, alpha, max(2, min(gtarget, len(i2))), steps)
     if kind == "clique":
         i3 = [i2[k] for k in payload]
         steps.append(TraceStep(op, "choose", "I_3", tuple(i3)))
-        result = tuple(tuple(sorted(w_sets[i])) for i in i3)
-        return Success(result, tuple(steps))
+        return tuple(tuple(sorted(w_sets[i])) for i in i3)
 
     picked = [i2[k] for k in payload]
     prime_edges = []
@@ -550,10 +544,7 @@ def _zeta_descent(g: Graph, w_sets, alpha: int, s: int, t_like: int, policy, ste
                 prime_edges.append((a, b))
     steps.append(TraceStep(op, "build", "Gamma_prime", (tuple(picked), tuple(prime_edges))))
     prime = build_graph(len(picked), prime_edges)
-    out = _ramsey(prime, 2 * s, 2 * s, steps)
-    if isinstance(out, ThresholdUnmet):
-        return out
-    kind, payload = out.value
+    kind, payload = _ramsey(prime, 2 * s, 2 * s, steps)
     origs = [picked[k] for k in payload]
     if kind == "clique":
         side_a = tuple(sorted(xs[i] for i in origs[:s]))
@@ -561,12 +552,11 @@ def _zeta_descent(g: Graph, w_sets, alpha: int, s: int, t_like: int, policy, ste
     else:
         side_a = tuple(sorted(xs[j] for j in origs[s:]))
         side_b = tuple(sorted(ys[i] for i in origs[:s]))
-    w = Biclique(side_a, side_b)
     steps.append(TraceStep(op, "choose", "K_ss", (side_a, side_b)))
-    return PreconditionWitness("biclique", w, tuple(steps))
+    _witness(steps, "biclique", Biclique(side_a, side_b))
 
 
-def _xi_descent(g: Graph, w_sets, alpha: int, s: int, r: int, t_like: int, policy, steps: list) -> Outcome:
+def _xi_descent(g: Graph, w_sets, alpha: int, s: int, r: int, t_like: int, policy, steps: list) -> tuple[tuple[int, ...], ...]:
     op = "anticomplete_family"
     prev = sigma(s, r - 1)
 
@@ -579,9 +569,7 @@ def _xi_descent(g: Graph, w_sets, alpha: int, s: int, r: int, t_like: int, polic
     def xi_0():
         return xi_1() ** prev * nat(t_like) ** prev.minus(1)
 
-    bad = _gate(steps, policy, op, "xi_0", xi_0, len(w_sets))
-    if bad is not None:
-        return bad
+    _gate(steps, policy, op, "xi_0", xi_0, len(w_sets))
 
     # Stage k removes the vertex at sorted position k from every surviving
     # set; the last stage asks for alpha itself, not a threshold-sized family.
@@ -590,21 +578,16 @@ def _xi_descent(g: Graph, w_sets, alpha: int, s: int, r: int, t_like: int, polic
     for k, (label, key) in enumerate((("xi_1", xi_1), ("xi_2", xi_2), (None, None))):
         target = alpha
         if label is not None:
-            target, bad = _target(steps, policy, op, label, key, 1, len(live))
-            if bad is not None:
-                return bad
-            target = min(target, len(live))
+            target = min(_target(steps, policy, op, label, key, 1, len(live)), len(live))
         sub_sets = [sorted_sets[i][:k] + sorted_sets[i][k + 1:] for i in live]
-        out = _anticomplete(g, sub_sets, target, s, policy, steps)
-        if not isinstance(out, Success):
-            return out
+        family = _anticomplete(g, sub_sets, target, s, policy, steps)
         positions = {frozenset(x): i for x, i in zip(sub_sets, live)}
-        live = sorted(positions[frozenset(x)] for x in out.value)
+        live = sorted(positions[frozenset(x)] for x in family)
         steps.append(TraceStep(op, "choose", f"I_{k + 1}", tuple(live)))
-    return Success(tuple(sorted_sets[i] for i in live), tuple(steps))
+    return tuple(sorted_sets[i] for i in live)
 
 
-def _anticomplete(g: Graph, sets, alpha: int, s: int, policy, steps: list) -> Outcome:
+def _anticomplete(g: Graph, sets, alpha: int, s: int, policy, steps: list) -> tuple[tuple[int, ...], ...]:
     op = "anticomplete_family"
     clean = [tuple(sorted(set(x))) for x in sets]
     if not clean or any(not x for x in clean):
@@ -630,11 +613,11 @@ def _anticomplete(g: Graph, sets, alpha: int, s: int, policy, steps: list) -> Ou
         # The whole family already has the property; selection is trivial.
         result = tuple(clean[:alpha])
         steps.append(TraceStep(op, "choose", "family", result))
-        return Success(result, tuple(steps))
+        return result
 
     if alpha == 1:
         steps.append(TraceStep(op, "choose", "family", (clean[0],)))
-        return Success((clean[0],), tuple(steps))
+        return (clean[0],)
 
     if s == 1:
         # Any cross edge is already the forbidden K_{1,1}.
@@ -644,23 +627,17 @@ def _anticomplete(g: Graph, sets, alpha: int, s: int, policy, steps: list) -> Ou
                     hit = g.adj[u] & masks[j]
                     if hit:
                         v = (hit & -hit).bit_length() - 1
-                        w = Biclique((u,), (v,))
-                        return PreconditionWitness("biclique", w, tuple(steps))
-        bad = _gate(steps, policy, op, "family_size", lambda: nat(alpha), len(clean))
-        if bad is not None:
-            return bad
+                        _witness(steps, "biclique", Biclique((u,), (v,)))
+        _gate(steps, policy, op, "family_size", lambda: nat(alpha), len(clean))
         steps.append(TraceStep(op, "choose", "family", tuple(clean)))
-        return Success(tuple(clean), tuple(steps))
+        return tuple(clean)
 
     if r == 1:
         verts = sorted(x[0] for x in clean)
-        out = _mapped_eh(g, verts, s, t_like, alpha, steps)
-        if not isinstance(out, Success):
-            return out
-        chosen = set(out.value)
+        chosen = set(_mapped_eh(g, verts, s, t_like, alpha, steps))
         result = tuple(x for x in clean if x[0] in chosen)
         steps.append(TraceStep(op, "choose", "family", result))
-        return Success(result, tuple(steps))
+        return result
 
     smaller = [x for x in clean if len(x) <= r - 1]
     if smaller:
@@ -669,20 +646,24 @@ def _anticomplete(g: Graph, sets, alpha: int, s: int, policy, steps: list) -> Ou
             sig = sigma(s, r - 1)
             return nat(alpha) ** sig * nat(t_like) ** sig.minus(1)
 
-        if _gate(steps, policy, op, "x_minus", x_minus, len(smaller)) is None:
-            out = _anticomplete(g, smaller, alpha, s, policy, steps)
-            if not isinstance(out, ThresholdUnmet):
-                return out
+        if _check(steps, policy, op, "x_minus", x_minus, len(smaller)) is None:
+            try:
+                return _anticomplete(g, smaller, alpha, s, policy, steps)
+            except _Exit as e:
+                if not isinstance(e.outcome, ThresholdUnmet):
+                    raise
             steps.append(TraceStep(op, "branch", "x_minus_shortfall", ()))
 
     w_sets = [x for x in clean if len(x) == r]
-    if r == 2:
-        out = _zeta_descent(g, w_sets, alpha, s, t_like, policy, steps)
-    else:
-        out = _xi_descent(g, w_sets, alpha, s, r, t_like, policy, steps)
-    if isinstance(out, ThresholdUnmet):
-        return _family_fallback(g, w_sets, s, t_like, steps, out)
-    return out
+    try:
+        if r == 2:
+            return _zeta_descent(g, w_sets, alpha, s, t_like, policy, steps)
+        return _xi_descent(g, w_sets, alpha, s, r, t_like, policy, steps)
+    except _Exit as e:
+        if not isinstance(e.outcome, ThresholdUnmet):
+            raise
+        _family_fallback(g, w_sets, s, t_like, steps)
+        raise
 
 
 def anticomplete_family(g: Graph, sets, alpha: int, s: int, thresholds=None) -> Outcome:
@@ -697,8 +678,7 @@ def anticomplete_family(g: Graph, sets, alpha: int, s: int, thresholds=None) -> 
     reported.
     """
     policy = thresholds if thresholds is not None else PaperThresholds()
-    steps: list[TraceStep] = []
-    return _anticomplete(g, sets, alpha, s, policy, steps)
+    return _settle(lambda steps: _anticomplete(g, sets, alpha, s, policy, steps))
 
 
 # --------------------------------------------------------------------------
@@ -722,7 +702,7 @@ def _viable_paths(a: int, depth: int) -> int:
     return size
 
 
-def _low_branch_theta(g: Graph, x: int, chosen_paths, steps: list) -> Outcome:
+def _low_branch_theta(g: Graph, x: int, chosen_paths, steps: list) -> NoReturn:
     op = "grow_ab_tree"
     region = sorted(set().union(*(set(p) for p in chosen_paths)) - {x})
     sub, back = induced_subgraph(g, region)
@@ -732,7 +712,7 @@ def _low_branch_theta(g: Graph, x: int, chosen_paths, steps: list) -> Outcome:
     tree = three_in_a_tree(sub, z, cap=None)
     if tree is None:
         steps.append(TraceStep(op, "branch", "constricted", ()))
-        return ThresholdUnmet("three_in_tree", 1, 0, tuple(steps))
+        _unmet(steps, "three_in_tree", 1, 0)
     # S is stable in D, so each tip sees only its own path and no tip is the
     # hub: the tree is a spider, each leg the tree's one tip-center path.
     tmask = mask_of(tree)
@@ -741,9 +721,8 @@ def _low_branch_theta(g: Graph, x: int, chosen_paths, steps: list) -> Outcome:
         raise RuntimeError("the tree on the family tips must be a spider")
     paths = tuple((x,) + tuple(back[v] for v in next(iter_induced_paths(sub, tip, center, tmask)))
                   for tip in z if tmask >> tip & 1)
-    witness = ThetaWitness(x, back[center], paths)
     steps.append(TraceStep(op, "choose", "theta", paths))
-    return PreconditionWitness("theta", witness, tuple(steps))
+    _witness(steps, "theta", ThetaWitness(x, back[center], paths))
 
 
 def _check_family(g: Graph, x: int, y: int, fam: PathFamily) -> None:
@@ -754,7 +733,7 @@ def _check_family(g: Graph, x: int, y: int, fam: PathFamily) -> None:
         raise ValueError(bad)
 
 
-def _grow(g, x, y, fam, a, b, child_count, policy, steps):
+def _grow(g, x, y, fam, a, b, child_count, policy, steps) -> _Subtree:
     # a, b and fam were checked on entry, or where a derived fam was built.
     op = "grow_ab_tree"
 
@@ -765,9 +744,7 @@ def _grow(g, x, y, fam, a, b, child_count, policy, steps):
         _, mu, lam = consts(b)
         return mu * nat(policy.t) ** lam
 
-    unmet = _gate(steps, policy, op, "path_count", path_count, len(fam.paths))
-    if unmet is not None:
-        return unmet
+    _gate(steps, policy, op, "path_count", path_count, len(fam.paths))
     if b == 1:
         steps.append(TraceStep(op, "choose", "T", (x,)))
         return _Subtree(x, (x,), ())
@@ -787,40 +764,27 @@ def _grow(g, x, y, fam, a, b, child_count, policy, steps):
         th, _, _ = consts(b)
         return (3 * nat(a) ** (2 * th) + 2) * (nat(t_like) ** (2 * th.minus(1)) * r_default())
 
-    alpha_t, bad = _target(steps, policy, op, "tip_stable", tip_target, 1, len(tips))
-    if bad is not None:
-        return bad
+    alpha_t = _target(steps, policy, op, "tip_stable", tip_target, 1, len(tips))
     # The family is caller-controlled, so the tip search here and the low
     # branch's stable-set and tree searches run uncapped; the capped
     # operations protect only the adversarial-input entry points.
-    out = _mapped_eh(g, sorted(tips), 3, t_like, alpha_t, steps, cap=None)
-    if not isinstance(out, Success):
-        return out
-    stable_tips = set(out.value)
+    stable_tips = set(_mapped_eh(g, sorted(tips), 3, t_like, alpha_t, steps, cap=None))
     q_paths = [p for p in fam.paths if p[1] in stable_tips]
     steps.append(TraceStep(op, "choose", "X_Q", tuple(sorted(stable_tips))))
 
     short = [p for p in q_paths if len(p) == 3]
     if len(short) >= 3:
-        witness = ThetaWitness(x, y, tuple(short[:3]))
         steps.append(TraceStep(op, "choose", "theta", tuple(short[:3])))
-        return PreconditionWitness("theta", witness, tuple(steps))
+        _witness(steps, "theta", ThetaWitness(x, y, tuple(short[:3])))
     long_paths = [p for p in q_paths if len(p) >= 4]
     steps.append(TraceStep(op, "choose", "L", tuple(long_paths)))
 
     def l_target():
         return 3 * q_default() ** nat(2) * r_default()
 
-    unmet = _gate(steps, policy, op, "length_three", l_target, len(long_paths))
-    if unmet is not None:
-        return unmet
-
-    q_int, bad = _target(steps, policy, op, "branch_q", q_default, max(child_count, 1), len(long_paths))
-    if bad is not None:
-        return bad
-    r_int, bad = _target(steps, policy, op, "paths_r", r_default, _viable_paths(a, b - 1), len(long_paths))
-    if bad is not None:
-        return bad
+    _gate(steps, policy, op, "length_three", l_target, len(long_paths))
+    q_int = _target(steps, policy, op, "branch_q", q_default, max(child_count, 1), len(long_paths))
+    r_int = _target(steps, policy, op, "paths_r", r_default, _viable_paths(a, b - 1), len(long_paths))
     steps.append(TraceStep(op, "choose", "q", (q_int,)))
     steps.append(TraceStep(op, "choose", "r", (r_int,)))
 
@@ -838,27 +802,15 @@ def _grow(g, x, y, fam, a, b, child_count, policy, steps):
         return 2 * q_default() ** nat(2) * r_default()
 
     high = sum(1 for v in range(d.n) if d.out_degree(v) >= q_int * r_int)
-    if _gate(steps, policy, op, "fanout_high", high_target, high) is not None:
+    if _check(steps, policy, op, "fanout_high", high_target, high) is not None:
         steps.append(TraceStep(op, "branch", "direction", ("low",)))
-
-        def s_target():
-            return nat(t_like) ** nat(36)
-
-        s_int, bad = _target(steps, policy, op, "stable_size", s_target, 3, d.n)
-        if bad is not None:
-            return bad
-        out = _digraph_stable(d, q_int * r_int, s_int, steps, None)
-        if isinstance(out, ThresholdUnmet):
-            return out
-        chosen = [long_paths[i] for i in out.value]
-        steps.append(TraceStep(op, "choose", "S", tuple(out.value)))
-        return _low_branch_theta(g, x, chosen, steps)
+        s_int = _target(steps, policy, op, "stable_size", lambda: nat(t_like) ** nat(36), 3, d.n)
+        stable = _digraph_stable(d, q_int * r_int, s_int, steps, None)
+        steps.append(TraceStep(op, "choose", "S", stable))
+        _low_branch_theta(g, x, [long_paths[i] for i in stable], steps)
 
     steps.append(TraceStep(op, "branch", "direction", ("high",)))
-    out = _digraph_fanout(d, q_int, r_int, q_int, steps, FANOUT_CAP)
-    if isinstance(out, ThresholdUnmet):
-        return out
-    s_positions = out.value
+    s_positions = _digraph_fanout(d, q_int, r_int, q_int, steps, FANOUT_CAP)
     assignment = _fanout_assignment(d, s_positions, r_int, mask_of(s_positions))
     if assignment is None:
         raise RuntimeError("the verified fan-out must admit an assignment")
@@ -882,17 +834,11 @@ def _grow(g, x, y, fam, a, b, child_count, policy, steps):
         bad = path_family_violation(g, sub_fam)
         if bad is not None:
             raise RuntimeError(f"derived family broke an invariant: {bad}")
-        result = _grow(g, tip, y, sub_fam, a, b - 1, a - 1, policy, steps)
-        if not isinstance(result, _Subtree):
-            return result
-        subtrees.append(result)
+        subtrees.append(_grow(g, tip, y, sub_fam, a, b - 1, a - 1, policy, steps))
 
-    family = [t.vertices for t in subtrees]
-    out = _anticomplete(g, family, child_count, 3, policy, steps)
-    if not isinstance(out, Success):
-        return out
+    family = _anticomplete(g, [t.vertices for t in subtrees], child_count, 3, policy, steps)
     positions = {frozenset(t.vertices): i for i, t in enumerate(subtrees)}
-    kept = sorted(positions[frozenset(s)] for s in out.value)[:child_count]
+    kept = sorted(positions[frozenset(s)] for s in family)[:child_count]
     steps.append(TraceStep(op, "choose", "I", tuple(kept)))
     vertices = [x]
     parent: list[tuple[int, int]] = []
@@ -921,12 +867,12 @@ def grow_ab_tree(g: Graph, x: int, y: int, fam: PathFamily, a: int, b: int, thre
         raise ValueError("branching 1 cannot reach depth beyond 1")
     _check_family(g, x, y, fam)
     policy = thresholds if thresholds is not None else PaperThresholds()
-    steps: list[TraceStep] = []
-    out = _grow(g, x, y, fam, a, b, a, policy, steps)
-    if isinstance(out, _Subtree):
-        cert = ABTreeCert(a=a, b=b, root=x, vertices=out.vertices, parent=out.parent)
-        return Success(cert, tuple(steps))
-    return out
+
+    def body(steps):
+        tree = _grow(g, x, y, fam, a, b, a, policy, steps)
+        return ABTreeCert(a=a, b=b, root=x, vertices=tree.vertices, parent=tree.parent)
+
+    return _settle(body)
 
 
 # --------------------------------------------------------------------------
@@ -954,24 +900,25 @@ def embed_forest(g: Graph, x: int, y: int, fam: PathFamily, h: Graph, thresholds
     policy = thresholds if thresholds is not None else PaperThresholds()
     hplus = _completed_tree(h)
     _check_family(g, x, y, fam)
-    steps: list[TraceStep] = []
-    steps.append(TraceStep("embed_forest", "build", "H_plus", tuple(hplus.edges())))
-    if h.n == 1:
-        # One vertex embeds anywhere; no growth is needed, and growth could
-        # even fail on hosts this small.  The root end is the deterministic pick.
-        steps.append(TraceStep("embed_forest", "choose", "phi", (x,)))
-        return Success(Embedding(h, (x,)), tuple(steps))
-    out = _grow(g, x, y, fam, hplus.n, hplus.n, hplus.n, policy, steps)
-    if not isinstance(out, _Subtree):
-        return out
-    sub, back = induced_subgraph(g, out.vertices)
-    order = [v for layer in bfs_layers(hplus, h.n) for v in iter_bits(layer)]
-    perm = [0] * hplus.n
-    for where, v in enumerate(order):
-        perm[v] = where
-    emb = find_induced(sub, relabel(hplus, perm))
-    if emb is None:
-        raise RuntimeError("the grown tree must contain the completed pattern")
-    phi = tuple(back[emb.phi[perm[v]]] for v in range(h.n))
-    steps.append(TraceStep("embed_forest", "choose", "phi", phi))
-    return Success(Embedding(h, phi), tuple(steps))
+
+    def body(steps):
+        steps.append(TraceStep("embed_forest", "build", "H_plus", tuple(hplus.edges())))
+        if h.n == 1:
+            # One vertex embeds anywhere; no growth is needed, and growth could
+            # even fail on hosts this small.  The root end is the deterministic pick.
+            steps.append(TraceStep("embed_forest", "choose", "phi", (x,)))
+            return Embedding(h, (x,))
+        tree = _grow(g, x, y, fam, hplus.n, hplus.n, hplus.n, policy, steps)
+        sub, back = induced_subgraph(g, tree.vertices)
+        order = [v for layer in bfs_layers(hplus, h.n) for v in iter_bits(layer)]
+        perm = [0] * hplus.n
+        for where, v in enumerate(order):
+            perm[v] = where
+        emb = find_induced(sub, relabel(hplus, perm))
+        if emb is None:
+            raise RuntimeError("the grown tree must contain the completed pattern")
+        phi = tuple(back[emb.phi[perm[v]]] for v in range(h.n))
+        steps.append(TraceStep("embed_forest", "choose", "phi", phi))
+        return Embedding(h, phi)
+
+    return _settle(body)

@@ -137,15 +137,26 @@ def seeded_families(count, start=0, max_tries=None):
         yield g, fam
 
 
-def check_grow_outcome(g, out, a, b):
-    if isinstance(out, Success):
-        assert ab_tree_violation(g, out.value) is None
-        assert out.value.a == a and out.value.b == b
+def check_outcome_rule(g, out):
+    """Every ThresholdUnmet has available < required, and every
+    PreconditionWitness validates against the input graph."""
+    if isinstance(out, ThresholdUnmet):
+        assert out.name in UNMET_NAMES
+        if isinstance(out.required, TowerInt):
+            assert tower_compare(nat(out.available), out.required) < 0
+        else:
+            assert out.available < out.required
     elif isinstance(out, PreconditionWitness):
         assert witness_violation(g, out) is None
     else:
-        assert isinstance(out, ThresholdUnmet)
-        assert out.name in UNMET_NAMES
+        assert isinstance(out, Success)
+
+
+def check_grow_outcome(g, out, a, b):
+    check_outcome_rule(g, out)
+    if isinstance(out, Success):
+        assert ab_tree_violation(g, out.value) is None
+        assert out.value.a == a and out.value.b == b
 
 
 class TestRamseyExamples:
@@ -304,6 +315,23 @@ class TestAnticompleteExamples:
             anticomplete_family(g, [(0,), ()], 1, 1, FixedThresholds(0))
         with pytest.raises(ValueError):
             anticomplete_family(g, [(0,), (9,)], 1, 1, FixedThresholds(0))
+
+    def test_clique_bound_past_nine_digits(self):
+        # The paper policy's clique bound t is exact at any size, so a t of
+        # ten digits or more reaches the first gate instead of raising.
+        g = path_graph(6)
+        k23 = build_graph(5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)])
+        fam = PathFamily(0, 4, ((0, 1, 4), (0, 2, 4), (0, 3, 4)))
+        for t in (10 ** 9 - 1, 10 ** 9, 10 ** 40):
+            policy = PaperThresholds(t)
+            outs = [
+                (g, anticomplete_family(g, [(0, 1), (2, 3), (4, 5)], 2, 2, policy)),
+                (k23, grow_ab_tree(k23, 0, 4, fam, 3, 2, policy)),
+                (k23, embed_forest(k23, 0, 4, fam, path_graph(2), policy)),
+            ]
+            assert [out.name for _, out in outs] == ["zeta_0", "path_count", "path_count"]
+            for host, out in outs:
+                check_outcome_rule(host, out)
 
 
 def family_choices(out):
@@ -707,6 +735,7 @@ class TestSoundnessSweeps:
             else:
                 assert out.required == math.comb(t + alpha - 2, t - 1)
                 assert out.available == n
+                check_outcome_rule(g, out)
             out = eh_extract(g, 1 + i % 2, t, alpha)
             if isinstance(out, Success):
                 kind, payload = out.value
@@ -718,6 +747,7 @@ class TestSoundnessSweeps:
                     assert biclique_violation(g, payload) is None
             else:
                 assert out.name == "eh_order"
+                check_outcome_rule(g, out)
 
     def test_anticomplete(self):
         rng = random.Random(77)
@@ -734,34 +764,28 @@ class TestSoundnessSweeps:
                 sets.append(chunk)
             alpha = 1 + rng.randrange(len(sets))
             s = 1 + i % 2
-            policy = (
+            fixed = (
                 FixedThresholds(0)
                 if i % 3
                 else FixedThresholds(0, gamma_stable=2 + i % 3, x_minus=i % 4)
             )
-            out = anticomplete_family(g, sets, alpha, s, policy)
-            if isinstance(out, Success):
-                assert len(out.value) >= alpha
-                assert set(out.value) <= set(sets)
-                for p, q in itertools.combinations(out.value, 2):
-                    assert oracles.max_anticomplete_subfamily(g, [p, q]) == 2
-            elif isinstance(out, PreconditionWitness):
-                assert witness_violation(g, out) is None
-            else:
-                assert out.name in UNMET_NAMES
+            for policy in (fixed, PaperThresholds()):
+                out = anticomplete_family(g, sets, alpha, s, policy)
+                check_outcome_rule(g, out)
+                if isinstance(out, Success):
+                    assert len(out.value) >= alpha
+                    assert set(out.value) <= set(sets)
+                    for p, q in itertools.combinations(out.value, 2):
+                        assert oracles.max_anticomplete_subfamily(g, [p, q]) == 2
 
     def test_grow(self):
         shapes = ((2, 2), (3, 2), (2, 3))
         count = 0
         for i, (g, fam) in enumerate(seeded_families(334, start=0)):
+            fixed = FixedThresholds(0) if i % 2 else FixedThresholds(0, tip_stable=2, fanout_high=1)
             for a, b in shapes:
-                policy = (
-                    FixedThresholds(0)
-                    if i % 2
-                    else FixedThresholds(0, tip_stable=2, fanout_high=1)
-                )
-                out = grow_ab_tree(g, fam.x, fam.y, fam, a, b, policy)
-                check_grow_outcome(g, out, a, b)
+                for policy in (fixed, PaperThresholds()):
+                    check_grow_outcome(g, grow_ab_tree(g, fam.x, fam.y, fam, a, b, policy), a, b)
                 count += 1
         assert count >= 1000
 
@@ -776,13 +800,11 @@ class TestSoundnessSweeps:
         count = 0
         for i, (g, fam) in enumerate(seeded_families(200, start=5000)):
             for h in forests:
-                out = embed_forest(g, fam.x, fam.y, fam, h, FixedThresholds(0))
-                if isinstance(out, Success):
-                    assert embedding_violation(g, out.value) is None
-                elif isinstance(out, PreconditionWitness):
-                    assert witness_violation(g, out) is None
-                else:
-                    assert out.name in UNMET_NAMES
+                for policy in (FixedThresholds(0), PaperThresholds()):
+                    out = embed_forest(g, fam.x, fam.y, fam, h, policy)
+                    check_outcome_rule(g, out)
+                    if isinstance(out, Success):
+                        assert embedding_violation(g, out.value) is None
                 count += 1
         assert count >= 1000
 

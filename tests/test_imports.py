@@ -1,5 +1,6 @@
-"""Every name a library module or test module imports is used in it, and
-every module-level constant of the library is read somewhere."""
+"""Every name a library module or test module imports is used in it, every
+module-level constant of the library is read somewhere, and every private
+module-level function or class of the library is read outside itself."""
 
 import ast
 import re
@@ -53,8 +54,8 @@ def module_constants(source: str) -> list[str]:
     return names
 
 
-def names_read(source: str) -> set[str]:
-    nodes = list(ast.walk(ast.parse(source)))
+def names_read(source: str | ast.AST) -> set[str]:
+    nodes = list(ast.walk(ast.parse(source) if isinstance(source, str) else source))
     return {n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)} | {
         n.attr for n in nodes if isinstance(n, ast.Attribute)
     }
@@ -70,3 +71,34 @@ def test_every_library_constant_is_read():
     library = sorted((ROOT / "src" / "thetakit").glob("*.py"))
     read = set().union(*(names_read(p.read_text()) for p in library + list((ROOT / "tests").glob("*.py"))))
     assert [f"{p.name}: {c}" for p in library for c in module_constants(p.read_text()) if c not in read] == []
+
+
+def private_definitions(source: str) -> dict[str, set[str]]:
+    """Each private module-level function or class, with the names read
+    everywhere in the module outside its own definition."""
+    body = ast.parse(source).body
+    reads = [names_read(n) for n in body]
+    return {
+        d.name: set().union(*(r for n, r in zip(body, reads) if n is not d))
+        for d in body
+        if isinstance(d, (ast.FunctionDef, ast.ClassDef)) and d.name.startswith("_")
+    }
+
+
+def test_the_check_sees_an_unread_private_definition():
+    source = "def _rec(n):\n    return _rec(n - 1)\n\nclass _Used:\n    pass\n\ndef f():\n    return _Used()\n"
+    defs = private_definitions(source)
+    assert sorted(defs) == ["_Used", "_rec"]
+    assert "_Used" in defs["_rec"] and "_rec" not in defs["_rec"]
+
+
+def test_every_private_definition_is_read():
+    library = sorted((ROOT / "src" / "thetakit").glob("*.py"))
+    reads = {p: names_read(p.read_text()) for p in library}
+    unread = []
+    for p in library:
+        others = set().union(*(r for q, r in reads.items() if q != p))
+        for name, read in private_definitions(p.read_text()).items():
+            if name not in read | others:
+                unread.append(f"{p.name}: {name}")
+    assert unread == []
