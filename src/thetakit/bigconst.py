@@ -405,6 +405,15 @@ def _compare_power_pair(e1: TowerInt, e2: TowerInt, depth: int) -> int:
         return _compare_norm(normalize(x1), normalize(x2), depth + 1)
     v1, v2 = evaluate(b1), evaluate(b2)
     if v1 is None or v2 is None:
+        # A sum base b has M < b <= count*M, so M^x < b^x <= (count*M)^x;
+        # either end of that bracket may already settle the order.
+        for b, v, x, other, sign in ((b1, v1, x1, e2, 1), (b2, v2, x2, e1, -1)):
+            if v is None and b.op == "add":
+                m, count = _sum_bracket(b, depth)
+                if _compare_norm(normalize(m ** x), other, depth + 1) >= 0:
+                    return sign
+                if _compare_norm(normalize((count * m) ** x), other, depth + 1) < 0:
+                    return -sign
         return _escalate(e1, e2)
     for precision in _PRECISIONS:
         lo1, hi1 = _log2_bounds(v1, precision)

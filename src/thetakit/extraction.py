@@ -51,6 +51,7 @@ from .graphs import (
     Digraph,
     Graph,
     PathFamily,
+    _first_overlap,
     bfs_layers,
     build_digraph,
     build_graph,
@@ -587,20 +588,17 @@ def _xi_descent(g: Graph, w_sets, alpha: int, s: int, r: int, t_like: int, polic
     return tuple(sorted_sets[i] for i in live)
 
 
-def _anticomplete(g: Graph, sets, alpha: int, s: int, policy, steps: list) -> tuple[tuple[int, ...], ...]:
+def _anticomplete(g: Graph, clean, alpha: int, s: int, policy, steps: list) -> tuple[tuple[int, ...], ...]:
+    """The descent behind ``anticomplete_family``, on a family taken as given.
+
+    ``clean`` is a nonempty list of pairwise disjoint, nonempty, sorted
+    tuples of vertices of g, and ``alpha`` and ``s`` are positive.
+    ``anticomplete_family`` checks this of the caller's family; every
+    recursive call passes one it built so: a subfamily, each set less one
+    vertex, or the vertex sets of disjoint subtrees.
+    """
     op = "anticomplete_family"
-    clean = [tuple(sorted(set(x))) for x in sets]
-    if not clean or any(not x for x in clean):
-        raise ValueError("the family must be a nonempty list of nonempty sets")
-    if not all(g.has_vertices(x) for x in clean):
-        raise ValueError("the family mentions vertices outside the graph")
     masks = [mask_of(x) for x in clean]
-    for i in range(len(masks)):
-        for j in range(i + 1, len(masks)):
-            if masks[i] & masks[j]:
-                raise ValueError(f"sets {i} and {j} overlap")
-    if alpha < 1 or s < 1:
-        raise ValueError("the targets must be positive")
     t_like = _clique_bound(policy)
     r = max(len(x) for x in clean)
     steps.append(TraceStep(op, "branch", "r", (r, alpha, s)))
@@ -677,8 +675,18 @@ def anticomplete_family(g: Graph, sets, alpha: int, s: int, thresholds=None) -> 
     for an induced K_{s,s} and a large clique before the shortfall is
     reported.
     """
+    clean = [tuple(sorted(set(x))) for x in sets]
+    if not clean or not all(clean):
+        raise ValueError("the family must be a nonempty list of nonempty sets")
+    if not all(g.has_vertices(x) for x in clean):
+        raise ValueError("the family mentions vertices outside the graph")
+    pair = _first_overlap([mask_of(x) for x in clean])
+    if pair is not None:
+        raise ValueError(f"sets {pair[0]} and {pair[1]} overlap")
+    if alpha < 1 or s < 1:
+        raise ValueError("the targets must be positive")
     policy = thresholds if thresholds is not None else PaperThresholds()
-    return _settle(lambda steps: _anticomplete(g, sets, alpha, s, policy, steps))
+    return _settle(lambda steps: _anticomplete(g, clean, alpha, s, policy, steps))
 
 
 # --------------------------------------------------------------------------

@@ -16,11 +16,8 @@ from .graphs import (
     Graph,
     _trusted_graph,
     build_graph,
-    connected_components,
-    is_stable_set,
     iter_bits,
     mask_of,
-    path_order_of_component,
 )
 
 
@@ -265,9 +262,9 @@ def constellation(
     exactly the coverage condition in the definition.  Centers are numbered
     0..s-1, then the paths occupy consecutive blocks in path order.
 
-    The construction is re-checked against the definition before returning:
-    centers form a stable set and removing them leaves exactly the l paths as
-    components.
+    Every edge joins a center to a path vertex or two consecutive vertices of
+    one path, so the centers are stable and removing them leaves exactly the
+    l paths as components.
     """
     if s < 1 or l < 1:
         raise ValueError("need at least one center and one path")
@@ -277,11 +274,9 @@ def constellation(
         raise ValueError("need one attachment row per center")
     edges = []
     base = s
-    blocks = []
     for i, size in enumerate(lengths):
         if size < 1:
             raise ValueError("paths need at least one vertex")
-        blocks.append((base, size))
         edges.extend((base + k, base + k + 1) for k in range(size - 1))
         for c in range(s):
             row = attach[c]
@@ -294,12 +289,4 @@ def constellation(
                 raise ValueError(f"center {c} attaches outside path {i}")
             edges.extend((c, base + k) for k in iter_bits(m))
         base += size
-    g = build_graph(base, edges)
-    centers = mask_of(range(s))
-    if not is_stable_set(g, centers):
-        raise ValueError("centers are not stable")
-    comps = connected_components(g, g.full_mask & ~centers)
-    want = [mask_of(range(b, b + size)) for b, size in blocks]
-    if comps != want or any(path_order_of_component(g, c) is None for c in comps):
-        raise ValueError("removing the centers does not leave the given paths")
-    return g
+    return build_graph(base, edges)

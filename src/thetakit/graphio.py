@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import re
 
-from .graphs import Graph, build_graph
+from .graphs import Graph, _trusted_graph, build_graph
 
 _HEADER = b">>graph6<<"
 # An edge-JSON object opens with a key or is empty.  graph6 of a 60-vertex
@@ -99,7 +99,9 @@ def _parse_graph6(raw: bytes) -> Graph:
             u += 1
             if u == v:
                 u, v = 0, v + 1
-    return Graph(n, tuple(adj))
+    # The checks above reject every malformed text, and the loop sets only
+    # pairs u < v < n, on both sides: the result is symmetric and loop-free.
+    return _trusted_graph(n, tuple(adj))
 
 
 def _parse_size(line: bytes, base: int) -> tuple[int, int]:

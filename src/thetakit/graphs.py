@@ -5,9 +5,18 @@ used as bitsets, so neighborhood algebra (intersection, anticompleteness,
 candidate pruning) is a single integer operation even on graphs with a few
 thousand vertices.
 
-Input is checked where it enters: ``Graph(...)``, ``build_graph`` and
-``graphio.parse_graph`` for adjacency, ``_vertex_mask`` for vertex sets.  A
-function deriving a graph from valid graphs builds it with ``_trusted_graph``.
+Input is checked once, where it enters:
+
+- adjacency by ``Graph(...)``, ``build_graph`` and the graph6 and edge-JSON
+  parsers of ``graphio``;
+- vertex sets by ``_vertex_mask``;
+- path families on entry to ``extraction.grow_ab_tree`` and
+  ``extraction.embed_forest``, and each derived family where it is built;
+- anticomplete families by ``extraction.anticomplete_family``.
+
+Values derived from checked ones are built trusted and not checked again: a
+function deriving a graph from valid graphs builds it with ``_trusted_graph``,
+and a private step takes the families its caller built as given.
 
 Determinism contract: every function that returns vertices returns them in
 ascending order, and every search elsewhere in the package iterates candidate
@@ -18,7 +27,7 @@ certificates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Collection, Iterable, Iterator
+from typing import Collection, Iterable, Iterator, Sequence
 
 
 def mask_of(vertices: Iterable[int]) -> int:
@@ -457,40 +466,21 @@ def max_disjoint_paths(g: Graph, sources: int, sinks: int, within: int) -> int:
             last = v
 
 
-def path_order_of_component(g: Graph, comp: int) -> tuple[int, ...] | None:
-    """If G[comp] is a path, return its vertices end to end, else None.
+def _first_overlap(masks: Sequence[int]) -> tuple[int, int] | None:
+    """The least i, then the least j > i, with masks i and j meeting; None if disjoint.
 
-    A connected component is assumed; the traversal itself verifies it.  The
-    returned tuple starts at the smaller-labelled endpoint.
+    One backward pass keeps the union of the masks after i, so the last i
+    it flags is the least; a forward scan from there finds its j.
     """
-    size = comp.bit_count()
-    if size == 0:
+    first, later = None, 0
+    for i in range(len(masks) - 1, -1, -1):
+        if masks[i] & later:
+            first = i
+        later |= masks[i]
+    if first is None:
         return None
-    if size == 1:
-        return (comp.bit_length() - 1,)
-    ends = []
-    for v in iter_bits(comp):
-        d = (g.adj[v] & comp).bit_count()
-        if d > 2:
-            return None
-        if d == 1:
-            ends.append(v)
-        if d == 0:
-            return None
-    if len(ends) != 2:
-        return None
-    order = [ends[0]]
-    seen = 1 << ends[0]
-    while True:
-        nxt = g.adj[order[-1]] & comp & ~seen
-        if nxt == 0:
-            break
-        v = nxt.bit_length() - 1
-        order.append(v)
-        seen |= 1 << v
-    if len(order) != size:
-        return None
-    return tuple(order)
+    m = masks[first]
+    return first, next(j for j in range(first + 1, len(masks)) if m & masks[j])
 
 
 @dataclass(frozen=True)
@@ -527,11 +517,11 @@ def path_family_violation(g: Graph, fam: PathFamily) -> str | None:
     for i, p in enumerate(fam.paths):
         if not is_induced_path(g, p, fam.x, fam.y):
             return f"path {i} is not an induced path from x to y"
-    for i in range(len(fam.paths)):
-        si = set(fam.paths[i])
-        for j in range(i + 1, len(fam.paths)):
-            if si & set(fam.paths[j]) != {fam.x, fam.y}:
-                return f"paths {i} and {j} share interior vertices"
+    # Each path now runs from x to y without repeats, so two paths share
+    # only their ends exactly when their interiors are disjoint.
+    pair = _first_overlap(fam.interior_masks())
+    if pair is not None:
+        return f"paths {pair[0]} and {pair[1]} share interior vertices"
     return None
 
 

@@ -384,6 +384,23 @@ class TestTowerCompare:
             assert tower_compare(a, b) == want
             assert tower_compare(b, a) == -want
 
+    def test_powers_of_sums_beyond_cap(self):
+        # A sum base b that cannot materialize is bracketed by its largest
+        # addend M and its addend count: M^x < b^x <= (count*M)^x.
+        mu2 = tree_constants(2, 2)[1]  # (3 * 2^X + 2)^3 with X far beyond the cap
+        big = nat(2) ** (nat(2) ** nat(100))
+        cases = [
+            (mu2, nat(3) ** nat(10 ** 6), 1),
+            (mu2, big + 5, 1),
+            # The lower end settles a tie with M^x, since b > M.
+            ((big + 5) ** 3, big ** 3, 1),
+            # The upper end: (2M)^2 = 4 * 2^(2^101) < 3^(2^101).
+            ((big + 5) ** 2, nat(3) ** (nat(2) ** nat(101)), -1),
+        ]
+        for a, b, want in cases:
+            assert tower_compare(a, b) == want
+            assert tower_compare(b, a) == -want
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10 ** 9))
     def test_agreement_property(self, seed):

@@ -309,12 +309,15 @@ class TestAnticompleteExamples:
 
     def test_malformed_families_rejected(self):
         g = edgeless(4)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^sets 0 and 1 overlap$"):
             anticomplete_family(g, [(0, 1), (1, 2)], 1, 1, FixedThresholds(0))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^the family must be a nonempty list of nonempty sets$"):
             anticomplete_family(g, [(0,), ()], 1, 1, FixedThresholds(0))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^the family mentions vertices outside the graph$"):
             anticomplete_family(g, [(0,), (9,)], 1, 1, FixedThresholds(0))
+        # Sets 1 and 2 overlap too, but the least pair is reported.
+        with pytest.raises(ValueError, match="^sets 0 and 3 overlap$"):
+            anticomplete_family(edgeless(6), [(0, 1), (2, 3), (3, 4), (1, 5)], 1, 1, FixedThresholds(0))
 
     def test_clique_bound_past_nine_digits(self):
         # The paper policy's clique bound t is exact at any size, so a t of
@@ -573,6 +576,9 @@ class TestGrowExamples:
             (g, 0, 4, bad, 2, 2, "paths 0 and 1 share interior vertices"),
             (g, 0, 4, PathFamily(0, 4, ((0, 1, 4), (0, 2, 3, 4))), 2, 2,
              "path 1 is not an induced path from x to y"),
+            # Paths 1 and 2 share vertex 2 and paths 0 and 3 share vertex 1.
+            (g, 0, 4, PathFamily(0, 4, ((0, 1, 4), (0, 2, 4), (0, 2, 4), (0, 1, 4))), 2, 2,
+             "paths 0 and 3 share interior vertices"),
         ]
         for host, x, y, family, a, b, message in cases:
             with pytest.raises(ValueError, match=f"^{message}$"):

@@ -34,8 +34,8 @@ from thetakit.graphs import (
     is_induced_cycle,
     is_induced_path,
     is_stable_set,
+    iter_bits,
     mask_of,
-    path_order_of_component,
     relabel,
 )
 
@@ -206,7 +206,7 @@ def test_constellation_structure():
     comps = connected_components(g, g.full_mask & ~0b11)
     assert len(comps) == 3
     for comp in comps:
-        assert path_order_of_component(g, comp) is not None
+        assert is_induced_path(g, list(iter_bits(comp)))
     # Center 0 attaches to path 0 at its only vertex, to path 1 at its first
     # vertex, and to path 2 at its second vertex.
     assert g.has_edge(0, 2) and g.has_edge(0, 3) and g.has_edge(0, 6)
@@ -225,6 +225,33 @@ def test_constellation_structure():
         constellation(2, 1, (1,), ((0b10,), (1,)))
     with pytest.raises(ValueError):
         constellation(1, 2, (1,), ((1, 1),))
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_constellation_meets_its_definition(data):
+    s = data.draw(st.integers(1, 3))
+    l = data.draw(st.integers(1, 3))
+    lengths = data.draw(st.lists(st.integers(1, 4), min_size=l, max_size=l))
+    attach = []
+    for _ in range(s):
+        row = []
+        for size in lengths:
+            m = data.draw(st.integers(1, (1 << size) - 1))
+            row.append(m if data.draw(st.booleans()) else list(iter_bits(m)))
+        attach.append(row)
+    g = constellation(s, l, lengths, attach)
+    centers = mask_of(range(s))
+    blocks, base = [], s
+    for size in lengths:
+        blocks.append(mask_of(range(base, base + size)))
+        base += size
+    assert g.n == base
+    assert is_stable_set(g, centers)
+    assert connected_components(g, g.full_mask & ~centers) == blocks
+    for block in blocks:
+        assert is_induced_path(g, list(iter_bits(block)))
+        assert all(g.adj[c] & block for c in range(s))
 
 
 @given(st.integers(min_value=3, max_value=8))

@@ -1,10 +1,12 @@
 """graph6 and edge-JSON round trips, with and without a named format."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thetakit.generators import path_graph, random_graph
 from thetakit.graphio import FormatError, emit_graph, parse_graph, sniff_format
-from thetakit.graphs import build_graph
+from thetakit.graphs import Graph, build_graph
 
 
 @pytest.mark.parametrize("n", [60, 61, 62])
@@ -32,6 +34,24 @@ def test_edge_json_is_still_sniffed():
         assert sniff_format(text) == "edge-json"
         with pytest.raises(FormatError):
             parse_graph(text)
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_parsed_graph6_passes_the_graph_checks(data):
+    # The parser builds its graph unchecked; the checks of Graph must agree.
+    n = data.draw(st.integers(0, 70))
+    bits = n * (n - 1) // 2
+    word = data.draw(st.integers(0, (1 << bits) - 1)) << (-bits % 6)
+    groups = (bits + 5) // 6
+    if n <= 62:
+        head = bytes([n + 63])
+    else:
+        head = bytes([126, 63 + (n >> 12), 63 + (n >> 6 & 63), 63 + (n & 63)])
+    body = bytes(63 + (word >> 6 * (groups - 1 - i) & 63) for i in range(groups))
+    g = parse_graph(head + body, "graph6")
+    assert Graph(g.n, g.adj) == g
+    assert emit_graph(g) == head + body
 
 
 @pytest.mark.parametrize("n", [63, 64, 200])

@@ -35,7 +35,6 @@ from thetakit.graphs import (
     mask_of,
     max_disjoint_paths,
     neighborhood_mask,
-    path_order_of_component,
     path_family_violation,
     relabel,
 )
@@ -175,16 +174,6 @@ def test_components_and_layers():
     assert bfs_layers(g, 0, mask_of([0, 2])) == [1 << 0]
 
 
-def test_path_order_of_component():
-    g = build_graph(6, [(0, 3), (3, 1), (1, 5)])
-    assert path_order_of_component(g, mask_of([0, 1, 3, 5])) == (0, 3, 1, 5)
-    assert path_order_of_component(g, mask_of([2])) == (2,)
-    c4 = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-    assert path_order_of_component(c4, c4.full_mask) is None
-    star = build_graph(4, [(0, 1), (0, 2), (0, 3)])
-    assert path_order_of_component(star, star.full_mask) is None
-
-
 def test_path_family_validation():
     # Two ends joined by three fully disjoint paths of lengths 2, 2, 3.
     g = build_graph(6, [(0, 2), (2, 1), (0, 3), (3, 1), (0, 4), (4, 5), (5, 1)])
@@ -195,6 +184,10 @@ def test_path_family_validation():
 
     shared = PathFamily(0, 1, ((0, 2, 1), (0, 2, 1)))
     assert "share" in path_family_violation(g, shared)
+    # Paths 1 and 2 share vertex 3 and paths 0 and 3 share vertex 2; the
+    # report names the least i, then the least j > i, not the first j seen.
+    crossed = PathFamily(0, 1, ((0, 2, 1), (0, 3, 1), (0, 3, 1), (0, 2, 1)))
+    assert path_family_violation(g, crossed) == "paths 0 and 3 share interior vertices"
     assert path_family_violation(g, PathFamily(0, 0, ((0, 2, 0),))) is not None
     g_edge = build_graph(3, [(0, 1), (0, 2), (2, 1)])
     assert path_family_violation(g_edge, PathFamily(0, 1, ((0, 2, 1),))) is not None
