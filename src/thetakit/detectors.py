@@ -158,9 +158,9 @@ def theta_witness_violation(g: Graph, w: ThetaWitness) -> str | None:
     if bad is not None:
         return bad
     interiors = [mask_of(p[1:-1]) for p in w.paths]
+    # Every interior is nonempty: the family check has rejected a path
+    # (x, y), since x and y are nonadjacent.
     for i in range(3):
-        if not interiors[i]:
-            return f"path {i} has no interior, so its length is below 2"
         for j in range(i + 1, 3):
             if not are_anticomplete(g, interiors[i], interiors[j]):
                 return f"interiors of paths {i} and {j} see each other"

@@ -150,31 +150,20 @@ def disjoint_union(g: Graph, h: Graph) -> Graph:
     return _trusted_graph(g.n + h.n, tuple(adj))
 
 
-def subdivide(g: Graph, plan: Mapping[tuple[int, int], int] | Sequence[int]) -> Graph:
+def subdivide(g: Graph, plan: Sequence[int]) -> Graph:
     """Replace each edge uv by a path through ``plan``-many fresh vertices.
 
-    The plan maps every edge (in either endpoint order) to a nonnegative
-    count; a plain sequence is read against ``g.edges()`` in order.  Original
-    vertices keep their ids; new vertices are appended edge by edge in
-    lexicographic edge order, running from the smaller endpoint.
+    The plan holds one nonnegative count per edge, read against
+    ``g.edges()`` in order.  Original vertices keep their ids; new vertices
+    are appended edge by edge in lexicographic edge order, running from the
+    smaller endpoint.
     """
-    es = g.edges()
     if isinstance(plan, Mapping):
-        edge_set = set(es)
-        normal = {}
-        for (u, v), c in plan.items():
-            key = (u, v) if u < v else (v, u)
-            if key not in edge_set:
-                raise ValueError(f"plan key {key} is not an edge")
-            normal[key] = c
-        missing = [e for e in es if e not in normal]
-        if missing:
-            raise ValueError(f"plan misses edge {missing[0]}")
-        counts = [normal[e] for e in es]
-    else:
-        counts = list(plan)
-        if len(counts) != len(es):
-            raise ValueError("need one count per edge")
+        raise ValueError("plan must be a sequence of counts in g.edges() order, not a mapping")
+    es = g.edges()
+    counts = list(plan)
+    if len(counts) != len(es):
+        raise ValueError("need one count per edge")
     if any(c < 0 for c in counts):
         raise ValueError("counts must be nonnegative")
     edges = []

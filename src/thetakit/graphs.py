@@ -7,8 +7,8 @@ thousand vertices.
 
 Input is checked once, where it enters:
 
-- adjacency by ``Graph(...)``, ``build_graph`` and the graph6 and edge-JSON
-  parsers of ``graphio``;
+- adjacency by ``Graph(...)``, ``build_graph`` and the graph6 parser of
+  ``graphio``;
 - vertex sets by ``_vertex_mask``;
 - path families on entry to ``extraction.grow_ab_tree`` and
   ``extraction.embed_forest``, and each derived family where it is built;

@@ -27,18 +27,14 @@ class PathPacking:
     Within the budget the search is exact: ``exact`` is true and
     ``upper_bound == count``.  Past it, the family is the best found (at
     least the greedy one once the budget exceeds deg(x)), ``upper_bound`` is
-    the flow bound, and ``exact`` is set when the two meet.  Unpacking yields
-    (count, family).
+    the flow bound, and ``exact`` is set when the two meet.  Read it by
+    attribute: ``count`` paths in ``family``.
     """
 
     count: int
     family: PathFamily
     exact: bool
     upper_bound: int
-
-    def __iter__(self):
-        yield self.count
-        yield self.family
 
 
 @dataclass(frozen=True)

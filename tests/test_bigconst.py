@@ -12,6 +12,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from thetakit import bigconst
 from thetakit.bigconst import (
     DIGIT_CAP,
     TowerInt,
@@ -400,6 +401,22 @@ class TestTowerCompare:
         for a, b, want in cases:
             assert tower_compare(a, b) == want
             assert tower_compare(b, a) == -want
+
+    def test_sums_against_sums_beyond_cap(self, monkeypatch):
+        # Each sum lies in (M, count * M] for its largest addend M; these
+        # pairs are settled by that bracket alone, never by materializing.
+        def no_escalation(e1, e2):
+            raise AssertionError("escalated")
+
+        monkeypatch.setattr(bigconst, "_escalate", no_escalation)
+        cases = [
+            (nat(3) ** nat(10 ** 6) + 5, nat(2) ** nat(10 ** 6) + 7),
+            (nat(3) ** nat(10 ** 7) + nat(2) ** nat(10 ** 6), nat(5) ** nat(10 ** 6) + 1),
+            (nat(2) ** (nat(2) ** nat(100)) + nat(3) ** nat(10 ** 6), nat(3) ** (nat(2) ** nat(90)) + 1),
+        ]
+        for a, b in cases:
+            assert tower_compare(a, b) == 1
+            assert tower_compare(b, a) == -1
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10 ** 9))

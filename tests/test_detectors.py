@@ -1020,6 +1020,72 @@ def test_validators_report_vertices_outside_the_graph(check):
     assert verdict is False or isinstance(verdict, str)
 
 
+# One table per validator: a minimal broken witness per row with the exact
+# message it must produce, and a valid witness (message None) last.
+
+@pytest.mark.parametrize("sides, message", [
+    (((), (3,)), "both sides must be nonempty"),
+    (((0, 1), (3,)), "the sides must have equal size"),
+    (((0, 0), (3, 4)), "the sides must be disjoint and repetition-free"),
+    (((0, 3), (1, 4)), "each side must be a stable set"),
+    (((0,), (1,)), "missing cross edge 0-1"),
+    (((0, 1, 2), (3, 4, 5)), None),
+])
+def test_biclique_violation_messages(sides, message):
+    assert biclique_violation(complete_bipartite(3, 3), Biclique(*sides)) == message
+
+
+@pytest.mark.parametrize("g, kind, witness, message", [
+    (complete_graph(4), "clique", (0,), "a clique witness needs at least two distinct vertices"),
+    (complete_graph(4), "stable", (0, 1), "unknown witness kind 'stable'"),
+    (path_graph(3), "clique", (0, 2), "the vertices are not pairwise adjacent"),
+    (complete_graph(4), "clique", (0, 1, 2, 3), None),
+])
+def test_witness_violation_messages(g, kind, witness, message):
+    assert witness_violation(g, PreconditionWitness(kind, witness, ())) == message
+
+
+# K_{2,3} on centers 0, 1 and leaves 2, 3, 4, plus an isolated vertex 5.
+STAR_PAIR = build_graph(6, [(c, v) for c in (0, 1) for v in (2, 3, 4)])
+
+
+@pytest.mark.parametrize("centers, paths, s, message", [
+    ((0,), ((2,),), 2, "needs exactly 2 centers"),
+    ((0, 0), ((2,),), None, "centers repeat"),
+    ((0, 1), ((2,), (1,)), None, "component 1 meets the centers"),
+    ((0,), ((2,), (5,)), None, "center 0 has no neighbor in component 1"),
+    ((0, 1), ((2,), (3,), (4,)), 2, None),
+])
+def test_constellation_witness_violation_messages(centers, paths, s, message):
+    assert constellation_witness_violation(STAR_PAIR, ConstellationWitness(centers, paths), s) == message
+
+
+THETA = theta_graph(2, 2, 3)
+THETA_PATHS = ((0, 2, 1), (0, 3, 1), (0, 4, 5, 1))
+
+
+@pytest.mark.parametrize("g, paths, message", [
+    (THETA, THETA_PATHS[:2], "a theta needs exactly three paths"),
+    # A path without interior is the pair (x, y), which the family check rejects.
+    (THETA, THETA_PATHS[:2] + ((0, 1),), "path 2 is not an induced path from x to y"),
+    (build_graph(6, THETA.edges() + [(2, 3)]), THETA_PATHS, "interiors of paths 0 and 1 see each other"),
+    (THETA, THETA_PATHS, None),
+])
+def test_theta_witness_violation_messages(g, paths, message):
+    assert theta_witness_violation(g, ThetaWitness(0, 1, paths)) == message
+
+
+@pytest.mark.parametrize("cert, message", [
+    (ABTreeCert(0, 2, 1, (0, 1, 2), ((0, 1), (2, 1))), "tree parameters must be positive"),
+    (ABTreeCert(2, 2, 0, (0, 0), ()), "repeated vertices"),
+    (ABTreeCert(2, 1, 0, (0, 1), ()), "depth-1 tree must be the bare root"),
+    (ABTreeCert(2, 2, 0, (0, 1, 2), ((1, 2), (2, 1))), "parent map does not lead to the root"),
+    (ABTreeCert(2, 2, 1, (0, 1, 2), ((0, 1), (2, 1))), None),
+])
+def test_ab_tree_violation_messages(cert, message):
+    assert ab_tree_violation(path_graph(3), cert) == message
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10**6), st.integers(4, 7), st.sampled_from((0.2, 0.4, 0.6)))
 def test_witnesses_always_valid(seed, n, p):

@@ -307,6 +307,17 @@ class TestAnticompleteExamples:
         assert out.witness == Biclique((0, 2), (5, 7))
         assert witness_violation(g, out) is None
 
+    def test_single_biclique_side_shortfall(self):
+        # With s = 1 and no cross edge, the family itself is the answer once
+        # it is large enough: the default policy wants alpha = 3 sets.
+        g, sets = build_graph(3, []), [(0,), (1,)]
+        out = anticomplete_family(g, sets, 3, 1)
+        assert isinstance(out, ThresholdUnmet)
+        assert (out.name, out.required, out.available) == ("family_size", nat(3), 2)
+        out = anticomplete_family(g, sets, 3, 1, FixedThresholds(0))
+        assert isinstance(out, Success)
+        assert out.value == ((0,), (1,))
+
     def test_malformed_families_rejected(self):
         g = edgeless(4)
         with pytest.raises(ValueError, match="^sets 0 and 1 overlap$"):

@@ -1,11 +1,11 @@
-"""graph6 and edge-JSON round trips, with and without a named format."""
+"""graph6 round trips and format errors, with and without the format named."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thetakit.generators import path_graph, random_graph
-from thetakit.graphio import FormatError, emit_graph, parse_graph, sniff_format
+from thetakit.graphio import FormatError, emit_graph, parse_graph
 from thetakit.graphs import Graph, build_graph
 
 
@@ -14,7 +14,6 @@ def test_graph6_round_trip_without_format(n):
     # graph6 of 60, 61 and 62 vertices opens with "{", "|" and "}".
     for g in (path_graph(n), random_graph(n, 0.3, n)):
         data = emit_graph(g)
-        assert sniff_format(data) == "graph6"
         assert parse_graph(data) == g
 
 
@@ -26,14 +25,13 @@ def test_graph6_whose_second_byte_closes_a_brace():
     assert parse_graph(data) == g
 
 
-def test_edge_json_is_still_sniffed():
-    g = random_graph(9, 0.4, 3)
-    assert parse_graph(emit_graph(g, "edge-json")) == g
-    assert parse_graph(' {\n  "n": 2, "edges": [[0, 1]]}\n') == path_graph(2)
-    for text in (b"{}", b"{ }\n"):
-        assert sniff_format(text) == "edge-json"
-        with pytest.raises(FormatError):
-            parse_graph(text)
+def test_graph6_is_the_only_format():
+    # Edge-JSON text is not graph6: "{" reads as n = 60, then '"' is out of range.
+    with pytest.raises(FormatError) as info:
+        parse_graph(b'{"n": 2, "edges": [[0, 1]]}')
+    assert str(info.value) == "byte 34 outside the graph6 range (position 1)"
+    with pytest.raises(ValueError, match="unknown format 'edge-json'"):
+        parse_graph(emit_graph(path_graph(2)), "edge-json")
 
 
 @given(st.data())
@@ -82,26 +80,5 @@ def test_graph6_round_trip_with_a_four_byte_header(n):
 def test_graph6_format_errors(data, message, position):
     with pytest.raises(FormatError) as info:
         parse_graph(data, "graph6")
-    assert str(info.value) == f"{message} (position {position})"
-    assert info.value.position == position
-
-
-@pytest.mark.parametrize("data, message, position", [
-    (b'{"n": 2,', "invalid JSON: Expecting property name enclosed in double quotes", 8),
-    (b"[1]", "top level must be an object", 0),
-    (b'{"n": 1, "edges": [], "m": 0}', "unexpected key 'm'", 0),
-    (b'{"n": 1}', "both 'n' and 'edges' are required", 0),
-    (b'{"n": -1, "edges": []}', "'n' must be a nonnegative integer", 0),
-    (b'{"n": true, "edges": []}', "'n' must be a nonnegative integer", 0),
-    (b'{"n": 1, "edges": {}}', "'edges' must be a list", 0),
-    (b'{"n": 3, "edges": [[0, 1], [1]]}', "each edge must be a pair of integers", 1),
-    (b'{"n": 3, "edges": [[0, 1], [1, 2], [true, 0]]}', "each edge must be a pair of integers", 2),
-    (b'{"n": 3, "edges": [[0, 1], [1, 2.0]]}', "each edge must be a pair of integers", 1),
-    (b'{"n": 3, "edges": [[0, 1], [1, 2], [2, 3]]}', "edge endpoint out of range for n=3", 2),
-    (b'{"n": 3, "edges": [[0, 1], [1, 1]]}', "self-loop at 1", 1),
-])
-def test_edge_json_format_errors(data, message, position):
-    with pytest.raises(FormatError) as info:
-        parse_graph(data, "edge-json")
     assert str(info.value) == f"{message} (position {position})"
     assert info.value.position == position

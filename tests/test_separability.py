@@ -68,9 +68,9 @@ class TestPairMaximum:
         assert path_family_violation(g, r.family) is None
 
     def test_cycle_arcs(self):
-        count, fam = max_internally_disjoint_paths(cycle_graph(5), 0, 2)
-        assert count == 2
-        assert path_family_violation(cycle_graph(5), fam) is None
+        r = max_internally_disjoint_paths(cycle_graph(5), 0, 2)
+        assert r.count == 2
+        assert path_family_violation(cycle_graph(5), r.family) is None
 
     def test_petersen_pairs(self):
         g = petersen()
@@ -85,7 +85,10 @@ class TestPairMaximum:
         assert r.count == 0 and r.exact and r.family.paths == ()
 
     def test_single_long_route(self):
-        assert tuple(max_internally_disjoint_paths(path_graph(5), 0, 4))[0] == 1
+        r = max_internally_disjoint_paths(path_graph(5), 0, 4)
+        assert r.count == 1 and r.family.paths == ((0, 1, 2, 3, 4),)
+        with pytest.raises(TypeError):
+            count, fam = r
 
     def test_preconditions(self):
         c5 = cycle_graph(5)
