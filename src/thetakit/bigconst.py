@@ -623,16 +623,6 @@ def _theta(a: int, n: int) -> TowerInt:
     return normalize(nat(3) ** (nat(12) ** nat(n * a ** (n - 1) - 1)))
 
 
-def sep_constant(c31: TowerInt, d31: TowerInt) -> TowerInt:
-    """The forest-separability constant c + d, from parts taken at (h+1, h+1) for an h-vertex forest."""
-    return normalize(c31 + d31)
-
-
-def main_constant(d: TowerInt, d_prime: TowerInt) -> TowerInt:
-    """The headline constant (d + 2) * d'."""
-    return normalize((d + 2) * d_prime)
-
-
 @dataclass(frozen=True)
 class SigmaCheck:
     label: str

@@ -282,22 +282,29 @@ def is_induced_path(
 
     When given, ``x`` and ``y`` additionally pin the required endpoints.
     """
+    return _induced_path_mask(g, seq, x, y) != 0
+
+
+def _induced_path_mask(g: Graph, seq: Sequence[int], x: int | None, y: int | None) -> int:
+    # The vertex mask of seq when is_induced_path holds, else 0 (a path has a vertex).
     k = len(seq)
-    if k == 0 or len(set(seq)) != k or not g.has_vertices(seq):
-        return False
+    if k == 0 or not g.has_vertices(seq):
+        return 0
     if x is not None and seq[0] != x:
-        return False
+        return 0
     if y is not None and seq[-1] != y:
-        return False
-    # Each vertex must see exactly its neighbours in the sequence.
+        return 0
     mask = mask_of(seq)
+    if mask.bit_count() != k:
+        return 0
+    # Each vertex must see exactly its neighbours in the sequence.
     before = 0
     for i, v in enumerate(seq):
         after = 1 << seq[i + 1] if i + 1 < k else 0
         if g.adj[v] & mask != before | after:
-            return False
+            return 0
         before = 1 << v
-    return True
+    return mask
 
 
 def is_induced_cycle(g: Graph, seq: tuple[int, ...] | list[int]) -> bool:
@@ -409,7 +416,34 @@ def max_disjoint_paths(g: Graph, sources: int, sinks: int, within: int) -> int:
     is seen before v_out can be; a start, or a vertex whose path ends in T,
     never becomes unused again.  So first-visit tests stand in for the two
     "other than" conditions, and the flow is the number of starts.
+
+    The flow's paths can be read out, since ``nxt`` links each one from its
+    start: :func:`_flow_paths` walks them.
     """
+    return _max_flow(g, sources, sinks, within)[0].bit_count()
+
+
+def _flow_paths(g: Graph, sources: int, sinks: int, within: int) -> list[tuple[int, ...]]:
+    """The paths of :func:`max_disjoint_paths`' flow, by ascending start.
+
+    Each follows ``nxt`` from its start up to the first sink on it.  A round
+    stops at the first layer that reaches a sink's exit, so no augmenting
+    path leaves a sink except to T, and that first sink is where the path
+    ends.
+    """
+    starts, _, nxt = _max_flow(g, sources, sinks, within)
+    paths = []
+    for v in iter_bits(starts):
+        path = [v]
+        while not sinks >> v & 1:
+            v = nxt[v]
+            path.append(v)
+        paths.append(tuple(path))
+    return paths
+
+
+def _max_flow(g: Graph, sources: int, sinks: int, within: int) -> tuple[int, dict[int, int], dict[int, int]]:
+    """The flow of :func:`max_disjoint_paths`: its ``starts``, ``prv`` and ``nxt``."""
     within = _vertex_mask(g, within)
     sources = _vertex_mask(g, sources) & within
     sinks = _vertex_mask(g, sinks) & within
@@ -436,7 +470,7 @@ def max_disjoint_paths(g: Graph, sources: int, sinks: int, within: int) -> int:
             frontier = near & within & ~seen_in
             seen_in |= frontier
         else:
-            return starts.bit_count()
+            return starts, prv, nxt
         # Back from T: exit v was reached from v_in or from nxt[v]_in, and
         # entry u from u_out or from any neighbour's exit one layer earlier.
         end = exits & sinks
@@ -498,9 +532,6 @@ class PathFamily:
     y: int
     paths: tuple[tuple[int, ...], ...]
 
-    def interior_masks(self) -> tuple[int, ...]:
-        return tuple(mask_of(p[1:-1]) for p in self.paths)
-
     def tips(self) -> tuple[int, ...]:
         """The neighbor of x on each path, in family order."""
         return tuple(p[1] for p in self.paths)
@@ -514,12 +545,16 @@ def path_family_violation(g: Graph, fam: PathFamily) -> str | None:
         return "an end is outside the graph"
     if g.has_edge(fam.x, fam.y):
         return "the two ends are adjacent"
+    ends = 1 << fam.x | 1 << fam.y
+    interiors = []
     for i, p in enumerate(fam.paths):
-        if not is_induced_path(g, p, fam.x, fam.y):
+        mask = _induced_path_mask(g, p, fam.x, fam.y)
+        if not mask:
             return f"path {i} is not an induced path from x to y"
+        interiors.append(mask & ~ends)
     # Each path now runs from x to y without repeats, so two paths share
     # only their ends exactly when their interiors are disjoint.
-    pair = _first_overlap(fam.interior_masks())
+    pair = _first_overlap(interiors)
     if pair is not None:
         return f"paths {pair[0]} and {pair[1]} share interior vertices"
     return None

@@ -18,10 +18,8 @@ from thetakit.bigconst import (
     TowerInt,
     digit_estimate,
     evaluate,
-    main_constant,
     nat,
     normalize,
-    sep_constant,
     sigma,
     to_tower_str,
     tower_compare,
@@ -217,28 +215,6 @@ class TestTreeConstants:
             tree_constants(0, 1)
         with pytest.raises(ValueError):
             tree_constants(1, 0)
-
-
-class TestComposedConstants:
-    def test_sep_constant_frozen(self):
-        assert evaluate(sep_constant(nat(125), nat(3188642))) == 3188767
-        assert evaluate(sep_constant(nat(1), nat(0))) == 1
-
-    def test_sep_constant_symbolic_inputs(self):
-        big = nat(2) ** nat(10 ** 6)
-        out = sep_constant(big, nat(7))
-        assert out.op == "add"
-        assert tower_compare(out, big) > 0
-
-    def test_main_constant_frozen(self):
-        assert evaluate(main_constant(nat(1), nat(1))) == 3
-        assert evaluate(main_constant(nat(3), nat(2))) == 10
-
-    def test_main_constant_symbolic(self):
-        big = nat(3) ** nat(10 ** 6)
-        out = main_constant(big, nat(2))
-        assert out.op == "mul"
-        assert tower_compare(out, big) > 0
 
 
 class TestTowerCompare:

@@ -18,6 +18,8 @@ from thetakit.generators import (
 from thetakit.graphs import (
     ABTreeCert,
     PathFamily,
+    _flow_paths,
+    _max_flow,
     ab_tree_size,
     ab_tree_violation,
     are_anticomplete,
@@ -180,7 +182,6 @@ def test_path_family_validation():
     fam = PathFamily(x=0, y=1, paths=((0, 2, 1), (0, 3, 1), (0, 4, 5, 1)))
     assert path_family_violation(g, fam) is None
     assert fam.tips() == (2, 3, 4)
-    assert fam.interior_masks() == (1 << 2, 1 << 3, mask_of([4, 5]))
 
     shared = PathFamily(0, 1, ((0, 2, 1), (0, 2, 1)))
     assert "share" in path_family_violation(g, shared)
@@ -289,6 +290,24 @@ def menger_by_networkx(g, sources, sinks, within):
     return nx.node_connectivity(h, "s", "t")
 
 
+def check_flow_paths(g, sources, sinks, within, value):
+    """The flow's paths: value disjoint source-sink paths of G[within], by start.
+
+    Each step of a path is an arc of the flow, linked both ways.
+    """
+    paths = _flow_paths(g, sources, sinks, within)
+    _, prv, nxt = _max_flow(g, sources, sinks, within)
+    assert len(paths) == value
+    assert [p[0] for p in paths] == sorted(p[0] for p in paths)
+    used = 0
+    for p in paths:
+        m = mask_of(p)
+        assert m.bit_count() == len(p) and not m & used and not m & ~within
+        used |= m
+        assert sources >> p[0] & 1 and sinks >> p[-1] & 1
+        assert all(g.has_edge(u, v) and nxt[u] == v and prv[v] == u for u, v in zip(p, p[1:]))
+
+
 @given(graphs(max_n=12), st.data())
 @settings(max_examples=200, deadline=None)
 def test_max_disjoint_paths_matches_networkx_connectivity(g, data):
@@ -297,7 +316,9 @@ def test_max_disjoint_paths_matches_networkx_connectivity(g, data):
 
     sources, sinks, within = mask(), mask(), mask()
     sinks |= sources & mask()
-    assert max_disjoint_paths(g, sources, sinks, within) == menger_by_networkx(g, sources, sinks, within)
+    value = max_disjoint_paths(g, sources, sinks, within)
+    assert value == menger_by_networkx(g, sources, sinks, within)
+    check_flow_paths(g, sources, sinks, within, value)
 
 
 def test_max_disjoint_paths_on_structured_hosts():
@@ -316,6 +337,7 @@ def test_max_disjoint_paths_on_structured_hosts():
             within = rng.choice((g.full_mask, rng.getrandbits(g.n) | sources | sinks, rng.getrandbits(g.n)))
             expected = menger_by_networkx(g, sources, sinks, within)
             assert max_disjoint_paths(g, sources, sinks, within) == expected
+            check_flow_paths(g, sources, sinks, within, expected)
             cases += 1
         for _ in range(6):
             x, y = rng.sample(range(g.n), 2)
@@ -323,10 +345,13 @@ def test_max_disjoint_paths_on_structured_hosts():
             if not g.has_edge(x, y):
                 expected = menger_by_networkx(g, g.adj[x], g.adj[y], within)
                 assert max_disjoint_paths(g, g.adj[x], g.adj[y], within) == expected
+                check_flow_paths(g, g.adj[x], g.adj[y], within, expected)
                 cases += 1
             zs = rng.getrandbits(g.n) & ~(1 << y)
             within = g.full_mask & ~(1 << y)
-            assert max_disjoint_paths(g, g.adj[y], zs, within) == menger_by_networkx(g, g.adj[y], zs, within)
+            expected = menger_by_networkx(g, g.adj[y], zs, within)
+            assert max_disjoint_paths(g, g.adj[y], zs, within) == expected
+            check_flow_paths(g, g.adj[y], zs, within, expected)
             cases += 1
     assert cases >= 250
 
@@ -346,6 +371,7 @@ def test_max_disjoint_paths_on_structured_hosts():
 def test_max_disjoint_paths_reroutes_a_path(n, edges, sources, sinks):
     g = build_graph(n, edges)
     assert max_disjoint_paths(g, sources, sinks, g.full_mask) == 2
+    check_flow_paths(g, sources, sinks, g.full_mask, 2)
 
 
 def test_max_disjoint_paths_edge_cases():

@@ -13,7 +13,7 @@ from thetakit.detectors import (
     three_in_a_tree,
 )
 from thetakit.generators import line_graph, random_graph, random_subdivision, wall
-from thetakit.graphs import build_graph, relabel
+from thetakit.graphs import build_graph, path_family_violation, relabel
 from thetakit.separability import separability
 from thetakit.treewidth import treewidth_exact
 
@@ -35,7 +35,8 @@ def relabellings(g, seed, count=5):
 def test_separability(host, lam):
     for _, h in relabellings(host, host.n):
         rep = separability(h)
-        assert (rep.lambda_star, rep.exact) == (lam, True)
+        assert rep.lambda_star == len(rep.witness.paths) == lam
+        assert path_family_violation(h, rep.witness) is None
 
 
 def answers(g, z):
