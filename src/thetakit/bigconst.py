@@ -389,6 +389,11 @@ def _compare_ints(a: int, b: int) -> int:
     return (a > b) - (a < b)
 
 
+def _literal(e: TowerInt) -> int | None:
+    # evaluate(e), but a nat leaf's int at any size: _log2_bounds brackets it.
+    return e.args[0] if e.op == "nat" else evaluate(e)
+
+
 def _as_power(e: TowerInt) -> tuple[TowerInt, TowerInt]:
     if e.op == "pow":
         return e.args[0], e.args[1]
@@ -403,7 +408,7 @@ def _compare_power_pair(e1: TowerInt, e2: TowerInt, depth: int) -> int:
     b2, x2 = _as_power(e2)
     if b1 == b2:
         return _compare_norm(normalize(x1), normalize(x2), depth + 1)
-    v1, v2 = evaluate(b1), evaluate(b2)
+    v1, v2 = _literal(b1), _literal(b2)
     if v1 is None or v2 is None:
         # A sum base b has M < b <= count*M, so M^x < b^x <= (count*M)^x;
         # either end of that bracket may already settle the order.
@@ -448,7 +453,7 @@ def _monomial_form(e: TowerInt) -> tuple[int, tuple[tuple[int, int], ...]] | Non
     vec = []
     for f in factors:
         base, exp = _as_power(f)
-        bv, ev = evaluate(base), evaluate(exp)
+        bv, ev = _literal(base), _literal(exp)
         if bv is None or ev is None or bv < 2:
             return None
         vec.append((bv, ev))

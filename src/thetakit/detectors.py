@@ -21,6 +21,7 @@ from .generators import complete_bipartite, cycle_graph, line_graph, prism_graph
 from .graphs import (
     Graph,
     PathFamily,
+    _vertex_mask,
     are_anticomplete,
     bfs_layers,
     connected_components,
@@ -420,14 +421,13 @@ def find_prism(g: Graph, cap: int | None = THETA_PRISM_CAP) -> Embedding | None:
     return _least_line_graph(g, ((0, 1, 2),) * 3, lambda ls: prism_graph(*ls))[0]
 
 
-def clique_number(g: Graph) -> tuple[int, tuple[int, ...]]:
-    """Exact clique number with the first maximum clique in ascending order."""
+def _largest(adj, within: int, flip: int) -> tuple[int, ...]:
+    """The first largest clique (flip = 0) or stable set (flip = -1) of G[within], ascending:
+    choosing v keeps the candidates in ``adj[v] ^ flip``, so no complement graph is built."""
     best: tuple[int, ...] = ()
 
     def expand(cur: list[int], cand: int) -> None:
         nonlocal best
-        if len(cur) + cand.bit_count() <= len(best):
-            return
         if not cand:
             if len(cur) > len(best):
                 best = tuple(cur)
@@ -439,24 +439,32 @@ def clique_number(g: Graph) -> tuple[int, tuple[int, ...]]:
             cand ^= v
             v = v.bit_length() - 1
             cur.append(v)
-            expand(cur, cand & g.adj[v])
+            expand(cur, cand & (adj[v] ^ flip))
             cur.pop()
 
-    expand([], g.full_mask)
+    expand([], within)
+    return best
+
+
+def clique_number(g: Graph, within: int | None = None) -> tuple[int, tuple[int, ...]]:
+    """Exact clique number of G, or of G[within], with the first maximum clique in ascending order."""
+    best = _largest(g.adj, g.full_mask if within is None else _vertex_mask(g, within), 0)
     return len(best), best
 
 
-def find_biclique(g: Graph, s: int, cap: int | None = THETA_PRISM_CAP) -> Embedding | None:
-    """Search for an induced K_{s,s}: a stable side, then a stable common side.
+def find_biclique(g: Graph, s: int, cap: int | None = THETA_PRISM_CAP, within: int | None = None) -> Embedding | None:
+    """Search G, or G[within], for an induced K_{s,s}: a stable side, then a stable common side.
 
     The first side is grown over stable sets in ascending order; the second
     side must be a stable s-subset of the first side's common neighborhood,
     which forces completeness between sides and hence an exact induced copy.
+    ``phi`` lists the first side, then the second, each ascending.  The cap
+    counts the vertices searched: those of ``within``, or all of g.
     """
     if s < 1:
         raise ValueError("side size must be positive")
-    check_cap("find_biclique", g.n, cap)
-    full = g.full_mask
+    within = g.full_mask if within is None else _vertex_mask(g, within)
+    check_cap("find_biclique", within.bit_count(), cap)
 
     def stable_subset(region: int, need: int, acc: list[int]) -> bool:
         if need == 0:
@@ -495,7 +503,7 @@ def find_biclique(g: Graph, s: int, cap: int | None = THETA_PRISM_CAP) -> Embedd
             a.pop()
         return None
 
-    return grow([], full, full)
+    return grow([], within, within)
 
 
 @dataclass(frozen=True)
@@ -610,32 +618,36 @@ def find_constellation(
 
 
 def three_in_a_tree(
-    g: Graph, z, cap: int | None = TREE_SEARCH_CAP
+    g: Graph, z, cap: int | None = TREE_SEARCH_CAP, within: int | None = None
 ) -> tuple[int, ...] | None:
-    """An induced tree of g containing at least three vertices of z, or None.
+    """An induced tree of G, or of G[within], containing at least three vertices of z, or None.
 
-    z must be a stable set with at least three vertices.  A minimal such tree
-    is a spider (Chudnovsky–Seymour, Combinatorica 2010): a hub joined by
-    induced legs, pairwise anticomplete away from it, to each of three
-    z-vertices but itself; a path is the spider whose hub is its middle
-    z-vertex.  For each triple (a, b, c) of z in ascending order, hubs c, b,
-    a and then every other vertex ascending are tried with the leg search
-    find_theta shares, so None is exhaustive.  A hub outside {a, b, c} must
-    be the centre of an induced claw, since its three legs start at pairwise
-    nonadjacent vertices (a leg of one edge at its z-vertex); the other hubs
-    have no legs to find and are skipped, each tested once per call.
+    z must be a stable set of at least three vertices of ``within``, and the
+    cap counts the vertices searched: those of ``within``, or all of g.  A
+    minimal such tree is a spider (Chudnovsky–Seymour, Combinatorica 2010):
+    a hub joined by induced legs, pairwise anticomplete away from it, to each
+    of three z-vertices but itself; a path is the spider whose hub is its
+    middle z-vertex.  For each triple (a, b, c) of z in ascending order, hubs
+    c, b, a and then every other vertex ascending are tried with the leg
+    search find_theta shares, so None is exhaustive.  A hub outside {a, b, c}
+    must be the centre of an induced claw, since its three legs start at
+    pairwise nonadjacent vertices (a leg of one edge at its z-vertex); the
+    other hubs have no legs to find and are skipped, each tested once per
+    call.  The test reads all of g, as a claw centre of G[within] is one of g.
     """
     zs = tuple(sorted(set(z)))
     if len(zs) < 3:
         raise ValueError("needs at least three vertices")
-    if not g.has_vertices(zs):
-        raise ValueError("the set must lie in the graph")
-    if not is_stable_set(g, mask_of(zs)):
+    within = g.full_mask if within is None else _vertex_mask(g, within)
+    zmask = _vertex_mask(g, zs)
+    if zmask & ~within:
+        raise ValueError("the set must lie in the search area")
+    if not is_stable_set(g, zmask):
         raise ValueError("the set must be stable")
-    check_cap("three_in_a_tree", g.n, cap)
+    check_cap("three_in_a_tree", within.bit_count(), cap)
     claw = cache(lambda v: _is_claw_centre(g.adj, v))
     for a, b, c in itertools.combinations(zs, 3):
-        base = g.full_mask & ~mask_of((a, b, c))
+        base = within & ~mask_of((a, b, c))
         for hub in itertools.chain((c, b, a), iter_bits(base)):
             ends = tuple(t for t in (a, b, c) if t != hub)
             if g.adj[hub].bit_count() < len(ends) or len(ends) == 3 and not claw(hub):

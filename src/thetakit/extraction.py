@@ -38,6 +38,7 @@ from .bigconst import TowerInt, evaluate, nat, normalize, sigma, tower_compare, 
 from .detectors import (
     Embedding,
     ThetaWitness,
+    _largest,
     check_cap,
     clique_number,
     find_biclique,
@@ -45,7 +46,6 @@ from .detectors import (
     theta_witness_violation,
     three_in_a_tree,
 )
-from .generators import complement
 from .graphs import (
     ABTreeCert,
     Digraph,
@@ -76,7 +76,10 @@ class TraceStep:
 
     ``data`` is a flat tuple of hashable values whose meaning depends on
     ``kind``: thresholds log (required, available, met), choices log the
-    chosen objects, branches log the direction taken.
+    chosen objects, branches log the direction taken.  Every vertex a step
+    names is a vertex of the pipeline's input graph.  Positions in a built
+    auxiliary graph (Gamma, Gamma_prime, D) are logged after the ``build``
+    step that defines them.
     """
 
     op: str
@@ -328,30 +331,27 @@ def ramsey_extract(g: Graph, t: int, alpha: int) -> Outcome:
     return _settle(lambda steps: _ramsey(g, t, alpha, steps))
 
 
-def _max_stable(g: Graph) -> tuple[int, tuple[int, ...]]:
-    return clique_number(complement(g))
-
-
-def _eh(g: Graph, s: int, t: int, alpha: int, steps: list, cap: int | None) -> tuple[str, object]:
+def _eh(g: Graph, within: int, s: int, t: int, alpha: int, steps: list, cap: int | None) -> tuple[str, object]:
     if s < 1 or t < 1 or alpha < 1:
         raise ValueError("all three targets must be positive")
-    check_cap("eh_extract", g.n, cap)
-    size, stable = _max_stable(g)
-    if size >= alpha:
+    n = within.bit_count()
+    check_cap("eh_extract", n, cap)
+    stable = _largest(g.adj, within, -1)
+    if len(stable) >= alpha:
         steps.append(TraceStep("eh_extract", "choose", "stable", stable))
         return "stable", stable
-    emb = find_biclique(g, s)
+    emb = find_biclique(g, s, within=within)
     if emb is not None:
-        w = Biclique(tuple(sorted(emb.phi[:s])), tuple(sorted(emb.phi[s:])))
+        w = Biclique(emb.phi[:s], emb.phi[s:])
         steps.append(TraceStep("eh_extract", "choose", "biclique", (w.side_a, w.side_b)))
         return "biclique", w
-    size, clique = clique_number(g)
+    size, clique = clique_number(g, within)
     if size >= t:
         steps.append(TraceStep("eh_extract", "choose", "clique", clique))
         return "clique", clique
     required = alpha**s * t ** (s - 1)
-    steps.append(TraceStep("eh_extract", "threshold", "eh_order", (required, g.n, False)))
-    _unmet(steps, "eh_order", required, g.n)
+    steps.append(TraceStep("eh_extract", "threshold", "eh_order", (required, n, False)))
+    _unmet(steps, "eh_order", required, n)
 
 
 def eh_extract(g: Graph, s: int, t: int, alpha: int, cap: int | None = EXTRACTION_CAP) -> Outcome:
@@ -361,7 +361,7 @@ def eh_extract(g: Graph, s: int, t: int, alpha: int, cap: int | None = EXTRACTIO
     trimmed to ``alpha``; at or above ``alpha^s * t^(s-1)`` vertices one of
     the three outcomes is guaranteed to exist.
     """
-    return _settle(lambda steps: _eh(g, s, t, alpha, steps, cap))
+    return _settle(lambda steps: _eh(g, g.full_mask, s, t, alpha, steps, cap))
 
 
 def _digraph_stable(d: Digraph, r: int, s: int, steps: list, cap: int | None) -> tuple[int, ...]:
@@ -370,17 +370,13 @@ def _digraph_stable(d: Digraph, r: int, s: int, steps: list, cap: int | None) ->
     low = [v for v in range(d.n) if d.out_degree(v) <= r]
     steps.append(TraceStep("digraph_stable", "choose", "low", tuple(low)))
     check_cap("digraph_stable", len(low), cap)
-    edges = []
-    for i, u in enumerate(low):
-        for j in range(i + 1, len(low)):
-            v = low[j]
-            if d.has_arc(u, v) or d.has_arc(v, u):
-                edges.append((i, j))
-    underlying = build_graph(len(low), edges)
-    size, stable = _max_stable(underlying)
-    found = tuple(low[i] for i in stable)
+    # Adjacency of the underlying graph: out-arcs plus reversed ones.
+    both = list(d.out)
+    for u, v in d.arcs():
+        both[v] |= 1 << u
+    found = _largest(both, mask_of(low), -1)
     steps.append(TraceStep("digraph_stable", "choose", "stable", found))
-    if size < s:
+    if len(found) < s:
         _unmet(steps, "digraph_low", (2 * r + 1) * (s - 1) + 1, len(low))
     return found
 
@@ -449,25 +445,13 @@ def digraph_fanout(d: Digraph, q: int, r: int, s: int, cap: int | None = FANOUT_
 # anticomplete families
 
 
-def _biclique_back(back: Sequence[int], side_a, side_b) -> Biclique:
-    """A biclique found in an induced subgraph, in the labels of its host."""
-    return Biclique(tuple(sorted(back[v] for v in side_a)), tuple(sorted(back[v] for v in side_b)))
-
-
-def _mapped_eh(g: Graph, verts: Sequence[int], s: int, t: int, alpha: int, steps: list, cap: int | None = EXTRACTION_CAP) -> tuple[int, ...]:
-    """Run the stable-first search on G[verts]; its stable set, with the labels of g.
-
-    A clique or an induced K_{s,s} contradicts the caller's assumption, so it
-    ends the run as the ``PreconditionWitness`` that reports it.
-    """
-    sub, back = induced_subgraph(g, verts)
-    kind, payload = _eh(sub, s, t, alpha, steps, cap)
-    if kind == "biclique":
-        _witness(steps, kind, _biclique_back(back, payload.side_a, payload.side_b))
-    found = tuple(back[v] for v in payload)
-    if kind == "clique":
-        _witness(steps, kind, found)
-    return found
+def _stable_in(g: Graph, within: int, s: int, t: int, alpha: int, steps: list, cap: int | None = EXTRACTION_CAP) -> tuple[int, ...]:
+    """The stable set the stable-first search finds in G[within].  A clique or an
+    induced K_{s,s} contradicts the caller's assumption and ends the run as its witness."""
+    kind, payload = _eh(g, within, s, t, alpha, steps, cap)
+    if kind != "stable":
+        _witness(steps, kind, payload)
+    return payload
 
 
 def _family_fallback(g: Graph, w_sets, s: int, t_like: int, steps: list) -> None:
@@ -477,17 +461,16 @@ def _family_fallback(g: Graph, w_sets, s: int, t_like: int, steps: list) -> None
     the structures whose absence it assumed may still be present at desk
     scale; surfacing one beats a bare unmet-threshold report.
     """
-    sub, back = induced_subgraph(g, sorted(set().union(*w_sets)))
-    emb = find_biclique(sub, s)
+    within = mask_of(v for w in w_sets for v in w)
+    emb = find_biclique(g, s, within=within)
     if emb is not None:
-        w = _biclique_back(back, emb.phi[:s], emb.phi[s:])
+        w = Biclique(emb.phi[:s], emb.phi[s:])
         steps.append(TraceStep("anticomplete_family", "choose", "fallback_biclique", (w.side_a, w.side_b)))
         _witness(steps, "biclique", w)
-    size, clique = clique_number(sub)
+    size, clique = clique_number(g, within)
     if size >= t_like:
-        found = tuple(back[v] for v in clique)
-        steps.append(TraceStep("anticomplete_family", "choose", "fallback_clique", found))
-        _witness(steps, "clique", found)
+        steps.append(TraceStep("anticomplete_family", "choose", "fallback_clique", clique))
+        _witness(steps, "clique", clique)
 
 
 def _zeta_descent(g: Graph, w_sets, alpha: int, s: int, t_like: int, policy, steps: list) -> tuple[tuple[int, ...], ...]:
@@ -509,12 +492,12 @@ def _zeta_descent(g: Graph, w_sets, alpha: int, s: int, t_like: int, policy, ste
     ys = [p[1] for p in pairs]
 
     z1 = _target(steps, policy, op, "zeta_1", zeta_1, 1, len(pairs))
-    chosen = set(_mapped_eh(g, sorted(xs), s, t_like, min(z1, len(pairs)), steps))
+    chosen = set(_stable_in(g, mask_of(xs), s, t_like, min(z1, len(pairs)), steps))
     i1 = [i for i, x in enumerate(xs) if x in chosen]
     steps.append(TraceStep(op, "choose", "I_1", tuple(i1)))
 
     z2 = _target(steps, policy, op, "zeta_2", zeta_2, 1, len(i1))
-    chosen = set(_mapped_eh(g, sorted(ys[i] for i in i1), s, t_like, min(z2, len(i1)), steps))
+    chosen = set(_stable_in(g, mask_of(ys[i] for i in i1), s, t_like, min(z2, len(i1)), steps))
     i2 = [i for i in i1 if ys[i] in chosen]
     steps.append(TraceStep(op, "choose", "I_2", tuple(i2)))
 
@@ -631,8 +614,7 @@ def _anticomplete(g: Graph, clean, alpha: int, s: int, policy, steps: list) -> t
         return tuple(clean)
 
     if r == 1:
-        verts = sorted(x[0] for x in clean)
-        chosen = set(_mapped_eh(g, verts, s, t_like, alpha, steps))
+        chosen = set(_stable_in(g, mask_of(x[0] for x in clean), s, t_like, alpha, steps))
         result = tuple(x for x in clean if x[0] in chosen)
         steps.append(TraceStep(op, "choose", "family", result))
         return result
@@ -712,25 +694,22 @@ def _viable_paths(a: int, depth: int) -> int:
 
 def _low_branch_theta(g: Graph, x: int, chosen_paths, steps: list) -> NoReturn:
     op = "grow_ab_tree"
-    region = sorted(set().union(*(set(p) for p in chosen_paths)) - {x})
-    sub, back = induced_subgraph(g, region)
-    pos = {v: i for i, v in enumerate(back)}
-    z = sorted(pos[p[1]] for p in chosen_paths)
-    steps.append(TraceStep(op, "choose", "Z", tuple(back[v] for v in z)))
-    tree = three_in_a_tree(sub, z, cap=None)
+    region = mask_of(v for p in chosen_paths for v in p) & ~(1 << x)
+    z = tuple(sorted(p[1] for p in chosen_paths))
+    steps.append(TraceStep(op, "choose", "Z", z))
+    tree = three_in_a_tree(g, z, cap=None, within=region)
     if tree is None:
         steps.append(TraceStep(op, "branch", "constricted", ()))
         _unmet(steps, "three_in_tree", 1, 0)
     # S is stable in D, so each tip sees only its own path and no tip is the
     # hub: the tree is a spider, each leg the tree's one tip-center path.
     tmask = mask_of(tree)
-    center = next((v for v in tree if (sub.adj[v] & tmask).bit_count() == 3), None)
+    center = next((v for v in tree if (g.adj[v] & tmask).bit_count() == 3), None)
     if center is None:
         raise RuntimeError("the tree on the family tips must be a spider")
-    paths = tuple((x,) + tuple(back[v] for v in next(iter_induced_paths(sub, tip, center, tmask)))
-                  for tip in z if tmask >> tip & 1)
+    paths = tuple((x,) + next(iter_induced_paths(g, tip, center, tmask)) for tip in z if tmask >> tip & 1)
     steps.append(TraceStep(op, "choose", "theta", paths))
-    _witness(steps, "theta", ThetaWitness(x, back[center], paths))
+    _witness(steps, "theta", ThetaWitness(x, center, paths))
 
 
 def _check_family(g: Graph, x: int, y: int, fam: PathFamily) -> None:
@@ -776,7 +755,7 @@ def _grow(g, x, y, fam, a, b, child_count, policy, steps) -> _Subtree:
     # The family is caller-controlled, so the tip search here and the low
     # branch's stable-set and tree searches run uncapped; the capped
     # operations protect only the adversarial-input entry points.
-    stable_tips = set(_mapped_eh(g, sorted(tips), 3, t_like, alpha_t, steps, cap=None))
+    stable_tips = set(_stable_in(g, mask_of(tips), 3, t_like, alpha_t, steps, cap=None))
     q_paths = [p for p in fam.paths if p[1] in stable_tips]
     steps.append(TraceStep(op, "choose", "X_Q", tuple(sorted(stable_tips))))
 

@@ -9,7 +9,8 @@ Input is checked once, where it enters:
 
 - adjacency by ``Graph(...)``, ``build_graph`` and the graph6 parser of
   ``graphio``;
-- vertex sets by ``_vertex_mask``;
+- vertex sets, and the ``within`` masks of the public searches, by
+  ``_vertex_mask``;
 - path families on entry to ``extraction.grow_ab_tree`` and
   ``extraction.embed_forest``, and each derived family where it is built;
 - anticomplete families by ``extraction.anticomplete_family``.

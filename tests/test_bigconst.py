@@ -394,6 +394,26 @@ class TestTowerCompare:
             assert tower_compare(a, b) == 1
             assert tower_compare(b, a) == -1
 
+    @pytest.mark.parametrize("x", [3, 50])
+    def test_powers_of_large_literals_beyond_cap(self, monkeypatch, x):
+        # 2^400000 + 1 is a literal of 120,412 digits; the logarithm brackets
+        # take it by bit length, so no pair here needs materializing.
+        def no_escalation(e1, e2):
+            raise AssertionError("escalated")
+
+        monkeypatch.setattr(bigconst, "_escalate", no_escalation)
+        a = nat(2 ** 400000 + 1) ** nat(x)
+        assert evaluate(nat(2 ** 400000 + 1)) is None
+        cases = [
+            (nat(2) ** nat(400000 * x + 2 * x), -1),
+            (nat(2) ** nat(400000 * x - 100), 1),
+            (nat(3) ** nat(252000 * x), 1),
+            (nat(3) ** nat(253000 * x), -1),
+        ]
+        for b, want in cases:
+            assert tower_compare(a, b) == want
+            assert tower_compare(b, a) == -want
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10 ** 9))
     def test_agreement_property(self, seed):

@@ -15,6 +15,7 @@ from thetakit.detectors import (
     ConstellationWitness,
     Embedding,
     ThetaWitness,
+    _largest,
     _legs,
     clique_number,
     constellation_witness_violation,
@@ -30,6 +31,7 @@ from thetakit.detectors import (
     theta_witness_violation,
 )
 from thetakit.generators import (
+    complement,
     complete_bipartite,
     complete_graph,
     constellation,
@@ -51,6 +53,7 @@ from thetakit.graphs import (
     PathFamily,
     ab_tree_violation,
     build_graph,
+    induced_subgraph,
     is_induced_cycle,
     is_induced_path,
     is_stable_set,
@@ -982,6 +985,89 @@ def test_max_path_fan_rejects_a_target_outside_the_graph(target):
 def test_three_in_a_tree_rejects_terminals_outside_the_graph(z):
     with pytest.raises(ValueError):
         three_in_a_tree(path_graph(5), z)
+
+
+def masked_hosts(count, start):
+    """Seeded G(n <= 16, p) with a random vertex mask, its induced copy, and
+    the copy's map back to host labels."""
+    rng = random.Random(start)
+    for i in range(count):
+        n = 4 + i % 13
+        g = random_graph(n, (0.2, 0.35, 0.5, 0.7)[i % 4], seed=start + i)
+        within = rng.getrandbits(n)
+        sub, back = induced_subgraph(g, within)
+        yield rng, g, within, sub, back
+
+
+class TestWithinMasks:
+    """A search given ``within`` returns what the same search returns on
+    the copy induced_subgraph(g, within), in the host's labels."""
+
+    def test_clique_number(self):
+        for _, g, within, sub, back in masked_hosts(400, 71_000):
+            size, clique = clique_number(sub)
+            assert clique_number(g, within) == (size, tuple(back[v] for v in clique))
+
+    def test_stable_form_against_the_complement(self):
+        for _, g, within, sub, back in masked_hosts(400, 72_000):
+            _, stable = clique_number(complement(sub))
+            assert _largest(g.adj, within, -1) == tuple(back[v] for v in stable)
+
+    def test_find_biclique(self):
+        hits = 0
+        for _, g, within, sub, back in masked_hosts(400, 73_000):
+            for s in (1, 2):
+                want = find_biclique(sub, s)
+                got = find_biclique(g, s, within=within)
+                if want is None:
+                    assert got is None
+                else:
+                    hits += 1
+                    assert got == Embedding(want.pattern, tuple(back[v] for v in want.phi))
+        assert hits >= 100
+
+    def test_three_in_a_tree(self):
+        hits = 0
+        for rng, g, within, sub, back in masked_hosts(600, 74_000):
+            z = random_stable(sub, rng, 3 + rng.randrange(3))
+            if len(z) < 3:
+                continue
+            want = three_in_a_tree(sub, z, cap=None)
+            got = three_in_a_tree(g, [back[v] for v in z], cap=None, within=within)
+            if want is None:
+                assert got is None
+            else:
+                hits += 1
+                assert got == tuple(back[v] for v in want)
+        assert hits >= 100
+
+    @pytest.mark.parametrize("within", [1 << 5, 0b111 | 1 << 9, -1])
+    def test_a_mask_outside_the_graph_is_rejected(self, within):
+        g = cycle_graph(5)
+        for search in (
+            lambda: clique_number(g, within),
+            lambda: find_biclique(g, 1, within=within),
+            lambda: three_in_a_tree(path_graph(5), (0, 2, 4), within=within),
+        ):
+            with pytest.raises(ValueError):
+                search()
+
+    def test_terminals_outside_the_mask_are_rejected(self):
+        with pytest.raises(ValueError):
+            three_in_a_tree(path_graph(5), (0, 2, 4), within=0b01111)
+
+    def test_caps_count_the_mask(self):
+        g = random_graph(70, 0.2, seed=75_000)
+        inner = mask_of(range(20))
+        with pytest.raises(CapExceeded):
+            find_biclique(g, 2)
+        find_biclique(g, 2, cap=detectors.THETA_PRISM_CAP, within=inner)
+        z = random_stable(induced_subgraph(g, inner)[0], random.Random(1), 3)
+        with pytest.raises(CapExceeded):
+            three_in_a_tree(g, z)
+        with pytest.raises(CapExceeded):
+            three_in_a_tree(g, z, within=mask_of(range(40)))
+        three_in_a_tree(g, z, within=inner)
 
 
 # Each check meets a vertex id outside cycle_graph(5); a validator must name

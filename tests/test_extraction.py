@@ -48,6 +48,7 @@ from thetakit.graphs import (
     is_induced_path,
     is_stable_set,
     iter_bits,
+    mask_of,
     path_family_violation,
 )
 
@@ -150,6 +151,27 @@ def check_outcome_rule(g, out):
         assert witness_violation(g, out) is None
     else:
         assert isinstance(out, Success)
+
+
+def watch_eh_choices(monkeypatch):
+    """Check every choose step of the stable-first search against the mask
+    it searched: each vertex the step names must lie in that mask."""
+    seen = []
+    search = extraction._eh
+
+    def checked(g, within, s, t, alpha, steps, cap):
+        start = len(steps)
+        try:
+            return search(g, within, s, t, alpha, steps, cap)
+        finally:
+            for step in steps[start:]:
+                if step.kind == "choose":
+                    named = step.data[0] + step.data[1] if step.label == "biclique" else step.data
+                    assert mask_of(named) & ~within == 0, step
+                    seen.append(step)
+
+    monkeypatch.setattr(extraction, "_eh", checked)
+    return seen
 
 
 def check_grow_outcome(g, out, a, b):
@@ -530,6 +552,17 @@ class TestGrowExamples:
         assert ab_tree_violation(g, cert) is None
         assert set(cert.vertices) == expected_tree_vertices()
 
+    def test_tip_search_logs_host_vertices(self):
+        # The stable set of tips is logged as found, then as X_Q: one set,
+        # both times in the host's labels.
+        g, x, y, fam = build_deep_instance()
+        trace = grow_ab_tree(g, x, y, fam, 4, 4, FixedThresholds(0)).trace
+        pairs = [(step.data, trace[k + 1]) for k, step in enumerate(trace)
+                 if (step.op, step.kind, step.label) == ("eh_extract", "choose", "stable")]
+        assert pairs
+        for stable, after in pairs:
+            assert (after.label, after.data) == ("X_Q", stable)
+
     def test_each_family_is_checked_once(self, monkeypatch):
         # The caller's family on entry, and each derived family once, where
         # it is built.
@@ -766,7 +799,8 @@ class TestSoundnessSweeps:
                 assert out.name == "eh_order"
                 check_outcome_rule(g, out)
 
-    def test_anticomplete(self):
+    def test_anticomplete(self, monkeypatch):
+        choices = watch_eh_choices(monkeypatch)
         rng = random.Random(77)
         for i in range(1000):
             n = 5 + i % 6
@@ -794,8 +828,10 @@ class TestSoundnessSweeps:
                     assert set(out.value) <= set(sets)
                     for p, q in itertools.combinations(out.value, 2):
                         assert oracles.max_anticomplete_subfamily(g, [p, q]) == 2
+        assert choices
 
-    def test_grow(self):
+    def test_grow(self, monkeypatch):
+        choices = watch_eh_choices(monkeypatch)
         shapes = ((2, 2), (3, 2), (2, 3))
         count = 0
         for i, (g, fam) in enumerate(seeded_families(334, start=0)):
@@ -805,6 +841,7 @@ class TestSoundnessSweeps:
                     check_grow_outcome(g, grow_ab_tree(g, fam.x, fam.y, fam, a, b, policy), a, b)
                 count += 1
         assert count >= 1000
+        assert choices
 
     def test_embed(self):
         forests = (
