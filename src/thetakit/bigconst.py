@@ -10,7 +10,9 @@ comparison ladder below resolves everything else:
 1. identical canonical trees are equal;
 2. values within the materialization cap compare as big integers;
 3. otherwise the order is decided by descent:
-   - a sum is bracketed by its largest term;
+   - a sum of count addends, the largest M, lies in (M, count*M]; when
+     neither side's bracket settles the order, the terms and constant both
+     sides share are dropped (x + c against y + c is x against y);
    - products of powers with concrete exponents compare through integer
      brackets of their base-2 logarithms: numerators over a common
      2^precision, refined by repeated squaring;
@@ -23,15 +25,18 @@ comparison ladder below resolves everything else:
    - power pairs of different bases compare through the same logarithm
      brackets, multiplied into the exponent trees so the recursion runs
      one level down.
+4. a pair no rung settles is materialized once, up to _ESCALATION_CAP
+   digits; beyond that the comparison raises RuntimeError.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
 DIGIT_CAP = 10 ** 5
-_ESCALATION_CAP = 10 ** 7
+_ESCALATION_CAP = 10 ** 8
 _FACTOR_BOUND = 10 ** 6
 # Largest k tried when q^k must bracket the ratio of two rests.
 _SHIFT_LIMIT = 16
@@ -287,49 +292,38 @@ def normalize(e: TowerInt) -> TowerInt:
     if e.op in ("add", "sub"):
         folded = TowerInt(e.op, tuple(normalize(a) for a in e.args))
         const, terms = _sum_parts(folded)
-        if not terms:
-            return nat(const)
-        if len(terms) == 1 and const == 0 and terms[0][1] == 1:
-            return terms[0][0]
         return _rebuild_sum(terms, const)
     if e.op == "mul":
-        parts = [normalize(x) for x in e.args]
-        # Splitting a base into primes can surface a base already present,
-        # so flatten, merge, and renormalize until the factor list settles.
-        for _ in range(64):
-            coeff = 1
-            groups: dict[TowerInt, list[TowerInt]] = {}
-            for part in parts:
-                c, factors = _mul_parts(part)
-                coeff *= c
-                for f in factors:
-                    base, exp = (f.args if f.op == "pow" else (f, nat(1)))
-                    groups.setdefault(base, []).append(exp)
-            if coeff == 0:
-                return nat(0)
-            if coeff > 1:
-                # Primes of the coefficient that already appear as bases
-                # migrate into those bases' exponents.
-                leftover = 1
-                for p, k in _prime_split(coeff):
-                    if nat(p) in groups:
-                        groups[nat(p)].append(nat(k))
-                    else:
-                        leftover *= p ** k
-                coeff = leftover
-            merged = []
-            for base, exps in groups.items():
-                total = exps[0]
-                for x in exps[1:]:
-                    total = TowerInt("add", (total, x))
-                merged.append(normalize(TowerInt("pow", (base, total))))
-            stable = all(f.op not in ("mul", "nat") for f in merged) and len(
-                {_as_power(f)[0] for f in merged}
-            ) == len(merged)
-            if stable:
-                return _rebuild_product(merged, coeff)
-            parts = [nat(coeff)] + merged
-        raise RuntimeError("product normalization did not stabilize")
+        # One pass suffices: every factor of a normal part is a power,
+        # beyond the cap, of a prime, of a literal >= _FACTOR_BOUND or of a
+        # sum, and summing one base's exponents keeps that form.
+        coeff = 1
+        groups: dict[TowerInt, list[TowerInt]] = {}
+        for part in e.args:
+            c, factors = _mul_parts(normalize(part))
+            coeff *= c
+            for f in factors:
+                base, exp = _as_power(f)
+                groups.setdefault(base, []).append(exp)
+        if coeff == 0:
+            return nat(0)
+        if coeff > 1:
+            # Primes of the coefficient that already appear as bases
+            # migrate into those bases' exponents.
+            leftover = 1
+            for p, k in _prime_split(coeff):
+                if nat(p) in groups:
+                    groups[nat(p)].append(nat(k))
+                else:
+                    leftover *= p ** k
+            coeff = leftover
+        merged = []
+        for base, exps in groups.items():
+            total = exps[0]
+            for x in exps[1:]:
+                total = TowerInt("add", (total, x))
+            merged.append(normalize(TowerInt("pow", (base, total))))
+        return _rebuild_product(merged, coeff)
     if e.op == "pow":
         base, exp = (normalize(x) for x in e.args)
         ev = evaluate(exp)
@@ -414,10 +408,10 @@ def _compare_power_pair(e1: TowerInt, e2: TowerInt, depth: int) -> int:
         # either end of that bracket may already settle the order.
         for b, v, x, other, sign in ((b1, v1, x1, e2, 1), (b2, v2, x2, e1, -1)):
             if v is None and b.op == "add":
-                m, count = _sum_bracket(b, depth)
-                if _compare_norm(normalize(m ** x), other, depth + 1) >= 0:
+                lo, hi = _bracket(b, depth)
+                if _compare_norm(normalize(lo ** x), other, depth + 1) >= 0:
                     return sign
-                if _compare_norm(normalize((count * m) ** x), other, depth + 1) < 0:
+                if _compare_norm(normalize(hi ** x), other, depth + 1) < 0:
                     return -sign
         return _escalate(e1, e2)
     for precision in _PRECISIONS:
@@ -476,8 +470,6 @@ def _compare_monomials(a: TowerInt, b: TowerInt) -> int | None:
     fa, fb = _monomial_form(a), _monomial_form(b)
     if fa is None or fb is None:
         return None
-    if fa == fb:
-        return 0
     for precision in _PRECISIONS:
         lo_a, hi_a = _log2_total(fa, precision)
         lo_b, hi_b = _log2_total(fb, precision)
@@ -506,26 +498,39 @@ def _compare_shifted(
 
 
 def _escalate(e1: TowerInt, e2: TowerInt) -> int:
-    cap = DIGIT_CAP
-    while cap <= _ESCALATION_CAP:
-        cap *= 10
-        v1, v2 = evaluate(e1, cap), evaluate(e2, cap)
-        if v1 is not None and v2 is not None:
-            return _compare_ints(v1, v2)
-    raise RuntimeError("comparison exceeded every materialization escalation")
+    v1, v2 = evaluate(e1, _ESCALATION_CAP), evaluate(e2, _ESCALATION_CAP)
+    if v1 is None or v2 is None:
+        raise RuntimeError("comparison exceeded the materialization cap")
+    return _compare_ints(v1, v2)
 
 
-def _sum_bracket(e: TowerInt, depth: int) -> tuple[TowerInt, int]:
-    # (M, count) for a canonical sum: every addend is at most M and there
-    # are count of them, so M < e <= count * M and count * M is a product,
+def _bracket(e: TowerInt, depth: int) -> tuple[TowerInt, TowerInt]:
+    # (lo, hi) with lo = e = hi for a non-sum.  A canonical sum of count
+    # addends, the largest M, has M < e <= count*M; count*M is a product,
     # never a sum, which keeps the comparison recursion grounded.
+    if e.op != "add":
+        return e, e
     const, terms = _sum_parts(e)
     count = sum(c for _, c in terms) + (1 if const else 0)
     best = nat(const) if const else None
     for term, _ in terms:
         if best is None or _compare_norm(term, best, depth + 1) > 0:
             best = term
-    return best, count
+    return best, normalize(count * best)
+
+
+def _drop_shared(a: TowerInt, b: TowerInt) -> tuple[TowerInt, TowerInt] | None:
+    # a and b less the terms and constant they share (x + c against y + c
+    # is x against y), or None when they share none.
+    (ka, ta), (kb, tb) = _sum_parts(a), _sum_parts(b)
+    ca, cb = Counter(dict(ta)), Counter(dict(tb))
+    shared, k = ca & cb, min(ka, kb)
+    if not shared and not k:
+        return None
+    return (
+        normalize(_rebuild_sum((ca - shared).items(), ka - k)),
+        normalize(_rebuild_sum((cb - shared).items(), kb - k)),
+    )
 
 
 def _compare_norm(a: TowerInt, b: TowerInt, depth: int = 0) -> int:
@@ -543,23 +548,17 @@ def _compare_norm(a: TowerInt, b: TowerInt, depth: int = 0) -> int:
     if b.op == "sub":
         u, k = b.args
         return -_compare_norm(u, normalize(a + k), depth + 1)
-    for x, y, sign in ((a, b, 1), (b, a, -1)):
-        if x.op == "add" and y.op != "add":
-            m, count = _sum_bracket(x, depth)
-            if _compare_norm(y, m, depth + 1) <= 0:
+    if "add" in (a.op, b.op):
+        # A sum lies in (M, count*M], a non-sum in [e, e]; a sum's own M is
+        # tested first, since a test that no rung settles raises.
+        (lo_a, hi_a), (lo_b, hi_b) = _bracket(a, depth), _bracket(b, depth)
+        tests = [(lo_a, hi_b, a, 1), (lo_b, hi_a, b, -1)]
+        for lo, hi, x, sign in tests if a.op == "add" else tests[::-1]:
+            c = _compare_norm(lo, hi, depth + 1)
+            if c > 0 or (c == 0 and x.op == "add"):
                 return sign
-            upper = normalize(TowerInt("mul", (nat(count), m)))
-            if _compare_norm(y, upper, depth + 1) > 0:
-                return -sign
-            return -sign * _escalate(y, x)
-    if a.op == "add" and b.op == "add":
-        ma, ca = _sum_bracket(a, depth)
-        mb, cb = _sum_bracket(b, depth)
-        if _compare_norm(ma, normalize(TowerInt("mul", (nat(cb), mb))), depth + 1) >= 0:
-            return 1
-        if _compare_norm(mb, normalize(TowerInt("mul", (nat(ca), ma))), depth + 1) >= 0:
-            return -1
-        return _escalate(a, b)
+        rests = _drop_shared(a, b)
+        return _escalate(a, b) if rests is None else _compare_norm(*rests, depth + 1)
     mono = _compare_monomials(a, b)
     if mono is not None:
         return mono

@@ -340,7 +340,7 @@ def _eh(g: Graph, within: int, s: int, t: int, alpha: int, steps: list, cap: int
     if len(stable) >= alpha:
         steps.append(TraceStep("eh_extract", "choose", "stable", stable))
         return "stable", stable
-    emb = find_biclique(g, s, within=within)
+    emb = find_biclique(g, s, cap=None, within=within)
     if emb is not None:
         w = Biclique(emb.phi[:s], emb.phi[s:])
         steps.append(TraceStep("eh_extract", "choose", "biclique", (w.side_a, w.side_b)))
@@ -462,7 +462,7 @@ def _family_fallback(g: Graph, w_sets, s: int, t_like: int, steps: list) -> None
     scale; surfacing one beats a bare unmet-threshold report.
     """
     within = mask_of(v for w in w_sets for v in w)
-    emb = find_biclique(g, s, within=within)
+    emb = find_biclique(g, s, cap=None, within=within)
     if emb is not None:
         w = Biclique(emb.phi[:s], emb.phi[s:])
         steps.append(TraceStep("anticomplete_family", "choose", "fallback_biclique", (w.side_a, w.side_b)))

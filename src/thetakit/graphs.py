@@ -373,17 +373,24 @@ def iter_induced_paths(g: Graph, src: int, dst: int, allowed: int, limit: int | 
     # A path grows only while it leaves room for one more vertex and dst; no
     # induced path has more than n vertices, so n is no limit at all.
     longest = g.n if limit is None else limit - 2
-
-    def extend(last: int, path: tuple[int, ...], banned: int):
+    if limit is not None and limit < 2:
+        return
+    # Depth first on an explicit stack, so a long path costs no Python frame
+    # per vertex.  Each path's extensions go on in descending order and so
+    # come off ascending; they avoid every neighbour of the path so far.
+    stack = [((src,), 1 << src)]
+    while stack:
+        path, banned = stack.pop()
+        last = path[-1]
         if adj[last] & dbit:
             yield path + (dst,)
-            return
-        if len(path) <= longest:
-            for c in iter_bits(adj[last] & allowed & ~banned):
-                yield from extend(c, path + (c,), banned | adj[last] | (1 << c))
-
-    if limit is None or limit >= 2:
-        yield from extend(src, (src,), 1 << src)
+        elif len(path) <= longest:
+            cand = adj[last] & allowed & ~banned
+            banned |= adj[last]
+            while cand:
+                c = cand.bit_length() - 1
+                cand ^= 1 << c
+                stack.append((path + (c,), banned))
 
 
 def max_disjoint_paths(g: Graph, sources: int, sinks: int, within: int) -> int:

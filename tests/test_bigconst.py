@@ -236,9 +236,16 @@ class TestTowerCompare:
             ((nat(2) * nat(3)) ** (nat(2) ** nat(20)), nat(6) ** (nat(2) ** nat(20))),
             (nat(4) ** (nat(3) ** nat(50)), nat(2) ** (nat(2) * nat(3) ** nat(50))),
             (nat(2) ** nat(10 ** 6) * nat(2) ** nat(5), nat(2) ** nat(10 ** 6 + 5)),
+            # Unfactored literal bases: the two addends are equal, so the sum
+            # reaches the top of its bracket, count * M.
+            (
+                nat(2 * 10 ** 6) ** nat(16000) + nat(4 * 10 ** 12) ** nat(8000),
+                2 * nat(4 * 10 ** 12) ** nat(8000),
+            ),
         ]
         for x, y in pairs:
             assert tower_compare(x, y) == 0
+            assert tower_compare(y, x) == 0
 
     def test_plain_integer_against_power_below_it(self):
         # The left side has 60,207 digits, the right 80,001; the plain-integer
@@ -379,20 +386,36 @@ class TestTowerCompare:
             assert tower_compare(b, a) == -want
 
     def test_sums_against_sums_beyond_cap(self, monkeypatch):
-        # Each sum lies in (M, count * M] for its largest addend M; these
-        # pairs are settled by that bracket alone, never by materializing.
+        # Each sum lies in (M, count * M] for its largest addend M; where that
+        # bracket leaves the order open, the terms and constant both sides
+        # share are dropped.  No pair here needs materializing.
         def no_escalation(e1, e2):
             raise AssertionError("escalated")
 
         monkeypatch.setattr(bigconst, "_escalate", no_escalation)
+        x, y = nat(3) ** nat(10 ** 9), nat(3) ** nat(10 ** 6)
         cases = [
-            (nat(3) ** nat(10 ** 6) + 5, nat(2) ** nat(10 ** 6) + 7),
-            (nat(3) ** nat(10 ** 7) + nat(2) ** nat(10 ** 6), nat(5) ** nat(10 ** 6) + 1),
-            (nat(2) ** (nat(2) ** nat(100)) + nat(3) ** nat(10 ** 6), nat(3) ** (nat(2) ** nat(90)) + 1),
+            (nat(3) ** nat(10 ** 6) + 5, nat(2) ** nat(10 ** 6) + 7, 1),
+            (nat(3) ** nat(10 ** 7) + nat(2) ** nat(10 ** 6), nat(5) ** nat(10 ** 6) + 1, 1),
+            (nat(2) ** (nat(2) ** nat(100)) + nat(3) ** nat(10 ** 6), nat(3) ** (nat(2) ** nat(90)) + 1, 1),
+            (x + 5, x + 7, -1),
+            (2 * x, x + 7, 1),
+            (nat(2) ** nat(10 ** 9) + x, x + nat(2) ** nat(10 ** 9) + 1, -1),
+            (y + 5, y + 7, -1),
+            # M of one side equals count * M of the other: a tie at the edge
+            # of the brackets, which still settles the order.
+            (nat(2) ** nat(10 ** 9 + 1) + 1, nat(2) ** nat(10 ** 9) + 1, 1),
+            (nat(3) ** nat(10 ** 9 + 1) + nat(2) ** nat(10 ** 9), 2 * x + nat(2) ** nat(10 ** 9), 1),
+            # Shared terms are dropped once the brackets leave the order open.
+            (
+                nat(2) ** nat(10 ** 9 + 1) + nat(3) ** nat(10 ** 8) + 1,
+                nat(2) ** nat(10 ** 9) + nat(3) ** nat(10 ** 8) + 1,
+                1,
+            ),
         ]
-        for a, b in cases:
-            assert tower_compare(a, b) == 1
-            assert tower_compare(b, a) == -1
+        for a, b, want in cases:
+            assert tower_compare(a, b) == want
+            assert tower_compare(b, a) == -want
 
     @pytest.mark.parametrize("x", [3, 50])
     def test_powers_of_large_literals_beyond_cap(self, monkeypatch, x):

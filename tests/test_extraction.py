@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import oracles
 import thetakit.extraction as extraction
 from deep_instance import build_deep_instance, expected_tree_vertices
-from thetakit.bigconst import TowerInt, nat, tower_compare, tree_constants
+from thetakit.bigconst import TowerInt, nat, normalize, tower_compare, tree_constants
 from thetakit.detectors import CapExceeded, embedding_violation
 from thetakit.extraction import (
     Biclique,
@@ -528,11 +528,13 @@ class TestGrowExamples:
         assert out.witness.x == 0 and out.witness.y == 7
         assert witness_violation(g, out) is None
 
-    @pytest.mark.parametrize("count, inner", [(11, 3), (49, 2)])
+    @pytest.mark.parametrize("count, inner", [(11, 3), (49, 2), (3, 600)])
     def test_low_branch_runs_uncapped(self, count, inner):
         # Pairwise anticomplete x-y paths: the low branch takes all of them,
         # a tree region of 34 vertices for 11 paths and 49 low vertices for
-        # 49, both above the detectors' and extraction's default caps.
+        # 49, both above the detectors' and extraction's default caps.  Legs
+        # of 600 vertices are longer than Python's recursion limit allows a
+        # recursive path search to follow.
         edges, paths = [], []
         for i in range(count):
             path = (0, *range(2 + i * inner, 2 + (i + 1) * inner), 1)
@@ -542,6 +544,18 @@ class TestGrowExamples:
         out = grow_ab_tree(g, 0, 1, PathFamily(0, 1, tuple(paths)), 2, 2,
                            FixedThresholds(0, fanout_high=10 ** 6))
         assert isinstance(out, PreconditionWitness) and out.kind == "theta"
+        assert witness_violation(g, out) is None
+
+    def test_tip_search_runs_uncapped(self):
+        # 70 pairwise adjacent tips hold no stable pair, and the stable-first
+        # search goes on to a clique of all 70, past find_biclique's default cap.
+        tips = range(2, 72)
+        edges = [(0, t) for t in tips] + [(1, t) for t in tips] + list(itertools.combinations(tips, 2))
+        g = build_graph(72, edges)
+        fam = PathFamily(0, 1, tuple((0, t, 1) for t in tips))
+        out = grow_ab_tree(g, 0, 1, fam, 2, 2, FixedThresholds(0, tip_stable=2))
+        assert isinstance(out, PreconditionWitness) and out.kind == "clique"
+        assert out.witness == tuple(tips)
         assert witness_violation(g, out) is None
 
     def test_deep_recursion_builds_four_four_tree(self):
@@ -591,6 +605,41 @@ class TestGrowExamples:
         assert tower_compare(out.required, mu * nat(3) ** lam) == 0
         assert tower_compare(nat(10) ** nat(100), out.required) < 0
 
+    @pytest.mark.parametrize("b", [2, 3])
+    def test_default_formulas_match_the_paper(self, b):
+        # Each gate of the top level records its default and passes.  With
+        # a = 2 and t = 3: q = a^theta_b t^(theta_b - 1) and
+        # r = mu_{b-1} t^lambda_{b-1}; the tips need a stable set of
+        # (3a^(2 theta_b) + 2) t^(2(theta_b - 1)) r, the long paths number
+        # 3q^2 r, and 2q^2 r of them must fan out.
+        class Recording:
+            t = 3
+
+            def __init__(self):
+                self.seen = {}
+
+            def value(self, name, default):
+                self.seen.setdefault(name, normalize(default()))
+                return 0
+
+        g = build_graph(4, [(0, 2), (2, 3), (3, 1)])
+        policy = Recording()
+        grow_ab_tree(g, 0, 1, PathFamily(0, 1, ((0, 2, 3, 1),)), 2, b, policy)
+        a, t = nat(2), nat(3)
+        theta = tree_constants(2, b)[0]
+        _, mu, lam = tree_constants(2, b - 1)
+        q = a ** theta * t ** theta.minus(1)
+        r = mu * t ** lam
+        want = {
+            "branch_q": q,
+            "paths_r": r,
+            "tip_stable": (3 * a ** (2 * theta) + 2) * t ** (2 * theta.minus(1)) * r,
+            "length_three": 3 * q ** 2 * r,
+            "fanout_high": 2 * q ** 2 * r,
+        }
+        for name, value in want.items():
+            assert tower_compare(policy.seen[name], value) == 0, name
+
     def test_parameter_validation(self):
         g, fam = self.k23()
         with pytest.raises(ValueError):
@@ -619,6 +668,13 @@ class TestGrowExamples:
             (g, 1, 4, fam, 2, 2, "the family ends must match the given vertices"),
             (g, 0, 4, bad, 2, 2, "paths 0 and 1 share interior vertices"),
             (g, 0, 4, PathFamily(0, 4, ((0, 1, 4), (0, 2, 3, 4))), 2, 2,
+             "path 1 is not an induced path from x to y"),
+            # Induced paths that start or end elsewhere, and a repeated vertex.
+            (g, 0, 4, PathFamily(0, 4, ((0, 1, 4), (2, 4))), 2, 2,
+             "path 1 is not an induced path from x to y"),
+            (g, 0, 4, PathFamily(0, 4, ((0, 1, 4), (0, 2))), 2, 2,
+             "path 1 is not an induced path from x to y"),
+            (g, 0, 4, PathFamily(0, 4, ((0, 1, 4), (0, 2, 2, 4))), 2, 2,
              "path 1 is not an induced path from x to y"),
             # Paths 1 and 2 share vertex 2 and paths 0 and 3 share vertex 1.
             (g, 0, 4, PathFamily(0, 4, ((0, 1, 4), (0, 2, 4), (0, 2, 4), (0, 1, 4))), 2, 2,

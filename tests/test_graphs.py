@@ -17,6 +17,8 @@ from thetakit.generators import (
 )
 from thetakit.graphs import (
     ABTreeCert,
+    Digraph,
+    Graph,
     PathFamily,
     _flow_paths,
     _max_flow,
@@ -75,6 +77,22 @@ def test_build_graph_rejects_bad_edges():
         build_graph(3, [(0, 3)])
     with pytest.raises(ValueError):
         build_graph(3, [(1, 1)])
+
+
+@pytest.mark.parametrize("make, n, rows, message", [
+    (Graph, -1, (), "vertex count must be nonnegative"),
+    (Graph, 2, (0b10,), "adjacency tuple length must equal n"),
+    (Graph, 2, (0b100, 0), "adjacency of 0 mentions vertices >= 2"),
+    (Graph, 2, (0b01, 0), "self-loop at 0"),
+    (Graph, 2, (0b10, 0), "asymmetric adjacency between 1 and 0"),
+    (Digraph, -1, (), "vertex count must be nonnegative"),
+    (Digraph, 2, (0b10,), "out-neighbor tuple length must equal n"),
+    (Digraph, 2, (0, 0b100), "arcs from 1 mention vertices >= 2"),
+    (Digraph, 2, (0, 0b10), "self-loop at 1"),
+])
+def test_constructors_reject_malformed_rows(make, n, rows, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make(n, rows)
 
 
 def test_graph_equality_is_label_sensitive():
