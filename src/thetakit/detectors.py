@@ -23,7 +23,6 @@ from .graphs import (
     PathFamily,
     _vertex_mask,
     are_anticomplete,
-    bfs_layers,
     connected_components,
     is_induced_path,
     is_stable_set,
@@ -225,17 +224,19 @@ def find_theta(g: Graph, cap: int | None = THETA_PRISM_CAP) -> ThetaWitness | No
     return None
 
 
-def _triangles(g: Graph, within: int | None = None):
-    """Yield the triangles of G[within] as ascending triples, in lexicographic order."""
+def _triangles(g: Graph):
+    """Yield the triangles of g as ascending triples, in lexicographic order."""
     adj = g.adj
-    within = g.full_mask if within is None else within
-    for a in iter_bits(within):
-        near = adj[a] & within
+    for a in range(g.n):
+        near = adj[a]
         for b in iter_bits(near >> (a + 1) << (a + 1)):
             third = near & adj[b] >> (b + 1) << (b + 1)
             if third:
                 for c in iter_bits(third):
                     yield a, b, c
+
+
+_PERMS = tuple(itertools.permutations(range(3)))
 
 
 def _least_line_graph(g: Graph, chains, pattern) -> tuple[Embedding | None, int]:
@@ -284,14 +285,20 @@ def _least_line_graph(g: Graph, chains, pattern) -> tuple[Embedding | None, int]
       breadth-first search from c over the region that this placement and
       the next level's spare give reaches no neighbour of z, no link of that
       chain yields, and every bijection giving the chain corner c is
-      skipped.  The search runs once per (c, z) and triangle, since the
-      region depends on both corners.
+      skipped.  The search stops at the first neighbour of z it reaches,
+      and runs once per (end, corner) pair and triangle, since the region
+      depends on both corners.
+
+    Whether an end can take a corner, with what length and link, does not
+    depend on the other two ends.  So each (end, corner) pair of a triangle
+    is checked once, into a small table, when a bijection first needs it,
+    and the bijections only combine table entries.
     """
     adj, full = g.adj, g.full_mask
     # The chain ends (chain, side) at each branch vertex.
     ends = {b: [(i, s) for i, c in enumerate(chains) for s in (0, 1) if c[s] == b]
             for u, v, _ in chains for b in (u, v)}
-    tris = [mask_of(t) for t in _triangles(g)]
+    tris = [(t, mask_of(t)) for t in _triangles(g)]
     if len(tris) < len(ends):
         return None, 0
     least = [m for _, _, m in chains]
@@ -302,13 +309,20 @@ def _least_line_graph(g: Graph, chains, pattern) -> tuple[Embedding | None, int]
     corner = [[-1, -1] for _ in chains]  # host vertex at each end of each chain
     lens = least.copy()  # path lengths where linked, lower bounds elsewhere
     best = (g.n + 1,)  # above the key of every pattern in g
+    memo = {}  # neighborhood_mask by mask: the same few masks recur across triangles
+
+    def around(m: int) -> int:
+        r = memo.get(m)
+        if r is None:
+            r = memo[m] = neighborhood_mask(g, m)
+        return r
 
     def spare(k: int, placed: int, opened: int, taken) -> int | None:
         # Triangles other than the placed ones (taken) that order[k:] can
         # take, whose new corners see no placed vertex but open corners: None
         # if too few, their vertices if exactly enough, else 0.
-        usable, need, left = full & ~placed & ~neighborhood_mask(g, placed & ~opened) | opened, len(order) - k, 0
-        for t in tris:
+        usable, need, left = full & ~placed & ~around(placed & ~opened) | opened, len(order) - k, 0
+        for _, t in tris:
             if not t & ~usable and t not in taken:
                 need -= 1
                 if need < 0:
@@ -331,7 +345,7 @@ def _least_line_graph(g: Graph, chains, pattern) -> tuple[Embedding | None, int]
             (i, c, z), rest = todo[0], todo[1:]
             pair = (1 << c) | (1 << z)
             block = placed & ~pair | left
-            allowed = full & ~placed & ~block & ~neighborhood_mask(g, block)
+            allowed = full & ~placed & ~block & ~around(block)
             low = lens[i]
             for p in iter_induced_paths(g, c, z, allowed, best[0] - sum(lens) + low):
                 if len(p) >= least[i]:
@@ -352,56 +366,83 @@ def _least_line_graph(g: Graph, chains, pattern) -> tuple[Embedding | None, int]
             if i not in far and least[i] <= 1:
                 defer[i] = mask_of(corner[j][1 - t] for j, t in ends[w] if corner[j][1 - t] >= 0 and least[j] <= 1)
                 seen |= defer[i]
-        region = full & ~placed & ~neighborhood_mask(g, placed & ~seen)
         share = mask_of(z for i, z in far.items() if least[i] <= 1)
+        region = full & ~placed & ~around(placed & ~seen) | share
+        # Corner positions per end; the triangle is ascending, so equal chains
+        # take ascending corners exactly when they take ascending positions.
         ascending = [(x, y) for x, (i, _) in enumerate(ends[b]) for y, (j, _) in enumerate(ends[b])
                      if i < j and i not in far and j in alike[i]]
+        perms = [p for p in _PERMS if all(p[x] < p[y] for x, y in ascending)]
+        # A theta's two branch vertices are interchangeable too.
+        floor = min(iter_bits(taken[0])) if k == 1 and len(alike[0]) == len(chains) else -1
         saved = lens.copy()
         # The link region of new corner c and far corner z, as the link step
         # builds it from placed | tmask and after, avoids those vertices and
         # the neighbours of all but c and z.  Only corners in tmask or fmask
         # can be c or z, so the neighbours of the other placed vertices
         # (fence) serve every triangle, and free every (c, z) of one triangle.
-        fence = neighborhood_mask(g, placed & ~fmask)
-        for tri in _triangles(g, region | share):
-            if k == 1 and len(alike[0]) == len(chains) and tri[0] < min(iter_bits(taken[0])):
-                continue  # a theta's two branch vertices are interchangeable too
-            tmask = mask_of(tri)
+        fence = around(placed & ~fmask)
+
+        def fit(i: int, c: int, tmask: int, free: int):
+            # Whether chain i's end at b can take corner c of tmask: None if
+            # not, else (c, done bits, the chain's length or 0 if unsettled,
+            # the link to search or None).
+            z = far.get(i, -1)
+            zbit = 1 << z if z >= 0 else 0
+            if c == z:  # a shared corner, so l_i = m = 1
+                return c, zbit, 0, None
+            if (placed >> c & 1 or zbit & must or adj[c] & placed & ~tmask & ~defer.get(i, 0) & ~zbit
+                    or adj[c] & zbit and least[i] > 2):
+                return None
+            if adj[c] & zbit:
+                return c, (1 << c) | zbit, 2, None
+            if not zbit:
+                return c, 0, 0, None
+            # Breadth-first from c, stopping at the first neighbour of z.
+            within = free & ~around((tmask | fmask) & ~((1 << c) | zbit))
+            target, reached, frontier = adj[z] & within, 1 << c, 1 << c
+            while frontier:
+                reach = 0
+                while frontier:
+                    low = frontier & -frontier
+                    reach |= adj[low.bit_length() - 1]
+                    frontier ^= low
+                if reach & target:
+                    return c, 0, max(least[i], 3), (i, c, z)
+                frontier = reach & within & ~reached
+                reached |= frontier
+            return None
+
+        for tri, tmask in tris:
+            if tmask & ~region or tri[0] < floor:
+                continue
             after = spare(k + 1, placed | tmask, opened | tmask, taken + (tmask,))
             if after is None:
                 continue
-            free = full & ~placed & ~tmask & ~after & ~fence & ~neighborhood_mask(g, after)
-            links = {}  # (c, z) -> whether the chain from new corner c can reach z
-            for perm in itertools.permutations(tri):
-                if any(perm[x] > perm[y] for x, y in ascending):
-                    continue
-                todo, done = [], 0
-                for (i, _), c in zip(ends[b], perm):
-                    z = far.get(i, -1)
-                    zbit = 1 << z if z >= 0 else 0
-                    if c == z:  # a shared corner, so l_i = m = 1
-                        done |= zbit
-                    elif (placed >> c & 1 or zbit & must or adj[c] & placed & ~tmask & ~defer.get(i, 0) & ~zbit
-                          or adj[c] & zbit and least[i] > 2):
+            free = full & ~placed & ~tmask & ~after & ~fence & ~around(after)
+            table = [[False] * 3 for _ in range(3)]  # end, corner position -> fit, once computed
+            for perm in perms:
+                picks = []
+                for (i, _), p, row in zip(ends[b], perm, table):
+                    got = row[p]
+                    if got is False:
+                        got = row[p] = fit(i, tri[p], tmask, free)
+                    if got is None:
                         break
-                    elif adj[c] & zbit:
-                        lens[i] = 2
-                        done |= (1 << c) | zbit
-                    elif zbit:
-                        if (c, z) not in links:
-                            within = free & ~neighborhood_mask(g, (tmask | fmask) & ~((1 << c) | zbit)) | 1 << c
-                            links[c, z] = any(layer & adj[z] for layer in bfs_layers(g, c, within))
-                        if not links[c, z]:
-                            break
-                        lens[i] = max(least[i], 3)
-                        todo.append((i, c, z))
+                    picks.append(got)
                 else:
-                    for (i, s), c in zip(ends[b], perm):
+                    todo, done = [], 0
+                    for (i, s), (c, bits, length, link) in zip(ends[b], picks):
                         corner[i][s] = c
+                        done |= bits
+                        if length:
+                            lens[i] = length
+                        if link:
+                            todo.append(link)
                     grow(k + 1, todo, placed | tmask, (opened | tmask) & ~done, taken + (tmask,))
                     for i, s in ends[b]:
                         corner[i][s] = -1
-                lens[:] = saved
+                    lens[:] = saved
 
     grow(0, [], 0, 0, ())
     return (None, 1) if len(best) == 1 else (find_induced(g, pattern(best[1:])), 2)
@@ -571,14 +612,24 @@ def find_constellation(
 
     def paths_in(region: int):
         # Each induced path once, from its smaller endpoint; singletons too.
-        def extend(last: int, path: tuple[int, ...], banned: int):
-            if len(path) == 1 or path[0] < path[-1]:
-                yield path
-            for c in iter_bits(g.adj[last] & region & ~banned):
-                yield from extend(c, path + (c,), banned | g.adj[last] | (1 << c))
-
+        # Preorder from each start ascending, on an explicit stack as in
+        # iter_induced_paths, so a long path costs no generator frame per
+        # vertex: each path's extensions go on in descending order and so
+        # come off ascending; they avoid every neighbour of the path so far.
+        adj = g.adj
         for v in iter_bits(region):
-            yield from extend(v, (v,), 1 << v)
+            stack = [((v,), 1 << v)]
+            while stack:
+                path, banned = stack.pop()
+                if len(path) == 1 or path[0] < path[-1]:
+                    yield path
+                last = path[-1]
+                cand = adj[last] & region & ~banned
+                banned |= adj[last]
+                while cand:
+                    c = cand.bit_length() - 1
+                    cand ^= 1 << c
+                    stack.append((path + (c,), banned | 1 << c))
 
     def covers(path_mask: int, centers: tuple[int, ...]) -> bool:
         return all(g.adj[c] & path_mask for c in centers)

@@ -248,10 +248,12 @@ def induced_subgraph(g: Graph, vertices: int | Iterable[int]) -> tuple[Graph, tu
 
 def neighborhood_mask(g: Graph, vertices: int | Iterable[int]) -> int:
     """Open neighborhood: vertices outside the set with a neighbor inside it."""
-    s = _as_mask(vertices)
-    m = 0
-    for v in iter_bits(s):
-        m |= g.adj[v]
+    s = rest = _as_mask(vertices)
+    adj, m = g.adj, 0
+    while rest:
+        low = rest & -rest
+        m |= adj[low.bit_length() - 1]
+        rest ^= low
     return m & ~s
 
 
@@ -324,15 +326,17 @@ def is_induced_cycle(g: Graph, seq: tuple[int, ...] | list[int]) -> bool:
 def connected_components(g: Graph, within: int | None = None) -> list[int]:
     """Component masks of G (or of G[within]), ordered by smallest vertex."""
     todo = g.full_mask if within is None else within
-    comps = []
+    adj, comps = g.adj, []
     while todo:
         seed = todo & -todo
         comp = seed
         frontier = seed
         while frontier:
             grow = 0
-            for v in iter_bits(frontier):
-                grow |= g.adj[v]
+            while frontier:
+                low = frontier & -frontier
+                grow |= adj[low.bit_length() - 1]
+                frontier ^= low
             frontier = grow & todo & ~comp
             comp |= frontier
         comps.append(comp)
@@ -348,10 +352,13 @@ def bfs_layers(g: Graph, root: int, within: int | None = None) -> list[int]:
     seen = 1 << root
     layers = [seen]
     frontier = seen
+    adj = g.adj
     while frontier:
         grow = 0
-        for v in iter_bits(frontier):
-            grow |= g.adj[v]
+        while frontier:
+            low = frontier & -frontier
+            grow |= adj[low.bit_length() - 1]
+            frontier ^= low
         frontier = grow & todo & ~seen
         if frontier:
             layers.append(frontier)

@@ -15,6 +15,7 @@ from thetakit.detectors import (
     ConstellationWitness,
     Embedding,
     ThetaWitness,
+    WallLineReport,
     _largest,
     _legs,
     clique_number,
@@ -721,6 +722,24 @@ def wall_by_profiles(g, r):
     return None
 
 
+def wall_report_by_profiles(g, r):
+    """The report excludes_wall_line_graphs owes for wall_by_profiles's answer.
+    Too few host triangles settle it with no find_induced call.  Else one call
+    tries the unsubdivided pattern, which ends the search if it embeds, and
+    the search's second call embeds the least key it found, so that call
+    cannot miss."""
+    w = wall(r)
+    emb = wall_by_profiles(g, r)
+    if len(host_triangles(g)) < sum(w.degree(v) == 3 for v in range(w.n)):
+        tried = 0
+    else:
+        tried = 1 if emb is None or emb.pattern.n == w.m else 2
+    reason = ("pattern found" if emb else "no pattern embeds" if tried else
+              "host is triangle-free or has fewer triangles than the wall has branch vertices")
+    return WallLineReport(excluded=emb is None, r=r, host_n=g.n, patterns_tried=tried, partial=False,
+                          reason=reason, embedding=emb)
+
+
 def wall3_with_lengths(lengths, chords=0, rng=None):
     """The line graph of wall(3)'s branch vertices joined by chains of the
     given edge counts, which may fall below wall(3)'s, plus ``chords`` edges
@@ -883,12 +902,7 @@ class TestWallLineExclusion:
     @pytest.mark.parametrize("family", sorted(WALL_HOSTS))
     def test_same_embedding_as_the_profile_loop(self, family):
         for g in WALL_HOSTS[family]():
-            rep = excludes_wall_line_graphs(g, 3)
-            assert rep.embedding == wall_by_profiles(g, 3)
-            assert rep.excluded == (rep.embedding is None) and not rep.partial
-            # A second find_induced call embeds the least key the search found,
-            # so it cannot miss.
-            assert rep.embedding is not None or rep.patterns_tried <= 1
+            assert excludes_wall_line_graphs(g, 3) == wall_report_by_profiles(g, 3)
 
 
 def count_calls(monkeypatch, module, name):
@@ -904,19 +918,32 @@ def count_calls(monkeypatch, module, name):
     return calls
 
 
-# Link searches (iter_induced_paths calls) that excludes_wall_line_graphs made
-# on L(random_subdivision(wall(r), 1, s)) before triangle placements were
-# checked for reachability; the search now makes 72, 72, 50, 128, 106, 112.
-UNCHECKED_LINK_SEARCHES = {(3, 0): 1367, (3, 1): 1508, (3, 2): 956, (4, 0): 17318, (4, 1): 14058, (4, 2): 14552}
+# Link searches (iter_induced_paths calls) that excludes_wall_line_graphs makes
+# on L(random_subdivision(wall(r), 1, s)).  Before triangle placements were
+# checked for reachability it made 1367, 1508, 956, 17318, 14058 and 14552.
+# The counts pin the search tree: a change that only makes each placement
+# cheaper leaves them as they are.
+LINK_SEARCHES = {(3, 0): 72, (3, 1): 72, (3, 2): 50, (4, 0): 128, (4, 1): 106, (4, 2): 112}
+# The same for find_prism on the r = 3 hosts.
+PRISM_LINK_SEARCHES = {0: 53, 1: 50, 2: 43}
 
 
-@pytest.mark.parametrize("r, s", sorted(UNCHECKED_LINK_SEARCHES))
+@pytest.mark.parametrize("r, s", sorted(LINK_SEARCHES))
 def test_placements_that_cannot_link_are_dropped(monkeypatch, r, s):
     h = line_graph(random_subdivision(wall(r), 1, s))
     calls = count_calls(monkeypatch, detectors, "iter_induced_paths")
     rep = excludes_wall_line_graphs(h, r, cap=None)
     assert not rep.excluded and rep.patterns_tried == 2
-    assert calls[0] <= UNCHECKED_LINK_SEARCHES[r, s] // 10
+    assert calls[0] == LINK_SEARCHES[r, s]
+
+
+@pytest.mark.parametrize("s", sorted(PRISM_LINK_SEARCHES))
+def test_prism_link_searches_are_pinned(monkeypatch, s):
+    h = line_graph(random_subdivision(wall(3), 1, s))
+    calls = count_calls(monkeypatch, detectors, "iter_induced_paths")
+    emb = find_prism(h)
+    assert emb is not None and embedding_violation(h, emb) is None
+    assert calls[0] == PRISM_LINK_SEARCHES[s]
 
 
 class TestNecessityFamily:
