@@ -23,7 +23,6 @@ from .graphs import (
     PathFamily,
     _vertex_mask,
     are_anticomplete,
-    connected_components,
     is_induced_path,
     is_stable_set,
     iter_bits,
@@ -602,34 +601,67 @@ def find_constellation(
     keeps only the components of the rest that meet every center's
     neighborhood: a path seen by every center lies in such a component, and
     components only split as the region shrinks, so no dropped vertex could
-    serve a later path either.  The witnesses are those of the search
-    without this cut.
+    serve a later path either.
+
+    While more paths must follow, a path prefix P is dropped with everything
+    that extends it when no component of the region less N[P] meets every
+    center's neighborhood.  Each extension Q of P, P itself included, has
+    N[Q] containing N[P], so each component of the region less N[Q] lies in
+    one of the region less N[P], and is seen by every center only if that
+    one is.  After choosing Q the next region would therefore be empty and
+    the branch would record nothing.  Both cuts skip only branches that find
+    nothing, so the witnesses are those of the search without them.
     """
     if s < 1 or l < 1:
         raise ValueError("need at least one center and one component")
     check_cap("find_constellation", g.n, cap)
     full = g.full_mask
 
-    def paths_in(region: int):
+    def seen_by_all(region: int, centers: tuple[int, ...]) -> int:
+        # The union of the components of G[region] that meet every center's
+        # neighborhood.  Only those meeting the first center's neighborhood
+        # can qualify, so only they are flooded.
+        adj = g.adj
+        seeds = adj[centers[0]] & region
+        out = 0
+        while seeds:
+            comp = frontier = seeds & -seeds
+            while frontier:
+                grow = 0
+                while frontier:
+                    low = frontier & -frontier
+                    grow |= adj[low.bit_length() - 1]
+                    frontier ^= low
+                frontier = grow & region & ~comp
+                comp |= frontier
+            if covers(comp, centers):
+                out |= comp
+            seeds &= ~comp
+        return out
+
+    def paths_in(region: int, centers: tuple[int, ...], more: bool):
         # Each induced path once, from its smaller endpoint; singletons too.
         # Preorder from each start ascending, on an explicit stack as in
         # iter_induced_paths, so a long path costs no generator frame per
         # vertex: each path's extensions go on in descending order and so
         # come off ascending; they avoid every neighbour of the path so far.
+        # ``closed`` is the path's closed neighbourhood N[path].
         adj = g.adj
         for v in iter_bits(region):
             stack = [((v,), 1 << v)]
             while stack:
                 path, banned = stack.pop()
-                if len(path) == 1 or path[0] < path[-1]:
-                    yield path
                 last = path[-1]
+                closed = banned | adj[last]
+                if more and not seen_by_all(region & ~closed, centers):
+                    continue
+                if len(path) == 1 or path[0] < last:
+                    yield path
                 cand = adj[last] & region & ~banned
-                banned |= adj[last]
                 while cand:
                     c = cand.bit_length() - 1
                     cand ^= 1 << c
-                    stack.append((path + (c,), banned | 1 << c))
+                    stack.append((path + (c,), closed))
 
     def covers(path_mask: int, centers: tuple[int, ...]) -> bool:
         return all(g.adj[c] & path_mask for c in centers)
@@ -637,9 +669,8 @@ def find_constellation(
     def pick_paths(centers, region: int, chosen: list[tuple[int, ...]], floor: int):
         if len(chosen) == l:
             return ConstellationWitness(centers, tuple(chosen))
-        region = sum(comp for comp in connected_components(g, region & ~((1 << (floor + 1)) - 1))
-                     if covers(comp, centers))
-        for p in paths_in(region):
+        region = seen_by_all(region & ~((1 << (floor + 1)) - 1), centers)
+        for p in paths_in(region, centers, len(chosen) + 1 < l):
             pm = mask_of(p)
             if not covers(pm, centers):
                 continue

@@ -43,7 +43,8 @@ from .graphs import (
     neighborhood_mask,
 )
 
-# G(32, 0.2) takes under 1 s of CPU; G(36, 0.2) already takes over 15 s.
+# G(32, 0.2) takes under 0.4 s of CPU (seeds 1-5); G(36, 0.2) takes 5-11 s
+# (seeds 1 and 2), on one core of a 2-core x86-64 machine under CPython 3.11.
 TREEWIDTH_CAP = 32
 DP_CAP = 16
 
@@ -91,35 +92,64 @@ def _eliminate(fadj: list[int], v: int, remaining: int) -> int:
     neighbourhood.  Bits of eliminated vertices stay in ``fadj``; readers mask
     with the vertices still remaining.
     """
-    nb = fadj[v] & remaining
-    for u in iter_bits(nb):
-        fadj[u] |= nb & ~(1 << u)
+    nb = rest = fadj[v] & remaining
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        fadj[low.bit_length() - 1] |= nb ^ low
     return nb
 
 
 def _contraction_degeneracy(g: Graph) -> int:
     # Max over contractions of the minimum degree; a treewidth lower bound
-    # since minors never increase treewidth.  Min-degree vertex contracted
-    # into its least-degree neighbor, ties broken by index (the dict keeps
-    # its keys in index order).  It is at least the degeneracy k: while the
-    # minimum degree stays below k, the vertex contracted lies outside the
-    # k-core, which survives as a subgraph.  ``adj`` of a remaining vertex
-    # holds only remaining vertices.
+    # since minors never increase treewidth.  The least (degree, index)
+    # vertex is contracted into its least (degree, index) neighbour: with
+    # bucket[d] the mask of remaining vertices of degree d, that is the
+    # least vertex of the first nonempty bucket, and the least vertex of
+    # nb & bucket[e] for the first e where it is nonempty.  It is at least
+    # the degeneracy k: while the minimum degree stays below k, the vertex
+    # contracted lies outside the k-core, which survives as a subgraph.
+    # ``adj`` of a remaining vertex holds only remaining vertices.  A
+    # contraction moves only u and the common neighbours of u and v, which
+    # lose v; v's other neighbours trade v for u.  So no degree falls below
+    # d - 1 and the next scan starts there.
     adj = list(g.adj)
-    deg = {v: a.bit_count() for v, a in enumerate(adj)}
-    best = 0
-    while deg:
-        v = min(deg, key=deg.__getitem__)
+    deg = [a.bit_count() for a in adj]
+    bucket = [0] * (g.n + 1)
+    for v, dv in enumerate(deg):
+        bucket[dv] |= 1 << v
+    best = d = 0
+    for _ in range(g.n):
+        while not bucket[d]:
+            d += 1
+        vb = bucket[d] & -bucket[d]
+        bucket[d] ^= vb
+        v = vb.bit_length() - 1
+        best = max(best, d)
         nb = adj[v]
-        best = max(best, deg.pop(v))
         if nb:
-            u = min(iter_bits(nb), key=deg.__getitem__)
-            merged = (adj[u] | nb) & ~(1 << u) & ~(1 << v)
+            e = d
+            while not nb & bucket[e]:
+                e += 1
+            ub = nb & bucket[e] & -(nb & bucket[e])
+            u = ub.bit_length() - 1
+            common = nb & adj[u]
+            merged = (adj[u] | nb) & ~ub & ~vb
             adj[u] = merged
+            bucket[e] ^= ub
             deg[u] = merged.bit_count()
-            for w in iter_bits(merged):
-                adj[w] = (adj[w] & ~(1 << v)) | (1 << u)
-                deg[w] = adj[w].bit_count()
+            bucket[deg[u]] |= ub
+            rest = nb ^ ub
+            while rest:
+                wb = rest & -rest
+                rest ^= wb
+                w = wb.bit_length() - 1
+                adj[w] = adj[w] & ~vb | ub
+                if wb & common:
+                    bucket[deg[w]] ^= wb
+                    deg[w] -= 1
+                    bucket[deg[w]] |= wb
+            d = max(d - 1, 0)
     return best
 
 
@@ -142,27 +172,33 @@ def _preprocess(g: Graph, low: int) -> tuple[list[int], int, list[int], int]:
     changed = True
     while changed and alive:
         changed = False
-        for v in iter_bits(alive):
-            nb = adj[v] & alive
-            d = nb.bit_count()
+        todo = alive
+        while todo:
+            vb = todo & -todo
+            todo ^= vb
+            v = vb.bit_length() - 1
+            nb = rest = adj[v] & alive
             # lonely counts the neighbours that miss a partner in nb, common
             # keeps the vertices equal to or missing each of them, and pairs
             # counts the missing pairs twice.  Some w lies in every missing
             # pair iff w is in common and its lonely - 1 pairs are all there is.
             lonely = pairs = 0
             common = nb
-            for u in iter_bits(nb):
-                miss = nb & ~adj[u]
-                if miss != 1 << u:
+            while rest:
+                ub = rest & -rest
+                rest ^= ub
+                miss = nb & ~adj[ub.bit_length() - 1]
+                if miss != ub:
                     lonely += 1
                     pairs += miss.bit_count() - 1
                     common &= miss
+            d = nb.bit_count()
             if not lonely:
                 low = max(low, d)
             elif d > low or not common or pairs != 2 * (lonely - 1):
                 continue
             _eliminate(adj, v, alive)
-            alive &= ~(1 << v)
+            alive ^= vb
             prefix.append(v)
             changed = True
     return prefix, alive, adj, low
@@ -191,10 +227,10 @@ def _decide(fadj: list[int], alive: int, k: int) -> list[int] | None:
     component of ``alive`` is a block with no neighbours; its order unfolds
     from the vertex each block was recorded with.
     """
-    nbr = {v: fadj[v] & alive for v in iter_bits(alive)}
+    nbr = [a & alive for a in fadj]
     around: dict[int, int] = {}  # each block found -> its neighbourhood
     last: dict[int, int] = {}  # each block found -> the vertex eliminated last
-    touching: dict[int, list[int]] = {v: [] for v in nbr}  # popped blocks around v
+    touching: list[list[int]] = [[] for _ in fadj]  # popped blocks around each vertex
     stack: list[int] = []
     whole = 0  # the components of alive found as blocks
 
@@ -220,22 +256,37 @@ def _decide(fadj: list[int], alive: int, k: int) -> list[int] | None:
             if not b & reach:
                 walk(c | b, n | around[b], reach | b | around[b], j + 1)
 
-    for v, nv in nbr.items():
-        if nv.bit_count() <= k:
-            record(1 << v, nv, v)
+    rest = alive
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        v = low.bit_length() - 1
+        if nbr[v].bit_count() <= k:
+            record(low, nbr[v], v)
     while stack and whole != alive:
         d = stack.pop()
         if d & whole:
             continue
         nd = around[d]
-        for v in iter_bits(nd):
-            cands = [b for b in touching[v] if not b & (d | nd)]
-            later = [0] * (len(cands) + 1)
-            for j in range(len(cands) - 1, -1, -1):
-                later[j] = later[j + 1] | cands[j]
-            walk(d | 1 << v, nd | nbr[v], d | nd, 0)
-        for v in iter_bits(nd):
-            touching[v].append(d)
+        dn = d | nd
+        rest = nd
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
+            popped = touching[v]
+            cands = [b for b in popped if not b & dn]
+            if cands:
+                later = [0] * (len(cands) + 1)
+                for j in range(len(cands) - 1, -1, -1):
+                    later[j] = later[j + 1] | cands[j]
+                walk(d | low, nd | nbr[v], dn, 0)
+            else:
+                # The walk of d and v alone: nothing to join, one record test.
+                n = (nd | nbr[v]) & ~(d | low)
+                if n.bit_count() <= k and d | low not in around:
+                    record(d | low, n, v)
+            popped.append(d)
     if whole != alive:
         return None
     # A block's order is that of each component of it less its last vertex,
@@ -253,23 +304,34 @@ def _decide(fadj: list[int], alive: int, k: int) -> list[int] | None:
 
 
 def _decomposition_from_order(g: Graph, order: list[int]) -> TreeDecomposition:
-    pos = {v: i for i, v in enumerate(order)}
+    # Node i's bag is order[i] with its back-neighbourhood.  Its parent is
+    # the earliest of those neighbours, or node i + 1 if it has none; either
+    # way a later node, so the n - 1 edges make a tree.
+    n = len(order)
+    pos = [0] * n
+    for i, v in enumerate(order):
+        pos[v] = i
     fadj = list(g.adj)
     remaining = g.full_mask
     bags = []
-    reaches = []
-    for v in order:
-        remaining &= ~(1 << v)
-        rs = _eliminate(fadj, v, remaining)
-        bags.append(rs | (1 << v))
-        reaches.append(rs)
-    edges = []
-    for i, rs in enumerate(reaches):
-        if rs:
-            edges.append((i, min(pos[u] for u in iter_bits(rs))))
-        elif i + 1 < len(order):
-            edges.append((i, i + 1))
-    return TreeDecomposition(build_graph(len(order), edges), tuple(bags))
+    tree = [0] * n
+    for i, v in enumerate(order):
+        remaining ^= 1 << v
+        rest = _eliminate(fadj, v, remaining)
+        bags.append(rest | 1 << v)
+        if rest:
+            j = n
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                j = min(j, pos[low.bit_length() - 1])
+        elif i + 1 < n:
+            j = i + 1
+        else:
+            break
+        tree[i] |= 1 << j
+        tree[j] |= 1 << i
+    return TreeDecomposition(_trusted_graph(n, tuple(tree)), tuple(bags))
 
 
 def treewidth_exact(g: Graph, cap: int | None = TREEWIDTH_CAP) -> tuple[int, TreeDecomposition]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 
-from thetakit.graphs import Graph
+from thetakit.graphs import Graph, build_graph
 
 
 def _bits(mask: int) -> list[int]:
@@ -360,3 +360,27 @@ def preprocess_by_pairs(g: Graph, low: int) -> tuple[list[int], int, list[int], 
             prefix.append(v)
             changed = True
     return prefix, alive, adj, low
+
+
+def decomposition_by_build_graph(g: Graph, order: list[int]) -> tuple[tuple[int, ...], Graph]:
+    """The bags and tree of the decomposition read off an elimination order,
+    as first written: node i holds order[i] and its neighbours among the
+    later vertices once the earlier ones are eliminated, and joins the node
+    of the earliest of those neighbours, or node i + 1 if there is none.
+    The edges go through build_graph."""
+    pos = {v: i for i, v in enumerate(order)}
+    remaining = g.full_mask
+    bags = []
+    reaches = []
+    for v in order:
+        remaining &= ~(1 << v)
+        rs = fill_neighbourhood_bfs(g, v, remaining | 1 << v)
+        bags.append(rs | (1 << v))
+        reaches.append(rs)
+    edges = []
+    for i, rs in enumerate(reaches):
+        if rs:
+            edges.append((i, min(pos[u] for u in _bits(rs))))
+        elif i + 1 < len(order):
+            edges.append((i, i + 1))
+    return tuple(bags), build_graph(len(order), edges)

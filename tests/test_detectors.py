@@ -566,8 +566,9 @@ def tree_by_degree_hubs(g, z):
 
 
 def constellation_by_regions(g, s, l):
-    """find_constellation without the component cut, kept as a reference:
-    paths come from the whole region above the last minimum."""
+    """find_constellation without the component cut or the prefix prune,
+    kept as a reference: paths come from the whole region above the last
+    minimum, and every prefix is extended."""
 
     def paths_in(region):
         def extend(last, path, banned):
@@ -645,8 +646,8 @@ SEARCH_HOSTS = {
 
 
 class TestSameWitnessAsTheUnprunedSearch:
-    """The claw-centre and component prunes skip only branches that find
-    nothing, so every witness equals the unpruned search's, not just its
+    """The claw-centre, component and prefix prunes skip only branches that
+    find nothing, so every witness equals the unpruned search's, not just its
     existence."""
 
     @pytest.mark.parametrize("family", sorted(SEARCH_HOSTS))
@@ -671,6 +672,9 @@ class TestSameWitnessAsTheUnprunedSearch:
     def test_constellation(self, s, l):
         rng = random.Random(50_000 + 3 * s + l)
         hosts = [random_graph(n, p, seed=rng.randrange(1 << 30)) for n in range(5, 15) for p in (0.2, 0.35, 0.5)]
+        hosts += [random_graph(n, 0.25, seed=rng.randrange(1 << 30)) for n in (15, 17)]
+        # As in the benchmark's constellation ops: L(wall(3)) and sparse G(20, p).
+        hosts += [line_graph(wall(3)), random_graph(20, 0.13, seed=rng.randrange(1 << 30))]
         for _ in range(10):
             lengths = [rng.randint(1, 4) for _ in range(l)]
             attach = [[rng.randrange(1, 1 << k) for k in lengths] for _ in range(s)]
@@ -681,6 +685,18 @@ class TestSameWitnessAsTheUnprunedSearch:
             assert got == constellation_by_regions(g, s, l)
             found += got is not None
         assert found
+
+
+# mask_of calls in find_constellation(random_graph(20, 0.13, seed=3), 2, 3):
+# one per stable center pair and one per path handed on to the next choice.
+# Without the prefix prune it makes 45285.
+CONSTELLATION_PATHS = 12218
+
+
+def test_prefixes_without_room_are_dropped(monkeypatch):
+    paths = count_calls(monkeypatch, detectors, "mask_of")
+    assert find_constellation(random_graph(20, 0.13, seed=3), 2, 3) is None
+    assert paths[0] == CONSTELLATION_PATHS
 
 
 def wall_chains(w):

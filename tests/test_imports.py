@@ -1,8 +1,10 @@
 """Every name a library module or test module imports is used in it, every
-module-level constant of the library is read somewhere, and every private
-module-level function or class of the library is read outside itself."""
+module-level constant of the library is read somewhere, every private
+module-level function or class of the library is read outside itself, and
+every library attribute the benchmark's tracer wraps exists."""
 
 import ast
+import importlib.util
 import re
 from pathlib import Path
 
@@ -102,3 +104,18 @@ def test_every_private_definition_is_read():
             if name not in read | others:
                 unread.append(f"{p.name}: {name}")
     assert unread == []
+
+
+def test_every_traced_boundary_resolves():
+    # perfbench/spans.py replaces these module attributes with timing
+    # wrappers, so a refactor that drops one breaks only a traced run.
+    spec = importlib.util.spec_from_file_location("perfbench_spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = [
+        f"{module.__name__}.{attr}"
+        for module, names in spans.BOUNDARIES
+        for attr in names
+        if not callable(getattr(module, attr, None))
+    ]
+    assert missing == []

@@ -1,5 +1,6 @@
 """Exact treewidth solver against frozen values and the independent DP."""
 
+import random
 import time
 
 import networkx as nx
@@ -27,6 +28,7 @@ from thetakit.treewidth import (
     TreeDecomposition,
     _contraction_degeneracy,
     _decide,
+    _decomposition_from_order,
     _eliminate,
     _preprocess,
     treewidth_dp,
@@ -286,3 +288,7 @@ def test_fixed_costs_match_the_first_versions():
         assert _contraction_degeneracy(g) == low, seed
         for bound in (max(low - 2, 0), low, low + 1):
             assert _preprocess(g, bound) == oracles.preprocess_by_pairs(g, bound), (seed, bound)
+        order = random.Random(seed).sample(range(g.n), g.n)
+        dec = _decomposition_from_order(g, order)
+        bags, tree = oracles.decomposition_by_build_graph(g, order)
+        assert (dec.bags, dec.tree.n, dec.tree.adj) == (bags, tree.n, tree.adj), seed
