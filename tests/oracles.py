@@ -3,13 +3,16 @@
 Everything here recomputes results from definitions, by subset or
 permutation enumeration or by plain graph search, and deliberately shares
 no logic with the package's search code.  The enumerations are only usable
-at toy sizes (n at most about 10).
+at toy sizes (n at most about 10).  The one exception is the sigma block,
+which is sampled with the package's tower arithmetic on the displayed
+expressions themselves, as a check on its proof by lemma.
 """
 
 from __future__ import annotations
 
 import itertools
 
+from thetakit.bigconst import SigmaCheck, SigmaReport, nat, normalize, sigma, tower_compare
 from thetakit.graphs import Graph, build_graph
 
 
@@ -384,3 +387,23 @@ def decomposition_by_build_graph(g: Graph, order: list[int]) -> tuple[tuple[int,
         elif i + 1 < len(order):
             edges.append((i, i + 1))
     return tuple(bags), build_graph(len(order), edges)
+
+
+def sigma_by_comparison(alpha: int, t: int, s: int, r_max: int) -> SigmaReport:
+    """The sigma block as first checked: build both sides of the base and of
+    each step r = 2..r_max as tower expressions, with side(x) =
+    alpha^x t^(x-1), and order them with tower_compare.  Costly for large
+    s or r_max, where a comparison may also give up."""
+    al, tt = nat(alpha), nat(t)
+
+    def side(exp):
+        return al ** exp * tt ** exp.minus(1)
+
+    mid = nat(((2 * s) ** (2 * s - 1) - 1) * s * s)
+    base = tower_compare(side(sigma(s, 2)), side(nat(s)) + side(mid)) > 0
+    checks = [SigmaCheck("base: sigma_2 beats the s-level split", base)]
+    for r in range(2, r_max + 1):
+        prev = sigma(s, r - 1)
+        holds = tower_compare(side(sigma(s, r)), side(prev) + side(normalize(prev ** 3))) > 0
+        checks.append(SigmaCheck(f"step r={r}: sigma_{r} beats the sigma_{r - 1} split", holds))
+    return SigmaReport(alpha, t, s, r_max, tuple(checks))
