@@ -21,6 +21,7 @@ from .generators import complete_bipartite, cycle_graph, line_graph, prism_graph
 from .graphs import (
     Graph,
     PathFamily,
+    _reach,
     _vertex_mask,
     are_anticomplete,
     is_induced_path,
@@ -399,17 +400,9 @@ def _least_line_graph(g: Graph, chains, pattern) -> tuple[Embedding | None, int]
                 return c, 0, 0, None
             # Breadth-first from c, stopping at the first neighbour of z.
             within = free & ~around((tmask | fmask) & ~((1 << c) | zbit))
-            target, reached, frontier = adj[z] & within, 1 << c, 1 << c
-            while frontier:
-                reach = 0
-                while frontier:
-                    low = frontier & -frontier
-                    reach |= adj[low.bit_length() - 1]
-                    frontier ^= low
-                if reach & target:
-                    return c, 0, max(least[i], 3), (i, c, z)
-                frontier = reach & within & ~reached
-                reached |= frontier
+            target = adj[z] & within
+            if _reach(adj, 1 << c, within, target) & target:
+                return c, 0, max(least[i], 3), (i, c, z)
             return None
 
         for tri, tmask in tris:
@@ -621,19 +614,10 @@ def find_constellation(
         # The union of the components of G[region] that meet every center's
         # neighborhood.  Only those meeting the first center's neighborhood
         # can qualify, so only they are flooded.
-        adj = g.adj
-        seeds = adj[centers[0]] & region
+        seeds = g.adj[centers[0]] & region
         out = 0
         while seeds:
-            comp = frontier = seeds & -seeds
-            while frontier:
-                grow = 0
-                while frontier:
-                    low = frontier & -frontier
-                    grow |= adj[low.bit_length() - 1]
-                    frontier ^= low
-                frontier = grow & region & ~comp
-                comp |= frontier
+            comp = _reach(g.adj, seeds & -seeds, region)
             if covers(comp, centers):
                 out |= comp
             seeds &= ~comp

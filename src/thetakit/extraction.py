@@ -412,21 +412,26 @@ def _fanout_assignment(
     return rec(0, 0)
 
 
-def _digraph_fanout(d: Digraph, q: int, r: int, s: int, steps: list, cap: int | None) -> tuple[int, ...]:
+def _digraph_fanout(
+    d: Digraph, q: int, r: int, s: int, steps: list, cap: int | None
+) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...] | None]:
+    # S, and the assignment verified for its last q-subset (S itself when
+    # s = q); None when s < q leaves S no q-subset.
     if q < 1 or r < 1 or s < 1:
         raise ValueError("all three parameters must be positive")
     high = [v for v in range(d.n) if d.out_degree(v) >= q * r]
     steps.append(TraceStep("digraph_fanout", "choose", "high", tuple(high)))
     if len(high) >= s:
         check_cap("digraph_fanout", math.comb(len(high), s) * math.comb(s, q), cap)
+        last = None
         for cand in itertools.combinations(high, s):
             forbidden = mask_of(cand)
             if all(
-                _fanout_assignment(d, sub, r, forbidden) is not None
+                (last := _fanout_assignment(d, sub, r, forbidden)) is not None
                 for sub in itertools.combinations(cand, q)
             ):
                 steps.append(TraceStep("digraph_fanout", "choose", "S", cand))
-                return cand
+                return cand, last
     _unmet(steps, "digraph_high", 2 * q * r * s, len(high))
 
 
@@ -438,7 +443,7 @@ def digraph_fanout(d: Digraph, q: int, r: int, s: int, cap: int | None = FANOUT_
     subset member; the property is verified exhaustively.  With at least 2qrs
     vertices of out-degree at least qr such a subset always exists.
     """
-    return _settle(lambda steps: _digraph_fanout(d, q, r, s, steps, cap))
+    return _settle(lambda steps: _digraph_fanout(d, q, r, s, steps, cap)[0])
 
 
 # --------------------------------------------------------------------------
@@ -797,10 +802,7 @@ def _grow(g, x, y, fam, a, b, child_count, policy, steps) -> _Subtree:
         _low_branch_theta(g, x, [long_paths[i] for i in stable], steps)
 
     steps.append(TraceStep(op, "branch", "direction", ("high",)))
-    s_positions = _digraph_fanout(d, q_int, r_int, q_int, steps, FANOUT_CAP)
-    assignment = _fanout_assignment(d, s_positions, r_int, mask_of(s_positions))
-    if assignment is None:
-        raise RuntimeError("the verified fan-out must admit an assignment")
+    s_positions, assignment = _digraph_fanout(d, q_int, r_int, q_int, steps, FANOUT_CAP)
     subtrees = []
     for i, pos in enumerate(s_positions):
         p_i = long_paths[pos]

@@ -19,6 +19,12 @@ Values derived from checked ones are built trusted and not checked again: a
 function deriving a graph from valid graphs builds it with ``_trusted_graph``,
 and a private step takes the families its caller built as given.
 
+Reachability inside a vertex mask is computed in one place: ``_union`` ORs
+the adjacency masks of a set's vertices, and ``_reach`` floods breadth-first
+from a seed through a mask, stopping early when asked.  The neighborhoods,
+components and layers below, the flow's residual layers and the detectors'
+floods are all built on those two.
+
 Determinism contract: every function that returns vertices returns them in
 ascending order, and every search elsewhere in the package iterates candidate
 vertices ascending.  Re-running any pipeline on the same input gives the same
@@ -248,13 +254,8 @@ def induced_subgraph(g: Graph, vertices: int | Iterable[int]) -> tuple[Graph, tu
 
 def neighborhood_mask(g: Graph, vertices: int | Iterable[int]) -> int:
     """Open neighborhood: vertices outside the set with a neighbor inside it."""
-    s = rest = _as_mask(vertices)
-    adj, m = g.adj, 0
-    while rest:
-        low = rest & -rest
-        m |= adj[low.bit_length() - 1]
-        rest ^= low
-    return m & ~s
+    s = _as_mask(vertices)
+    return _union(g.adj, s) & ~s
 
 
 def is_stable_set(g: Graph, vertices: int | Iterable[int]) -> bool:
@@ -326,20 +327,9 @@ def is_induced_cycle(g: Graph, seq: tuple[int, ...] | list[int]) -> bool:
 def connected_components(g: Graph, within: int | None = None) -> list[int]:
     """Component masks of G (or of G[within]), ordered by smallest vertex."""
     todo = g.full_mask if within is None else within
-    adj, comps = g.adj, []
+    comps = []
     while todo:
-        seed = todo & -todo
-        comp = seed
-        frontier = seed
-        while frontier:
-            grow = 0
-            while frontier:
-                low = frontier & -frontier
-                grow |= adj[low.bit_length() - 1]
-                frontier ^= low
-            frontier = grow & todo & ~comp
-            comp |= frontier
-        comps.append(comp)
+        comps.append(comp := _reach(g.adj, todo & -todo, todo))
         todo &= ~comp
     return comps
 
@@ -349,21 +339,32 @@ def bfs_layers(g: Graph, root: int, within: int | None = None) -> list[int]:
     todo = g.full_mask if within is None else within
     if not todo >> root & 1:
         raise ValueError("root is not in the search area")
-    seen = 1 << root
+    seen = frontier = 1 << root
     layers = [seen]
-    frontier = seen
-    adj = g.adj
-    while frontier:
-        grow = 0
-        while frontier:
-            low = frontier & -frontier
-            grow |= adj[low.bit_length() - 1]
-            frontier ^= low
-        frontier = grow & todo & ~seen
-        if frontier:
-            layers.append(frontier)
-            seen |= frontier
+    while frontier := _union(g.adj, frontier) & todo & ~seen:
+        layers.append(frontier)
+        seen |= frontier
     return layers
+
+
+def _union(adj: Sequence[int], mask: int) -> int:
+    # The union of the adjacency masks of the vertices in mask.
+    u = 0
+    while mask:
+        low = mask & -mask
+        u |= adj[low.bit_length() - 1]
+        mask ^= low
+    return u
+
+
+def _reach(adj: Sequence[int], seed: int, within: int, stop: int = 0) -> int:
+    # The vertices reached breadth-first from seed through within, seed
+    # included; returned as soon as they meet stop.
+    reached = frontier = seed
+    while frontier and not reached & stop:
+        frontier = _union(adj, frontier) & within & ~reached
+        reached |= frontier
+    return reached
 
 
 def iter_induced_paths(g: Graph, src: int, dst: int, allowed: int, limit: int | None = None):
@@ -479,10 +480,7 @@ def _max_flow(g: Graph, sources: int, sinks: int, within: int) -> tuple[int, dic
             layers.append(exits)
             if exits & sinks:
                 break
-            near = exits & used
-            for v in iter_bits(exits):
-                near |= adj[v]
-            frontier = near & within & ~seen_in
+            frontier = (exits & used | _union(adj, exits)) & within & ~seen_in
             seen_in |= frontier
         else:
             return starts, prv, nxt

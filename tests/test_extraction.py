@@ -498,6 +498,23 @@ class TestGrowExamples:
         out = grow_ab_tree(g, 0, 4, fam, 3, 2, FixedThresholds(0))
         assert isinstance(out, ThresholdUnmet) and out.name == "digraph_high"
 
+    def test_target_past_nine_digits_is_unmet(self):
+        # A tip target of 10^10 cannot be materialised in nine digits, so it
+        # is reported unmet as given, not searched for.
+        class HugeTips:
+            t = 3
+
+            def value(self, name, default):
+                return nat(10 ** 10) if name == "tip_stable" else 0
+
+        g, fam = self.k23()
+        out = grow_ab_tree(g, 0, 4, fam, 2, 2, HugeTips())
+        assert isinstance(out, ThresholdUnmet)
+        assert (out.name, out.required, out.available) == ("tip_stable", nat(10 ** 10), 3)
+        last = out.trace[-1]
+        assert (last.kind, last.label, last.data) == ("threshold", "tip_stable", (nat(10 ** 10), 3, False))
+        check_outcome_rule(g, out)
+
     def test_two_two_tree(self):
         edges = [
             (0, 1), (0, 2), (0, 3), (0, 4),

@@ -194,6 +194,30 @@ def test_components_and_layers():
     assert bfs_layers(g, 0, mask_of([0, 2])) == [1 << 0]
 
 
+def test_reachability_matches_its_definitions_on_random_masks():
+    # The components, layers and neighbourhoods built on graphs._reach and
+    # graphs._union, against independent oracles on seeded G(n <= 20, p).
+    rng = random.Random(2027)
+    for seed in range(240):
+        n = rng.randint(1, 20)
+        g = random_graph(n, rng.choice((0.08, 0.15, 0.3)), seed)
+        within = rng.getrandbits(n)
+        assert connected_components(g) == oracles._components_within(g, g.full_mask)
+        assert connected_components(g, within) == oracles._components_within(g, within)
+        h = nx.Graph((u, v) for u, v in g.edges() if within >> u & within >> v & 1)
+        h.add_nodes_from(iter_bits(within))
+        for root in iter_bits(within):
+            want = [0] * len(h)
+            for v, d in nx.single_source_shortest_path_length(h, root).items():
+                want[d] |= 1 << v
+            assert bfs_layers(g, root, within) == [layer for layer in want if layer]
+        s = rng.getrandbits(n)
+        assert neighborhood_mask(g, s) == mask_of(v for v in range(n) if not s >> v & 1 and g.adj[v] & s)
+        for root in iter_bits(g.full_mask & ~within):
+            with pytest.raises(ValueError, match="not in the search area"):
+                bfs_layers(g, root, within)
+
+
 def test_path_family_validation():
     # Two ends joined by three fully disjoint paths of lengths 2, 2, 3.
     g = build_graph(6, [(0, 2), (2, 1), (0, 3), (3, 1), (0, 4), (4, 5), (5, 1)])

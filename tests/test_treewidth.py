@@ -123,6 +123,12 @@ class TestValidator:
         cyc = TreeDecomposition(cycle_graph(3), (0b111, 0b111, 0b111))
         assert not validate_decomposition(k3, cyc)
 
+    def test_bag_count_must_match_the_tree(self):
+        p3 = path_graph(3)
+        for bags in ((0b011,), (0b011, 0b110, 0b110)):
+            d = TreeDecomposition(build_graph(2, [(0, 1)]), bags)
+            assert not validate_decomposition(p3, d)
+
     def test_foreign_vertices(self):
         p2 = path_graph(2)
         d = TreeDecomposition(build_graph(1, []), (0b111,))
