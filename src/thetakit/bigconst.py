@@ -4,12 +4,18 @@ Values are expression trees over naturals with +, *, ^ and a guarded
 small-literal subtraction.  Trees normalize to a canonical form (constants
 folded up to a digit cap, natural bases split into prime powers, powers
 distributed over products, same-base powers merged, sums collected into
-linear combinations), so equal structure decides equality and the
-comparison ladder below resolves everything else:
+linear combinations), so equal structure decides equality.  Ordering
+starts from the raw trees and climbs a ladder:
 
-1. identical canonical trees are equal;
-2. values within the materialization cap compare as big integers;
-3. otherwise the order is decided by descent:
+1. before any normal form is built, each side gets a certified magnitude
+   bracket (_magnitude): an exact int below 2^64 at level 0, else float
+   ends of log2 applied level times, widened outward (the level-index
+   idea of Clenshaw and Olver, JACM 1984).  Raised to a common level,
+   disjoint brackets give the order; only ties and near-ties, whose
+   brackets overlap, go on down the ladder of normal forms;
+2. identical canonical trees are equal;
+3. values within the materialization cap compare as big integers;
+4. otherwise the order is decided by descent:
    - a sum of count addends, the largest M, lies in (M, count*M]; when
      neither side's bracket settles the order, the terms and constant both
      sides share are dropped (x + c against y + c is x against y);
@@ -25,12 +31,13 @@ comparison ladder below resolves everything else:
    - power pairs of different bases compare through the same logarithm
      brackets, multiplied into the exponent trees so the recursion runs
      one level down.
-4. a pair no rung settles is materialized once, up to _ESCALATION_CAP
+5. a pair no rung settles is materialized once, up to _ESCALATION_CAP
    digits; beyond that the comparison raises RuntimeError.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -59,7 +66,9 @@ class TowerInt:
     would rebind a shared node's ``args`` (``nat(True)`` is ``nat(1)``).
     Pickles and copies rebuild through ``__new__`` and so re-intern.
     ``_NODES`` keeps every node for the life of the process, like the
-    unbounded caches below; a report of cache sizes should count it.
+    unbounded caches below; a report of cache sizes should count it.  A
+    node compared by ``tower_compare`` also keeps its magnitude bracket,
+    outside the two fields (see ``_magnitude``).
     """
 
     op: str
@@ -598,8 +607,193 @@ def _compare_norm(a: TowerInt, b: TowerInt, depth: int = 0) -> int:
     return _escalate(a, b)
 
 
+# Level 0 of a magnitude bracket holds exact ints below 2^_EXACT_BITS.
+_EXACT_BITS = 64
+# Every float end is widened outward by (|x| + 1) * _MARGIN, far above the
+# few-ulp error of one math.log2 or of one float + or *.
+_MARGIN = 2.0 ** -40
+# A level-1 or level-2 end past this moves one level up, clear of overflow.
+_FLOAT_CAP = 2.0 ** 1000
+_NEG_INF = -math.inf
+
+
+def _down(x: float) -> float:
+    return x - (abs(x) + 1.0) * _MARGIN
+
+
+def _up(x: float) -> float:
+    return x if x == _NEG_INF else x + (abs(x) + 1.0) * _MARGIN
+
+
+def _log_exact(v: int) -> tuple:
+    # Level 1 of a known natural: one math.log2, which takes ints of any
+    # size, widened both ways.
+    if not v:
+        return 1, _NEG_INF, _NEG_INF
+    x = math.log2(v)
+    return 1, _down(x), _up(x)
+
+
+def _exact(v: int) -> tuple:
+    return (0, v, v) if v >> _EXACT_BITS == 0 else _log_exact(v)
+
+
+def _lift(m: tuple, level: int) -> tuple[float, float]:
+    """The ends of bracket m, raised to the given level (at least m's).
+
+    Each step applies log2 extended by -inf at and below 0, which keeps
+    it monotone, so raised ends still bound the raised value.
+    """
+    at, lo, hi = m
+    if at == level:
+        return lo, hi
+    if at == 0:
+        at, lo, hi = _log_exact(lo)
+    while at < level:
+        lo = _down(math.log2(lo)) if lo > 0 else _NEG_INF
+        hi = _up(math.log2(hi)) if hi > 0 else _NEG_INF
+        at += 1
+    return lo, hi
+
+
+def _sum_ends(x: tuple[float, float], y: tuple[float, float], level: int) -> tuple[float, float]:
+    """Ends at level >= 1 of u + v, for u, v >= 0 bracketed there by x and y.
+
+    max(u, v) <= u + v <= 2 max(u, v).  At level 1 the top is sharper:
+    log2(u + v) <= hi_x + log2(1 + 2^(hi_y - lo_x)).  Above it, with h
+    bounding log2^level of the larger, log2^level(2M) <= log2(1 + 2^h)
+    (by induction on the level, from log2(1 + 2^z) <= z + 1 for z >= 0).
+    """
+    if x[1] < y[1]:
+        x, y = y, x
+    h = x[1]
+    if level == 1:
+        d = y[1] - x[0]
+        h += math.log2(1.0 + 2.0 ** d) if d < 0 else 1.0
+    else:
+        h = h + math.log2(1.0 + 2.0 ** -h) if h > 0 else math.log2(1.0 + 2.0 ** h)
+    return max(x[0], y[0]), _up(h)
+
+
+def _magnitude(e: TowerInt) -> tuple | None:
+    """Certified bracket (level, lo, hi) of e's value v, built bottom-up.
+
+    Level 0: lo = v = hi, an exact int below 2^_EXACT_BITS.  Level l >= 1:
+    lo <= log2^l(v) <= hi as floats, with log2 applied l times (extended
+    by -inf at and below 0), and v >= 2.  None where no bracket is
+    certified: a subtraction not shown to stay at or above zero, or a
+    subtrahend past level 0.  Builds no int above 2^(2 * _EXACT_BITS).
+
+    The bracket is a function of the interned node alone, so it is kept on
+    the node (outside the dataclass fields) the first time it is asked
+    for: comparisons that meet one tree again, as the threshold gates of
+    the extraction pipelines do, read it instead of walking the tree.
+    """
+    m = e.__dict__.get("_bracket", e)
+    if m is not e:
+        return m
+    if e.op == "nat":
+        m = _exact(e.args[0])
+    else:
+        ma, mb = _magnitude(e.args[0]), _magnitude(e.args[1])
+        m = None if ma is None or mb is None else _RULES[e.op](ma, mb)
+    object.__setattr__(e, "_bracket", m)
+    return m
+
+
+def _add_rule(ma: tuple, mb: tuple) -> tuple:
+    if ma[0] == mb[0] == 0:
+        return _exact(ma[1] + mb[1])
+    level = max(ma[0], mb[0])
+    return (level, *_sum_ends(_lift(ma, level), _lift(mb, level), level))
+
+
+def _sub_rule(mx: tuple, mk: tuple) -> tuple | None:
+    # x - k for a subtrahend k at level 0.  Once x > 2k, x/2 <= x - k <= x,
+    # and log2(x - k) >= log2(x) - 3k/x; one level up and beyond, the lower
+    # end loses at most 3 * 2^-lo once lo >= 1 (log2(2^l - 1) >= l - 3 * 2^-l).
+    if mk[0] != 0:
+        return None
+    k = mk[1]
+    if mx[0] == 0:
+        return (0, mx[1] - k, mx[1] - k) if mx[1] >= k else None
+    if not k:
+        return mx
+    level, lo, hi = mx
+    if lo <= _lift((0, 2 * k, 2 * k), level)[1]:
+        return None
+    if level == 1:
+        lo -= min(1.0, 3 * k * 2.0 ** -lo)
+    else:
+        lo = lo - 3 * 2.0 ** -lo if lo >= 1 else _NEG_INF
+    return level, _down(lo), hi
+
+
+def _mul_rule(ma: tuple, mb: tuple) -> tuple:
+    for m, other in ((ma, mb), (mb, ma)):
+        if m[0] == 0 and m[1] <= 1:
+            return m if m[1] == 0 else other
+    if ma[0] == mb[0] == 0:
+        return _exact(ma[1] * mb[1])
+    level = max(ma[0], mb[0])
+    if level == 1:
+        (lo_a, hi_a), (lo_b, hi_b) = _lift(ma, 1), _lift(mb, 1)
+        hi = _up(hi_a + hi_b)
+        if hi < _FLOAT_CAP:
+            return 1, _down(lo_a + lo_b), hi
+        level = 2
+    # log2^l(ab) = log2^(l-1)(log2 a + log2 b), a sum one level down.
+    return (level, *_sum_ends(_lift(ma, level), _lift(mb, level), level - 1))
+
+
+def _pow_rule(ma: tuple, mb: tuple) -> tuple:
+    if mb[0] == 0 and mb[1] <= 1:
+        return (0, 1, 1) if mb[1] == 0 else ma
+    if ma[0] == 0 and ma[1] <= 1:
+        return ma
+    # Now a >= 2 and b >= 2: log2(a^b) = b log2(a), and one level up
+    # log2^2(a^b) = log2(b) + log2^2(a), a sum of two naturals' logs.
+    if ma[0] == mb[0] == 0 and mb[1] * (ma[1].bit_length() - 1) <= _EXACT_BITS:
+        return _exact(ma[1] ** mb[1])
+    level = max(mb[0] + 1, ma[0])
+    if level == 1:
+        b = mb[1]
+        lo_a, hi_a = _lift(ma, 1)
+        hi = _up(b * hi_a)
+        if hi < _FLOAT_CAP:
+            return 1, _down(b * lo_a), hi
+        level = 2
+    if level == 2:
+        (lo_b, hi_b), (lo_a, hi_a) = _lift(mb, 1), _lift(ma, 2)
+        hi = _up(hi_b + hi_a)
+        if hi < _FLOAT_CAP:
+            return 2, _down(lo_b + lo_a), hi
+        level = 3
+    return (level, *_sum_ends(_lift(mb, level - 1), _lift(ma, level), level - 2))
+
+
+_RULES = {"add": _add_rule, "sub": _sub_rule, "mul": _mul_rule, "pow": _pow_rule}
+
+
 def tower_compare(a: TowerInt, b: TowerInt) -> int:
-    """Exact ordering of the denoted values: -1, 0, or 1."""
+    """Exact ordering of the denoted values: -1, 0, or 1.
+
+    The first rung builds no normal form: when the certified magnitude
+    brackets of a and b (see _magnitude) are disjoint, their order is the
+    answer, and a tree compared with itself is equal.  Ties and near-ties,
+    whose brackets overlap, and trees with no bracket go on to the ladder
+    of normal forms, which raises ValueError for a negative subtraction.
+    """
+    ma, mb = _magnitude(a), _magnitude(b)
+    if ma is not None and mb is not None:
+        if a is b:
+            return 0
+        level = max(ma[0], mb[0])
+        (lo_a, hi_a), (lo_b, hi_b) = _lift(ma, level), _lift(mb, level)
+        if lo_a > hi_b:
+            return 1
+        if lo_b > hi_a:
+            return -1
     return _compare_norm(normalize(a), normalize(b))
 
 

@@ -3,16 +3,27 @@
 Everything here recomputes results from definitions, by subset or
 permutation enumeration or by plain graph search, and deliberately shares
 no logic with the package's search code.  The enumerations are only usable
-at toy sizes (n at most about 10).  The one exception is the sigma block,
-which is sampled with the package's tower arithmetic on the displayed
-expressions themselves, as a check on its proof by lemma.
+at toy sizes (n at most about 10).  Two exceptions use the package's
+tower arithmetic: the sigma block, sampled on the displayed expressions
+themselves as a check on its proof by lemma, and the tower ordering by
+the ladder of normal forms alone, as a check on the magnitude brackets
+that ``tower_compare`` tries first.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from thetakit.bigconst import SigmaCheck, SigmaReport, nat, normalize, sigma, tower_compare
+from thetakit.bigconst import (
+    SigmaCheck,
+    SigmaReport,
+    TowerInt,
+    _compare_norm,
+    nat,
+    normalize,
+    sigma,
+    tower_compare,
+)
 from thetakit.graphs import Graph, build_graph
 
 
@@ -407,3 +418,9 @@ def sigma_by_comparison(alpha: int, t: int, s: int, r_max: int) -> SigmaReport:
         holds = tower_compare(side(sigma(s, r)), side(prev) + side(normalize(prev ** 3))) > 0
         checks.append(SigmaCheck(f"step r={r}: sigma_{r} beats the sigma_{r - 1} split", holds))
     return SigmaReport(alpha, t, s, r_max, tuple(checks))
+
+
+def tower_compare_by_ladder(a: TowerInt, b: TowerInt) -> int:
+    """The order of a and b by the ladder of normal forms, without the
+    magnitude-bracket rung that ``tower_compare`` tries first."""
+    return _compare_norm(normalize(a), normalize(b))

@@ -9,6 +9,7 @@ import pickle
 import random
 import subprocess
 import sys
+from decimal import Decimal, localcontext
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,7 +29,7 @@ from thetakit.bigconst import (
     tree_constants,
     verify_sigma_inequalities,
 )
-from thetakit.bigconst import _as_power, _mul_parts
+from thetakit.bigconst import _as_power, _magnitude, _mul_parts
 
 
 def random_expr(rng: random.Random, budget: int) -> TowerInt:
@@ -45,6 +46,20 @@ def random_expr(rng: random.Random, budget: int) -> TowerInt:
     a = random_expr(rng, budget // 2)
     b = random_expr(rng, budget // 2)
     return a + b if op == "add" else a * b
+
+
+def corpus_tower(rng: random.Random, depth: int) -> TowerInt:
+    # Drawn as perfbench's corpus draws its tower_compare operands (literals
+    # 2-9, depth at most 3), with minus nodes that stay natural added.
+    if depth == 0:
+        return nat(rng.randint(2, 9))
+    op = rng.choice(("pow", "pow", "mul", "add", "sub"))
+    if op == "sub":
+        pad = rng.randint(0, 9)
+        return (corpus_tower(rng, depth - 1) + pad).minus(rng.randint(0, pad))
+    a = corpus_tower(rng, depth - 1)
+    b = corpus_tower(rng, rng.randint(0, depth - 1))
+    return a ** b if op == "pow" else a * b if op == "mul" else a + b
 
 
 class TestConstruction:
@@ -379,6 +394,9 @@ class TestTowerCompare:
         big = nat(2) ** (nat(2) ** nat(100))
         cases = [
             (mu2, nat(3) ** nat(10 ** 6), 1),
+            # The ladder raised here; the magnitude brackets are disjoint at
+            # level 2 (about 2741 against 20.6).
+            (mu2, nat(3) ** nat(10 ** 6) + 5, 1),
             (mu2, big + 5, 1),
             # The lower end settles a tie with M^x, since b > M.
             ((big + 5) ** 3, big ** 3, 1),
@@ -421,13 +439,12 @@ class TestTowerCompare:
             assert tower_compare(a, b) == want
             assert tower_compare(b, a) == -want
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="no bracket settles these pairs yet")
     @pytest.mark.parametrize("alpha, t, s, r", [(2, 50, 13, 5), (2, 50, 13, 6), (97, 50, 40, 5)])
     def test_sigma_steps_beyond_cap(self, monkeypatch, alpha, t, s, r):
         # The step side(sigma_r) > side(p) + side(p^3), p = sigma_(r-1), with
         # side(x) = alpha^x t^(x-1), holds by verify_sigma_inequalities'
-        # lemma.  Unpatched, the ladder materializes each pair for 7 s or
-        # more and may then raise RuntimeError.
+        # lemma.  The magnitude brackets settle each pair at level 2; the
+        # ladder alone materializes each for 7 s or more and may then raise.
         def no_escalation(e1, e2):
             raise AssertionError("escalated")
 
@@ -470,6 +487,127 @@ class TestTowerCompare:
         vy = evaluate(y, 10 ** 4)
         if vx is not None and vy is not None:
             assert tower_compare(x, y) == (vx > vy) - (vx < vy)
+
+
+class TestMagnitude:
+    """The certified brackets tower_compare tries before any normal form."""
+
+    class Escalated(Exception):
+        pass
+
+    def test_entry_rung_matches_the_ladder(self, monkeypatch):
+        # The ladder decides every pair here unless it would materialize,
+        # which costs seconds a pair; _escalate is cut short instead, and
+        # those few pairs are counted.
+        def no_escalation(e1, e2):
+            raise self.Escalated
+
+        monkeypatch.setattr(bigconst, "_escalate", no_escalation)
+        rng = random.Random(280601)
+        undecided = 0
+        for i in range(2000):
+            if i % 4 == 3:
+                a, b = random_expr(rng, 48), random_expr(rng, 48)
+            else:
+                a, b = corpus_tower(rng, 3), corpus_tower(rng, 3)
+            try:
+                want = oracles.tower_compare_by_ladder(a, b), oracles.tower_compare_by_ladder(b, a)
+            except self.Escalated:
+                undecided += 1
+                continue
+            assert (tower_compare(a, b), tower_compare(b, a)) == want
+        assert undecided <= 5
+
+    def test_tall_towers(self, monkeypatch):
+        # b^^n is the power tower of n copies of b.  By induction on n,
+        # 2^^(n+1) < 3^^n < 2^^(n+2) for n >= 2; the brackets here reach level
+        # 5, and none of these pairs may materialize.
+        def no_escalation(e1, e2):
+            raise self.Escalated
+
+        monkeypatch.setattr(bigconst, "_escalate", no_escalation)
+
+        def up(b, n):
+            e = nat(b)
+            for _ in range(n - 1):
+                e = nat(b) ** e
+            return e
+
+        cases = []
+        for n in (3, 5, 7):
+            cases += [(up(2, n + 1), up(3, n), -1), (up(2, n + 2), up(3, n), 1)]
+        cases += [
+            (up(2, 6).minus(1), up(2, 5), 1),
+            # 2^^5 < 3^^4, and (3^^4)^2 < 3^(3^^4).
+            (up(2, 5) * up(3, 4), up(3, 5), -1),
+            (up(3, 6) * up(3, 6), up(3, 7), -1),
+            (up(3, 4) ** up(3, 4), up(3, 5), 1),
+            (up(3, 6) + up(2, 7), up(3, 6), 1),
+            # Ties and near-ties overlap and go on to the ladder.
+            (up(3, 6) ** 2, up(3, 6) * up(3, 6), 0),
+            (up(3, 6) + 1, up(3, 6), 1),
+        ]
+        assert max(_magnitude(a)[0] for a, _, _ in cases) >= 5
+        for a, b, want in cases:
+            assert tower_compare(a, b) == want
+            assert tower_compare(b, a) == -want
+
+    @staticmethod
+    def iterated_log2(x: Decimal, level: int) -> Decimal:
+        for _ in range(level):
+            x = x.ln() / Decimal(2).ln() if x > 0 else Decimal("-Infinity")
+        return x
+
+    def test_brackets_contain_the_value(self):
+        # Every subtree of seeded trees: a value within 10^4 digits must lie
+        # in its bracket, and so must b*log2(a) for a power a^b beyond that
+        # whose base and exponent are within it (which reaches level 2).
+        rng = random.Random(280602)
+        roots = [corpus_tower(rng, rng.randint(1, 3)) for _ in range(300)]
+        roots += [random_expr(rng, 48) for _ in range(300)]
+        # Minuends past level 0 less subtrahends up to nearly half of them,
+        # where x - k loses almost a bit.
+        for _ in range(40):
+            x = rng.randint(2 ** 64, 2 ** 65)
+            roots.append(nat(x).minus(rng.randint(x // 8, x * 49 // 100)))
+        seen, stack = set(), list(roots)
+        levels = set()
+        with localcontext() as ctx:
+            ctx.prec = 60
+            while stack:
+                e = stack.pop()
+                if e in seen:
+                    continue
+                seen.add(e)
+                if e.op != "nat":
+                    stack.extend(e.args)
+                m = _magnitude(e)
+                assert m is not None
+                level, lo, hi = m
+                v = evaluate(e, 10 ** 4)
+                if v is not None:
+                    if level == 0:
+                        assert lo == v == hi
+                        continue
+                    x = self.iterated_log2(Decimal(v), level)
+                elif e.op == "pow" and level >= 1:
+                    a, b = (evaluate(c, 10 ** 4) for c in e.args)
+                    if a is None or b is None:
+                        continue
+                    x = self.iterated_log2(b * self.iterated_log2(Decimal(a), 1), level - 1)
+                else:
+                    continue
+                levels.add(level)
+                assert Decimal(lo) <= x <= Decimal(hi)
+            assert levels == {1, 2}
+            # Past half the minuend, x/2 no longer bounds x - k from below;
+            # a bracket there must still hold the value, if one is given.
+            for _ in range(100):
+                x = rng.randint(2 ** 64, 2 ** 65)
+                k = rng.randint(x * 49 // 100, x - 1)
+                m = _magnitude(nat(x).minus(k))
+                if m is not None:
+                    assert Decimal(m[1]) <= self.iterated_log2(Decimal(x - k), m[0]) <= Decimal(m[2])
 
 
 class TestSigmaInequalities:
