@@ -14,23 +14,24 @@ starts from the raw trees and climbs a ladder:
    disjoint brackets give the order; only ties and near-ties, whose
    brackets overlap, go on down the ladder of normal forms;
 2. identical canonical trees are equal;
-3. values within the materialization cap compare as big integers;
+3. two literals, and values within the materialization cap, compare as
+   big integers;
 4. otherwise the order is decided by descent:
    - a sum of count addends, the largest M, lies in (M, count*M]; when
      neither side's bracket settles the order, the terms and constant both
      sides share are dropped (x + c against y + c is x against y);
-   - products of powers with concrete exponents compare through integer
-     brackets of their base-2 logarithms: numerators over a common
-     2^precision, refined by repeated squaring;
+   - powers b^x of literal bases b >= 2 compare by the sums of x*log2(b)
+     (_compare_logs): at rising precisions, one side's sum of x*lo against
+     the other's of x*hi, for integers lo/2^precision <= log2(b) <=
+     hi/2^precision, as trees, so the recursion runs one exponent level down.
+     Whole products with literal exponents take this rung, the coefficient
+     a first power; so do the dominant power pairs below;
    - other products pair off their dominant powers and compare the pair
      and the rests.  When the two disagree over powers of one base,
      q^x1*r1 against q^x2*r2 (say c1*q^x1 against c2*q^x2 for literal
-     coefficients), the least small k with q^k*r1 >= r2 brackets the
-     rests' ratio, and the order is that of x1 against x2 + k, a tie
-     falling to q^k*r1 against r2;
-   - power pairs of different bases compare through the same logarithm
-     brackets, multiplied into the exponent trees so the recursion runs
-     one level down.
+     coefficients), the least k with q^k*r1 >= r2 (a small one, unless
+     q, r1 and r2 are literals) brackets the rests' ratio, and the order
+     is that of x1 against x2 + k, a tie falling to q^k*r1 against r2;
 5. a pair no rung settles is materialized once, up to _ESCALATION_CAP
    digits; beyond that the comparison raises RuntimeError.
 """
@@ -406,6 +407,22 @@ def _as_power(e: TowerInt) -> tuple[TowerInt, TowerInt]:
 _PRECISIONS = (4, 8, 12, 16, 18)
 
 
+def _compare_logs(ta, tb, depth: int) -> int | None:
+    # Sign of the sum of x*log2(b) over the (literal base b >= 2, exponent
+    # tree x) pairs of ta less that over tb, or None if no precision settles
+    # it.  Literal exponents fold the sums of x*lo and x*hi to integers.
+    def total(terms, precision: int, end: int) -> TowerInt:
+        parts = [TowerInt("mul", (x, nat(_log2_bounds(b, precision)[end]))) for b, x in terms]
+        return normalize(sum(parts[1:], parts[0])) if parts else nat(0)
+
+    for precision in _PRECISIONS:
+        if _compare_norm(total(ta, precision, 0), total(tb, precision, 1), depth + 1) > 0:
+            return 1
+        if _compare_norm(total(tb, precision, 0), total(ta, precision, 1), depth + 1) > 0:
+            return -1
+    return None
+
+
 def _compare_power_pair(e1: TowerInt, e2: TowerInt, depth: int) -> int:
     b1, x1 = _as_power(e1)
     b2, x2 = _as_power(e2)
@@ -423,70 +440,22 @@ def _compare_power_pair(e1: TowerInt, e2: TowerInt, depth: int) -> int:
                 if _compare_norm(normalize(hi ** x), other, depth + 1) < 0:
                     return -sign
         return _escalate(e1, e2)
-    for precision in _PRECISIONS:
-        lo1, hi1 = _log2_bounds(v1, precision)
-        lo2, hi2 = _log2_bounds(v2, precision)
-        # x1*log2(b1) vs x2*log2(b2) over the common denominator, as tower
-        # products so the recursion runs one exponent level down.
-        if (
-            _compare_norm(
-                normalize(TowerInt("mul", (x1, nat(lo1)))),
-                normalize(TowerInt("mul", (x2, nat(hi2)))),
-                depth + 1,
-            )
-            > 0
-        ):
-            return 1
-        if (
-            _compare_norm(
-                normalize(TowerInt("mul", (x2, nat(lo2)))),
-                normalize(TowerInt("mul", (x1, nat(hi1)))),
-                depth + 1,
-            )
-            > 0
-        ):
-            return -1
-    return _escalate(e1, e2)
+    return _compare_logs([(v1, x1)], [(v2, x2)], depth) or _escalate(e1, e2)
 
 
-def _monomial_form(e: TowerInt) -> tuple[int, tuple[tuple[int, int], ...]] | None:
-    # (coefficient, ((base, exponent), ...)) when e is a product of powers
-    # with concrete bases >= 2 and concrete exponents.
+def _log_terms(e: TowerInt) -> list[tuple[int, TowerInt]] | None:
+    # The (base, exponent) pairs of e as a product of powers, the coefficient
+    # a first power, when every base is a literal >= 2 and every exponent a
+    # literal; else None.
     c, factors = _mul_parts(e)
-    vec = []
+    terms = [(c, nat(1))] if c > 1 else []
     for f in factors:
         base, exp = _as_power(f)
-        bv, ev = _literal(base), _literal(exp)
-        if bv is None or ev is None or bv < 2:
+        bv = _literal(base)
+        if bv is None or bv < 2 or _literal(exp) is None:
             return None
-        vec.append((bv, ev))
-    return c, tuple(sorted(vec))
-
-
-def _log2_total(form, precision: int) -> tuple[int, int]:
-    # Bracket of log2(coeff * prod base^exp), as numerators over 2^precision.
-    c, vec = form
-    terms = vec + ((c, 1),) if c > 1 else vec
-    lo = hi = 0
-    for base, exp in terms:
-        p, p1 = _log2_bounds(base, precision)
-        lo += exp * p
-        hi += exp * p1
-    return lo, hi
-
-
-def _compare_monomials(a: TowerInt, b: TowerInt) -> int | None:
-    fa, fb = _monomial_form(a), _monomial_form(b)
-    if fa is None or fb is None:
-        return None
-    for precision in _PRECISIONS:
-        lo_a, hi_a = _log2_total(fa, precision)
-        lo_b, hi_b = _log2_total(fb, precision)
-        if lo_a > hi_b:
-            return 1
-        if lo_b > hi_a:
-            return -1
-    return None
+        terms.append((bv, exp))
+    return terms
 
 
 def _compare_shifted(
@@ -496,9 +465,22 @@ def _compare_shifted(
 
     With k the least natural such that q^k*r1 >= r2, also q^(k-1)*r1 < r2,
     so x1 > x2 + k puts the left side ahead, x1 < x2 + k puts it behind,
-    and on a tie the sign is that of q^k*r1 - r2.  None when no k up to
-    _SHIFT_LIMIT brackets r2/r1.
+    and on a tie the sign is that of q^k*r1 - r2.  When q, r1 and r2 are
+    literals, k is found on their ints, however large; otherwise None when
+    no k up to _SHIFT_LIMIT brackets r2/r1.
     """
+    vq, v1, v2 = _literal(q), _literal(r1), _literal(r2)
+    if vq is not None and v1 is not None and v2 is not None:
+        # q^k*r1 >= r2 exactly when q^k >= t = ceil(r2/r1); a float guess at
+        # log_q(t), corrected on ints, gives the least such k.
+        t = -(-v2 // v1)
+        k = max(1, math.ceil(math.log2(t) / math.log2(vq)))
+        while k > 1 and vq ** (k - 1) >= t:
+            k -= 1
+        while vq ** k < t:
+            k += 1
+        top = _compare_ints(vq ** k * v1, v2)
+        return _compare_norm(normalize(x1), normalize(x2 + k), depth + 1) or top
     for k in range(1, _SHIFT_LIMIT + 1):
         top = _compare_norm(normalize(r1 * q ** k), r2, depth + 1)
         if top >= 0:
@@ -543,6 +525,8 @@ def _drop_shared(a: TowerInt, b: TowerInt) -> tuple[TowerInt, TowerInt] | None:
 
 
 def _compare_norm(a: TowerInt, b: TowerInt, depth: int = 0) -> int:
+    if a.op == b.op == "nat":
+        return _compare_ints(a.args[0], b.args[0])
     if a == b:
         return 0
     va, vb = evaluate(a), evaluate(b)
@@ -568,8 +552,8 @@ def _compare_norm(a: TowerInt, b: TowerInt, depth: int = 0) -> int:
                 return sign
         rests = _drop_shared(a, b)
         return _escalate(a, b) if rests is None else _compare_norm(*rests, depth + 1)
-    mono = _compare_monomials(a, b)
-    if mono is not None:
+    ta, tb = _log_terms(a), _log_terms(b)
+    if ta is not None and tb is not None and (mono := _compare_logs(ta, tb, depth)):
         return mono
     ca, fa = _mul_parts(a)
     cb, fb = _mul_parts(b)

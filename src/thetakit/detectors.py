@@ -264,16 +264,17 @@ def _least_line_graph(g: Graph, chains, pattern) -> tuple[Embedding | None, int]
     corners where first placed, their lengths sorted in the key.  One more
     find_induced call embeds the least key.
 
-    Two tests drop a triangle placement before the search recurses into it.
-    Each drops only branches that record no key, so the least key, the
-    embedding and the call count are those of the search without them.
+    One test drops a triangle placement before the search recurses into it.
+    It drops only branches that record no key, so the least key, the
+    embedding and the call count are those of the search without it.  It
+    reads the next level's ``spare``, taken once per triangle with all three
+    corners open, and only where this level's finds exactly enough:
 
-    - ``spare`` for the next level is taken once per triangle, with all three
-      corners open.  The recursion's open corners are a subset of these
-      (corners linked on the spot close), and fewer open corners leave no
-      more usable triangles.  So if this call finds too few, the recursion
-      returns at once; if it finds exactly enough, the recursion finds too
-      few or these same ones.
+    - A triangle T placed here lies in this level's usable set, and
+      T & placed <= share <= opened.  So the next level's usable set is this
+      one, T is one of its triangles (unless already taken), and their count
+      falls by at most one as the need falls by one: more than enough stays
+      more than enough (``spare`` 0), and exactly enough never turns too few.
     - A chain to link from new corner c to far corner z needs a c-z path
       whose interior lies in the region its link searches, and
       iter_induced_paths yields one whenever such a path exists (a shortest
@@ -408,9 +409,7 @@ def _least_line_graph(g: Graph, chains, pattern) -> tuple[Embedding | None, int]
         for tri, tmask in tris:
             if tmask & ~region or tri[0] < floor:
                 continue
-            after = spare(k + 1, placed | tmask, opened | tmask, taken + (tmask,))
-            if after is None:
-                continue
+            after = left and spare(k + 1, placed | tmask, opened | tmask, taken + (tmask,))
             free = full & ~placed & ~tmask & ~after & ~fence & ~around(after)
             table = [[False] * 3 for _ in range(3)]  # end, corner position -> fit, once computed
             for perm in perms:

@@ -368,6 +368,15 @@ class TestTowerCompare:
             (nat(6) ** (x + 1), 7 * nat(6) ** x, -1),
             (nat(6) ** (x + 2), 7 * nat(6) ** x, 1),
         ]
+        # Literal rests whose ratio needs k past the 16 that tree rests try:
+        # 3^13 is about 2^20.6, so k = 21, and 2^40 (a coefficient, being
+        # too big to factor) needs k = 40, which ties the exponents exactly.
+        for y in (nat(10) ** nat(20), nat(10 ** 400)):
+            cases += [
+                (nat(2) ** y * nat(3) ** nat(13), nat(2) ** (y + 20), 1),
+                (nat(2) ** y * nat(3) ** nat(13), nat(2) ** (y + 21), -1),
+                (nat(2 ** 40) * nat(2) ** y, nat(2) ** (y + 40), 0),
+            ]
         for a, b, want in cases:
             assert tower_compare(a, b) == want
             assert tower_compare(b, a) == -want
@@ -551,6 +560,30 @@ class TestMagnitude:
         for a, b, want in cases:
             assert tower_compare(a, b) == want
             assert tower_compare(b, a) == -want
+
+    def test_float_cap_promotions(self):
+        # A level-1 or level-2 end past 2^1000 moves its bracket one level up.
+        # B = 2^63; t_n is n nested ** B on 2, so t_n = 2^(2^(63n)).
+        big = nat(2 ** 63)
+
+        def nested(n):
+            e = nat(2)
+            for _ in range(n):
+                e = e ** big
+            return e
+
+        y = nested(15) ** nat(2 ** 54)  # 2^(2^999), at level 1
+        cases = [
+            (nested(16), 2),  # pow, level 1 -> 2
+            (y * y, 2),  # mul, level 1 -> 2
+            ((nat(3) ** y) ** y, 3),  # pow, level 2 -> 3
+        ]
+        assert _magnitude(y)[0] == 1
+        for t, level in cases:
+            at, lo, hi = _magnitude(t)
+            assert at == level and lo <= hi
+            assert tower_compare(t, 2 * t) == -1
+            assert tower_compare(2 * t, t) == 1
 
     @staticmethod
     def iterated_log2(x: Decimal, level: int) -> Decimal:

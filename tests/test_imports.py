@@ -1,7 +1,8 @@
 """Every name a library module or test module imports is used in it, every
 module-level constant of the library is read somewhere, every private
-module-level function or class of the library is read outside itself, and
-every library attribute the benchmark's tracer wraps exists."""
+module-level function or class of the library is read by the library outside
+itself, every public one is named by the library, the tests or the
+benchmark, and every library attribute the benchmark's tracer wraps exists."""
 
 import ast
 import importlib.util
@@ -75,35 +76,51 @@ def test_every_library_constant_is_read():
     assert [f"{p.name}: {c}" for p in library for c in module_constants(p.read_text()) if c not in read] == []
 
 
-def private_definitions(source: str) -> dict[str, set[str]]:
-    """Each private module-level function or class, with the names read
-    everywhere in the module outside its own definition."""
+def definitions(source: str) -> dict[str, set[str]]:
+    """Each module-level function or class, with the names read everywhere
+    in the module outside its own definition."""
     body = ast.parse(source).body
     reads = [names_read(n) for n in body]
     return {
         d.name: set().union(*(r for n, r in zip(body, reads) if n is not d))
         for d in body
-        if isinstance(d, (ast.FunctionDef, ast.ClassDef)) and d.name.startswith("_")
+        if isinstance(d, (ast.FunctionDef, ast.ClassDef))
     }
+
+
+def unread_definitions(sources: dict[str, str], elsewhere: set[str]) -> list[str]:
+    """The module-level definitions of sources that no module of sources
+    reads outside the definition itself, and that are not in elsewhere."""
+    reads = {name: names_read(text) for name, text in sources.items()}
+    unread = []
+    for name, text in sources.items():
+        others = set().union(elsewhere, *(r for q, r in reads.items() if q != name))
+        unread += [f"{name}: {d}" for d, read in definitions(text).items() if d not in read | others]
+    return unread
 
 
 def test_the_check_sees_an_unread_private_definition():
     source = "def _rec(n):\n    return _rec(n - 1)\n\nclass _Used:\n    pass\n\ndef f():\n    return _Used()\n"
-    defs = private_definitions(source)
-    assert sorted(defs) == ["_Used", "_rec"]
+    defs = definitions(source)
+    assert sorted(defs) == ["_Used", "_rec", "f"]
     assert "_Used" in defs["_rec"] and "_rec" not in defs["_rec"]
+    assert unread_definitions({"m.py": source}, set()) == ["m.py: _rec", "m.py: f"]
+    assert unread_definitions({"m.py": source, "n.py": "g = m._rec"}, {"f"}) == []
+
+
+LIBRARY = {p.name: p.read_text() for p in sorted((ROOT / "src" / "thetakit").glob("*.py")) if p.name != "__init__.py"}
 
 
 def test_every_private_definition_is_read():
-    library = sorted((ROOT / "src" / "thetakit").glob("*.py"))
-    reads = {p: names_read(p.read_text()) for p in library}
-    unread = []
-    for p in library:
-        others = set().union(*(r for q, r in reads.items() if q != p))
-        for name, read in private_definitions(p.read_text()).items():
-            if name not in read | others:
-                unread.append(f"{p.name}: {name}")
-    assert unread == []
+    # Private helpers must be read by the library itself.
+    assert [u for u in unread_definitions(LIBRARY, set()) if ": _" in u] == []
+
+
+def test_every_definition_is_named_outside_itself():
+    # Public names count as used when a test or the benchmark reads them;
+    # the package's re-exports in __init__.py do not count.
+    outside = list((ROOT / "tests").glob("*.py")) + list((ROOT / "perfbench").glob("*.py"))
+    assert unread_definitions(LIBRARY, set().union(*(names_read(p.read_text()) for p in outside))) == []
 
 
 def test_every_traced_boundary_resolves():

@@ -159,6 +159,24 @@ class TestCrossCheck:
         assert solved(g) == 3
         assert treewidth_dp(g) == 3
 
+    # Both components survive _preprocess, so once _decide has found one as
+    # a whole block it skips the blocks popped inside it (22 and 10 times).
+    @pytest.mark.parametrize(
+        "g, width",
+        [
+            (disjoint_union(complete_bipartite(3, 3), petersen()), 4),
+            (disjoint_union(complete_bipartite(3, 3), complete_bipartite(3, 3)), 3),
+        ],
+        ids=["k33-petersen", "k33-k33"],
+    )
+    def test_components_that_survive_preprocessing(self, g, width):
+        prefix, alive, fadj, _ = _preprocess(g, _contraction_degeneracy(g))
+        assert alive & 0b111111 and alive >> 6
+        assert _decide(fadj, alive, width - 1) is None
+        order = prefix + _decide(fadj, alive, width)
+        assert back_degree(g, order) == width
+        assert solved(g) == width == treewidth_dp(g)
+
     def test_caps(self):
         with pytest.raises(CapExceeded):
             treewidth_exact(complete_graph(5), cap=4)
