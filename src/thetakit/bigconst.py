@@ -529,6 +529,10 @@ def _compare_norm(a: TowerInt, b: TowerInt, depth: int = 0) -> int:
         return _compare_ints(a.args[0], b.args[0])
     if a == b:
         return 0
+    # A pair the ladder recurses into may have disjoint brackets, though
+    # the pair it came from did not.
+    if apart := _apart(a, b):
+        return apart
     va, vb = evaluate(a), evaluate(b)
     if va is not None and vb is not None:
         return _compare_ints(va, vb)
@@ -767,18 +771,21 @@ def tower_compare(a: TowerInt, b: TowerInt) -> int:
     answer, and a tree compared with itself is equal.  Ties and near-ties,
     whose brackets overlap, and trees with no bracket go on to the ladder
     of normal forms, which raises ValueError for a negative subtraction.
+    Every comparison the ladder recurses into tries the brackets first.
     """
+    if a is b and _magnitude(a) is not None:
+        return 0
+    return _apart(a, b) or _compare_norm(normalize(a), normalize(b))
+
+
+def _apart(a: TowerInt, b: TowerInt) -> int:
+    """1 or -1 when the magnitude brackets of a and b are disjoint, else 0."""
     ma, mb = _magnitude(a), _magnitude(b)
-    if ma is not None and mb is not None:
-        if a is b:
-            return 0
-        level = max(ma[0], mb[0])
-        (lo_a, hi_a), (lo_b, hi_b) = _lift(ma, level), _lift(mb, level)
-        if lo_a > hi_b:
-            return 1
-        if lo_b > hi_a:
-            return -1
-    return _compare_norm(normalize(a), normalize(b))
+    if ma is None or mb is None:
+        return 0
+    level = max(ma[0], mb[0])
+    (lo_a, hi_a), (lo_b, hi_b) = _lift(ma, level), _lift(mb, level)
+    return 1 if lo_a > hi_b else -1 if lo_b > hi_a else 0
 
 
 def sigma(s: int, r: int) -> TowerInt:

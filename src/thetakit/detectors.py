@@ -239,6 +239,68 @@ def _triangles(g: Graph):
 _PERMS = tuple(itertools.permutations(range(3)))
 
 
+@cache
+def _automorphisms(chains):
+    """The branch vertices of the skeleton with these chains in placement
+    order, its automorphisms and the ordering conditions that break them.
+
+    An automorphism is a pair: the images of the branch vertices, aligned with
+    the order, and the chain map, chain i to chain map[i], which joins the
+    images of chain i's ends with the same m.  Parallel chains of one m map in
+    index order; the line-graph search sorts interchangeable chains itself.
+    They are found by backtracking over the order: a branch vertex maps only
+    where its chains to the vertices already mapped go to chains of the same
+    m, so one with a mapped neighbour has at most three candidates, and the
+    search never tries every permutation.
+
+    The conditions (Grochow and Kellis, RECOMB 2007) are pairs (k, later):
+    position k is the first whose branch vertex moves under the group left,
+    and ``later`` holds the positions of the other vertices of its orbit.  The
+    triangle at k must have a lower index than those at ``later``.  The group
+    left passes to the stabiliser of k, until only the identity is left.
+    Every orbit of injective placements has exactly one member that meets
+    all the conditions.
+    """
+    order = list(dict.fromkeys(b for u, v, _ in chains for b in (u, v)))
+    pos = {b: k for k, b in enumerate(order)}
+    joins = {}  # branch vertex -> {neighbour: the chains joining them, ascending}
+    for i, (u, v, _) in enumerate(chains):
+        joins.setdefault(u, {}).setdefault(v, []).append(i)
+        joins.setdefault(v, {}).setdefault(u, []).append(i)
+
+    def ms(a, b):
+        return sorted(chains[i][2] for i in joins[a].get(b, ()))
+
+    image, autos = {}, []
+
+    def extend(k: int) -> None:
+        if k == len(order):
+            cmap = []
+            for i, (u, v, m) in enumerate(chains):
+                mine = [j for j in joins[u][v] if chains[j][2] == m]
+                theirs = [j for j in joins[image[u]][image[v]] if chains[j][2] == m]
+                cmap.append(theirs[mine.index(i)])
+            autos.append((tuple(image[b] for b in order), tuple(cmap)))
+            return
+        b = order[k]
+        mapped = [a for a in joins[b] if a in image]
+        used = set(image.values())
+        for x in joins[image[mapped[0]]] if mapped else order:
+            if x not in used and all(ms(b, a) == ms(x, image[a]) for a in mapped):
+                image[b] = x
+                extend(k + 1)
+                del image[b]
+
+    extend(0)
+    conditions, group = [], autos
+    while len(group) > 1:
+        k = next(k for k in range(len(order)) if any(s[k] != order[k] for s, _ in group))
+        later = sorted({pos[s[k]] for s, _ in group} - {k})
+        conditions.append((k, tuple(later)))
+        group = [(s, c) for s, c in group if s[k] == order[k]]
+    return tuple(order), tuple(autos), tuple(conditions)
+
+
 def _least_line_graph(g: Graph, chains, pattern) -> tuple[Embedding | None, int]:
     """The least induced line graph of a subdivided skeleton in g, embedded.
 
@@ -263,6 +325,18 @@ def _least_line_graph(g: Graph, chains, pattern) -> tuple[Embedding | None, int]
     off them when just enough are left), and equal chains take ascending
     corners where first placed, their lengths sorted in the key.  One more
     find_induced call embeds the least key.
+
+    The skeleton's automorphisms (``_automorphisms``) map placements onto
+    placements, and each orbit is searched once.  A triangle placement is
+    dropped when it breaks an ordering condition whose two branch vertices
+    are both placed, or when fewer untaken triangles with an index above a
+    placed leader's remain than that leader's partners still to place.  A
+    leaf records the least key over every automorphism's chain map.  An
+    embedding of pattern(ls) also embeds the pattern whose lengths a chain
+    map permutes, so feasible keys are closed under the maps; every orbit
+    keeps the member that meets the conditions, and with it each of its
+    keys.  So the least key, the embedding and the call count are
+    those of the search without the conditions.
 
     One test drops a triangle placement before the search recurses into it.
     It drops only branches that record no key, so the least key, the
@@ -305,7 +379,8 @@ def _least_line_graph(g: Graph, chains, pattern) -> tuple[Embedding | None, int]
     least = [m for _, _, m in chains]
     if (emb := find_induced(g, pattern(least))) is not None:
         return emb, 1
-    order = list(ends)
+    order, autos, conditions = _automorphisms(chains)
+    at = [-1] * len(order)  # triangle index per placed position
     alike = [[j for j, d in enumerate(chains) if d == c] for c in chains]  # interchangeable chains
     corner = [[-1, -1] for _ in chains]  # host vertex at each end of each chain
     lens = least.copy()  # path lengths where linked, lower bounds elsewhere
@@ -318,28 +393,32 @@ def _least_line_graph(g: Graph, chains, pattern) -> tuple[Embedding | None, int]
             r = memo[m] = neighborhood_mask(g, m)
         return r
 
-    def spare(k: int, placed: int, opened: int, taken) -> int | None:
-        # Triangles other than the placed ones (taken) that order[k:] can
+    def spare(k: int, placed: int, opened: int) -> int | None:
+        # Triangles other than those placed at order[:k] that order[k:] can
         # take, whose new corners see no placed vertex but open corners: None
         # if too few, their vertices if exactly enough, else 0.
-        usable, need, left = full & ~placed & ~around(placed & ~opened) | opened, len(order) - k, 0
-        for _, t in tris:
-            if not t & ~usable and t not in taken:
+        usable = full & ~placed & ~around(placed & ~opened) | opened
+        need, left, taken = len(order) - k, 0, at[:k]
+        for j, (_, t) in enumerate(tris):
+            if not t & ~usable and j not in taken:
                 need -= 1
                 if need < 0:
                     return 0
                 left |= t
         return None if need else left
 
-    def grow(k: int, todo, placed: int, opened: int, taken: tuple[int, ...]) -> None:
+    def grow(k: int, todo, placed: int, opened: int) -> None:
         # Link the chains in todo, then place order[k:], keeping the least key
         # in best.  opened holds the corners of chains not yet linked.
         nonlocal best
         if k == len(order) and not todo:
-            key = [sorted(lens[j] for j in alike[i])[alike[i].index(i)] for i in range(len(chains))]
-            best = min(best, (sum(key), *key))
+            # The maps form a group, so reading lens through each covers every image.
+            for _, cmap in autos:
+                ls = [lens[j] for j in cmap]
+                key = [sorted(ls[j] for j in alike[i])[alike[i].index(i)] for i in range(len(chains))]
+                best = min(best, (sum(key), *key))
             return
-        left = spare(k, placed, opened, taken)
+        left = spare(k, placed, opened)
         if left is None or sum(lens) > best[0]:
             return
         if todo:
@@ -351,7 +430,7 @@ def _least_line_graph(g: Graph, chains, pattern) -> tuple[Embedding | None, int]
             for p in iter_induced_paths(g, c, z, allowed, best[0] - sum(lens) + low):
                 if len(p) >= least[i]:
                     lens[i] = len(p)
-                    grow(k, rest, placed | mask_of(p[1:-1]), opened & ~pair, taken)
+                    grow(k, rest, placed | mask_of(p[1:-1]), opened & ~pair)
                     lens[i] = low
             return
         b = order[k]
@@ -374,8 +453,11 @@ def _least_line_graph(g: Graph, chains, pattern) -> tuple[Embedding | None, int]
         ascending = [(x, y) for x, (i, _) in enumerate(ends[b]) for y, (j, _) in enumerate(ends[b])
                      if i < j and i not in far and j in alike[i]]
         perms = [p for p in _PERMS if all(p[x] < p[y] for x, y in ascending)]
-        # A theta's two branch vertices are interchangeable too.
-        floor = min(iter_bits(taken[0])) if k == 1 and len(alike[0]) == len(chains) else -1
+        # The triangle index must exceed those of this position's leaders; a
+        # leader placed by now needs enough untaken triangles above its own
+        # for its partners still to place.
+        low = max((at[a] for a, later in conditions if k in later), default=-1)
+        pending = [(a, sum(w > k for w in later)) for a, later in conditions if a <= k < later[-1]]
         saved = lens.copy()
         # The link region of new corner c and far corner z, as the link step
         # builds it from placed | tmask and after, avoids those vertices and
@@ -406,10 +488,14 @@ def _least_line_graph(g: Graph, chains, pattern) -> tuple[Embedding | None, int]
                 return c, 0, max(least[i], 3), (i, c, z)
             return None
 
-        for tri, tmask in tris:
-            if tmask & ~region or tri[0] < floor:
+        for ti, (tri, tmask) in enumerate(tris):
+            if ti <= low or tmask & ~region:
                 continue
-            after = left and spare(k + 1, placed | tmask, opened | tmask, taken + (tmask,))
+            at[k] = ti
+            if any(len(tris) - 1 - at[a] - sum(x > at[a] for x in at[:k + 1]) < need
+                   for a, need in pending):
+                continue
+            after = left and spare(k + 1, placed | tmask, opened | tmask)
             free = full & ~placed & ~tmask & ~after & ~fence & ~around(after)
             table = [[False] * 3 for _ in range(3)]  # end, corner position -> fit, once computed
             for perm in perms:
@@ -430,12 +516,12 @@ def _least_line_graph(g: Graph, chains, pattern) -> tuple[Embedding | None, int]
                             lens[i] = length
                         if link:
                             todo.append(link)
-                    grow(k + 1, todo, placed | tmask, (opened | tmask) & ~done, taken + (tmask,))
+                    grow(k + 1, todo, placed | tmask, (opened | tmask) & ~done)
                     for i, s in ends[b]:
                         corner[i][s] = -1
                     lens[:] = saved
 
-    grow(0, [], 0, 0, ())
+    grow(0, [], 0, 0)
     return (None, 1) if len(best) == 1 else (find_induced(g, pattern(best[1:])), 2)
 
 

@@ -281,6 +281,19 @@ class TestTowerCompare:
         assert tower_compare(base, nat(2) ** nat(1584963)) == -1
         assert tower_compare(base, nat(2) ** nat(1584962)) == 1
 
+    def test_shared_addend_over_a_near_tie(self):
+        # 2^F is 5^E times 2^(E * log2(5) * 10^-9), so their brackets are
+        # disjoint, but those of the sums overlap.  The sum rung cancels S and
+        # compares 5^E with 2^F, which the log2 ladder cannot separate.
+        e = 10 ** 20
+        with localcontext() as ctx:
+            ctx.prec = 60
+            f = int(Decimal(e) * Decimal(5).ln() / Decimal(2).ln() * (1 + Decimal(10) ** -9))
+        s = nat(3) ** nat(10 ** 30)
+        small, large = nat(5) ** nat(e) + s, nat(2) ** nat(f) + s
+        assert tower_compare(small, large) == -1
+        assert tower_compare(large, small) == 1
+
     def test_seeded_agreement_with_exact(self):
         rng = random.Random(90401)
         checked = 0

@@ -936,10 +936,11 @@ def count_calls(monkeypatch, module, name):
 
 # Link searches (iter_induced_paths calls) that excludes_wall_line_graphs makes
 # on L(random_subdivision(wall(r), 1, s)).  Before triangle placements were
-# checked for reachability it made 1367, 1508, 956, 17318, 14058 and 14552.
+# checked for reachability it made 1367, 1508, 956, 17318, 14058 and 14552;
+# before the wall's automorphisms were broken, 72, 72, 50, 128, 106 and 112.
 # The counts pin the search tree: a change that only makes each placement
 # cheaper leaves them as they are.
-LINK_SEARCHES = {(3, 0): 72, (3, 1): 72, (3, 2): 50, (4, 0): 128, (4, 1): 106, (4, 2): 112}
+LINK_SEARCHES = {(3, 0): 22, (3, 1): 22, (3, 2): 13, (4, 0): 90, (4, 1): 72, (4, 2): 74}
 # The same for find_prism on the r = 3 hosts.
 PRISM_LINK_SEARCHES = {0: 53, 1: 50, 2: 43}
 
@@ -960,6 +961,54 @@ def test_prism_link_searches_are_pinned(monkeypatch, s):
     emb = find_prism(h)
     assert emb is not None and embedding_violation(h, emb) is None
     assert calls[0] == PRISM_LINK_SEARCHES[s]
+
+
+THETA_CHAINS = ((0, 1, 2),) * 3
+
+
+@pytest.mark.parametrize("chains, count", [
+    (detectors._wall_chains(3)[1], 4),
+    (detectors._wall_chains(4)[1], 2),
+    (detectors._wall_chains(5)[1], 2),
+    (THETA_CHAINS, 2),
+])
+def test_automorphisms_keep_every_chain_and_its_m(chains, count):
+    order, autos, conditions = detectors._automorphisms(chains)
+    assert len(autos) == count and len(set(autos)) == count and conditions
+    for images, cmap in autos:
+        sigma = dict(zip(order, images))
+        assert sorted(images) == sorted(order) and sorted(cmap) == list(range(len(chains)))
+        for (u, v, m), j in zip(chains, cmap):
+            x, y, m_image = chains[j]
+            assert m_image == m and {x, y} == {sigma[u], sigma[v]}
+
+
+def test_automorphic_hosts_get_one_pattern():
+    w, chains, firsts = detectors._wall_chains(3)
+    plan = range(len(chains))  # added vertices per chain, moved by no automorphism but the identity
+    patterns = set()
+    for seed, (_, cmap) in enumerate(detectors._automorphisms(chains)[1]):
+        counts = [0] * w.m
+        for i, added in enumerate(plan):
+            counts[firsts[cmap[i]]] = added
+        h = shuffled(line_graph(subdivide(w, counts)), random.Random(seed))
+        rep = excludes_wall_line_graphs(h, 3, cap=None)
+        assert not rep.excluded and embedding_violation(h, rep.embedding) is None
+        patterns.add(rep.embedding.pattern)
+    assert len(patterns) == 1
+
+
+def test_each_orbit_searched_once_gives_the_full_answers(monkeypatch):
+    hosts = [g for family in (WALL_HOSTS, PRISM_HOSTS) for make in family.values() for g in make()]
+    broken = [(excludes_wall_line_graphs(g, 3), find_prism(g)) for g in hosts]
+    real = detectors._automorphisms
+
+    def identity_only(chains):
+        order = real(chains)[0]
+        return order, ((order, tuple(range(len(chains)))),), ()
+
+    monkeypatch.setattr(detectors, "_automorphisms", identity_only)
+    assert [(excludes_wall_line_graphs(g, 3), find_prism(g)) for g in hosts] == broken
 
 
 class TestNecessityFamily:
