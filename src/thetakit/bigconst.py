@@ -14,18 +14,19 @@ starts from the raw trees and climbs a ladder:
    disjoint brackets give the order; only ties and near-ties, whose
    brackets overlap, go on down the ladder of normal forms;
 2. identical canonical trees are equal;
-3. two literals, and values within the materialization cap, compare as
-   big integers;
+3. two literals compare as big integers (a value within DIGIT_CAP
+   normalizes to one);
 4. otherwise the order is decided by descent:
    - a sum of count addends, the largest M, lies in (M, count*M]; when
      neither side's bracket settles the order, the terms and constant both
      sides share are dropped (x + c against y + c is x against y);
    - powers b^x of literal bases b >= 2 compare by the sums of x*log2(b)
-     (_compare_logs): at rising precisions, one side's sum of x*lo against
-     the other's of x*hi, for integers lo/2^precision <= log2(b) <=
-     hi/2^precision, as trees, so the recursion runs one exponent level down.
-     Whole products with literal exponents take this rung, the coefficient
-     a first power; so do the dominant power pairs below;
+     (_compare_logs): at 16 to 1024 bits of precision, one side's sum of
+     x*lo against the other's of x*hi, for integers lo/2^precision <=
+     log2(b) <= hi/2^precision (_log2_bounds), as trees, so the recursion
+     runs one exponent level down; exact ties go on down.  Whole products
+     with literal exponents take this rung, the coefficient a first power;
+     so do the dominant power pairs below;
    - other products pair off their dominant powers and compare the pair
      and the rests.  When the two disagree over powers of one base,
      q^x1*r1 against q^x2*r2 (say c1*q^x1 against c2*q^x2 for literal
@@ -380,13 +381,24 @@ def _merge_nat_factors(e: TowerInt) -> TowerInt:
 
 @lru_cache(maxsize=None)
 def _log2_bounds(b: int, precision: int) -> tuple[int, int]:
-    # Numerators lo, hi over 2^precision with lo <= 2^precision * log2(b) <= hi;
-    # large literals get the bit-length bracket instead, since raising them
-    # to 2^precision is not affordable.
-    if b >= _FACTOR_BOUND:
-        return (b.bit_length() - 1) << precision, b.bit_length() << precision
-    lo = (b ** (1 << precision)).bit_length() - 1
-    return lo, lo + 1
+    # Numerators lo, hi over 2^precision with lo <= 2^precision * log2(b) <= hi,
+    # for b >= 1.  With b = 2^n * x, x in [1, 2), each round squares x and emits
+    # t = [x^2 >= 2], as log2(x) = (t + log2(x^2 / 2^t)) / 2; the last x has its
+    # log2 in [0, 1].  x is kept over 2^g from b's leading bits, rounded down for
+    # lo and up for hi: squaring and halving are monotone, so each end stays out.
+    n, g = b.bit_length() - 1, precision + 16
+
+    def end(up: int) -> int:
+        x = b << (g - n) if n < g else ((b - up) >> (n - g)) + up
+        bits = 0
+        for _ in range(precision):
+            y = x * x
+            t = y >> (2 * g + 1)
+            x = -(-y >> (g + t)) if up else y >> (g + t)
+            bits = 2 * bits + t
+        return (n << precision) + bits + up
+
+    return end(0), end(1)
 
 
 def _compare_ints(a: int, b: int) -> int:
@@ -404,7 +416,8 @@ def _as_power(e: TowerInt) -> tuple[TowerInt, TowerInt]:
     return e, nat(1)
 
 
-_PRECISIONS = (4, 8, 12, 16, 18)
+# _compare_logs tries 16, 64, 256 and then this many bits of precision.
+_PRECISION_LIMIT = 1024
 
 
 def _compare_logs(ta, tb, depth: int) -> int | None:
@@ -415,11 +428,13 @@ def _compare_logs(ta, tb, depth: int) -> int | None:
         parts = [TowerInt("mul", (x, nat(_log2_bounds(b, precision)[end]))) for b, x in terms]
         return normalize(sum(parts[1:], parts[0])) if parts else nat(0)
 
-    for precision in _PRECISIONS:
+    precision = 16
+    while precision <= _PRECISION_LIMIT:
         if _compare_norm(total(ta, precision, 0), total(tb, precision, 1), depth + 1) > 0:
             return 1
         if _compare_norm(total(tb, precision, 0), total(ta, precision, 1), depth + 1) > 0:
             return -1
+        precision *= 4
     return None
 
 
@@ -533,9 +548,6 @@ def _compare_norm(a: TowerInt, b: TowerInt, depth: int = 0) -> int:
     # the pair it came from did not.
     if apart := _apart(a, b):
         return apart
-    va, vb = evaluate(a), evaluate(b)
-    if va is not None and vb is not None:
-        return _compare_ints(va, vb)
     if depth > 200:
         return _escalate(a, b)
     # u - k vs y is exactly u vs y + k, which clears every subtraction.

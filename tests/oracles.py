@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 
+from thetakit import bigconst
 from thetakit.bigconst import (
     SigmaCheck,
     SigmaReport,
@@ -422,5 +423,11 @@ def sigma_by_comparison(alpha: int, t: int, s: int, r_max: int) -> SigmaReport:
 
 def tower_compare_by_ladder(a: TowerInt, b: TowerInt) -> int:
     """The order of a and b by the ladder of normal forms, without the
-    magnitude-bracket rung that ``tower_compare`` tries first."""
-    return _compare_norm(normalize(a), normalize(b))
+    magnitude brackets that ``tower_compare`` tries first and that the
+    ladder tries on every comparison it recurses into."""
+    apart = bigconst._apart
+    bigconst._apart = lambda x, y: 0
+    try:
+        return _compare_norm(normalize(a), normalize(b))
+    finally:
+        bigconst._apart = apart

@@ -29,7 +29,19 @@ from thetakit.bigconst import (
     tree_constants,
     verify_sigma_inequalities,
 )
-from thetakit.bigconst import _as_power, _magnitude, _mul_parts
+from thetakit.bigconst import _as_power, _log2_bounds, _magnitude, _mul_parts
+
+
+class Escalated(Exception):
+    """Raised where a comparison would materialize its operands."""
+
+
+@pytest.fixture
+def no_escalation(monkeypatch):
+    def escalate(e1, e2):
+        raise Escalated
+
+    monkeypatch.setattr(bigconst, "_escalate", escalate)
 
 
 def random_expr(rng: random.Random, budget: int) -> TowerInt:
@@ -429,14 +441,10 @@ class TestTowerCompare:
             assert tower_compare(a, b) == want
             assert tower_compare(b, a) == -want
 
-    def test_sums_against_sums_beyond_cap(self, monkeypatch):
+    def test_sums_against_sums_beyond_cap(self, no_escalation):
         # Each sum lies in (M, count * M] for its largest addend M; where that
         # bracket leaves the order open, the terms and constant both sides
         # share are dropped.  No pair here needs materializing.
-        def no_escalation(e1, e2):
-            raise AssertionError("escalated")
-
-        monkeypatch.setattr(bigconst, "_escalate", no_escalation)
         x, y = nat(3) ** nat(10 ** 9), nat(3) ** nat(10 ** 6)
         cases = [
             (nat(3) ** nat(10 ** 6) + 5, nat(2) ** nat(10 ** 6) + 7, 1),
@@ -462,15 +470,11 @@ class TestTowerCompare:
             assert tower_compare(b, a) == -want
 
     @pytest.mark.parametrize("alpha, t, s, r", [(2, 50, 13, 5), (2, 50, 13, 6), (97, 50, 40, 5)])
-    def test_sigma_steps_beyond_cap(self, monkeypatch, alpha, t, s, r):
+    def test_sigma_steps_beyond_cap(self, no_escalation, alpha, t, s, r):
         # The step side(sigma_r) > side(p) + side(p^3), p = sigma_(r-1), with
         # side(x) = alpha^x t^(x-1), holds by verify_sigma_inequalities'
         # lemma.  The magnitude brackets settle each pair at level 2; the
         # ladder alone materializes each for 7 s or more and may then raise.
-        def no_escalation(e1, e2):
-            raise AssertionError("escalated")
-
-        monkeypatch.setattr(bigconst, "_escalate", no_escalation)
         al, tt = nat(alpha), nat(t)
 
         def side(e):
@@ -480,13 +484,9 @@ class TestTowerCompare:
         assert tower_compare(side(sigma(s, r)), side(p) + side(p ** 3)) == 1
 
     @pytest.mark.parametrize("x", [3, 50])
-    def test_powers_of_large_literals_beyond_cap(self, monkeypatch, x):
+    def test_powers_of_large_literals_beyond_cap(self, no_escalation, x):
         # 2^400000 + 1 is a literal of 120,412 digits; the logarithm brackets
-        # take it by bit length, so no pair here needs materializing.
-        def no_escalation(e1, e2):
-            raise AssertionError("escalated")
-
-        monkeypatch.setattr(bigconst, "_escalate", no_escalation)
+        # read its leading bits, so no pair here needs materializing.
         a = nat(2 ** 400000 + 1) ** nat(x)
         assert evaluate(nat(2 ** 400000 + 1)) is None
         cases = [
@@ -498,6 +498,44 @@ class TestTowerCompare:
         for b, want in cases:
             assert tower_compare(a, b) == want
             assert tower_compare(b, a) == -want
+
+    @pytest.mark.parametrize("p, q", [(3, 2), (7, 2), (5, 3), (999983, 2)])
+    def test_near_tie_sweep(self, no_escalation, p, q):
+        # p^E against q^F and q^(F + 1), F = floor(E * log_q(p)), the powers
+        # of q on either side, with literal exponents and with X*E against
+        # X*F, X = 5^160000.  The expected sign comes from decimal logarithms
+        # at E's digits plus 60, not from _log2_bounds.
+        x = nat(5) ** nat(160000)
+        for e in (10 ** k for k in (6, 12, 20, 40, 80, 200)):
+            with localcontext() as ctx:
+                ctx.prec = len(str(e)) + 60
+                ln_p, ln_q = Decimal(p).ln(), Decimal(q).ln()
+                floor = int(e * ln_p / ln_q)
+                for f in (floor, floor + 1):
+                    gap = e * ln_p - f * ln_q
+                    want = (gap > 0) - (gap < 0)
+                    literal = nat(p) ** nat(e), nat(q) ** nat(f)
+                    tree = nat(p) ** (x * e), nat(q) ** (x * f)
+                    for a, b in (literal, tree):
+                        assert tower_compare(a, b) == want, (p, q, e, f - floor)
+                        assert tower_compare(b, a) == -want, (p, q, e, f - floor)
+
+    def test_log2_bounds_certify(self):
+        # lo <= 2^p * log2(b) <= hi against the exact power b^(2^p), whose
+        # bit length less one is the floor of 2^p * log2(b), and the bracket
+        # is at most two units wide.  The random bases, of 70 to 5,000 bits,
+        # lie far above _FACTOR_BOUND; p stops where b^(2^p) passes 2^20 bits.
+        rng = random.Random(310501)
+        bases = list(range(1, 401))
+        for k in (rng.randint(70, 5000) for _ in range(40)):
+            bases.append(rng.getrandbits(k) | 1 << (k - 1) | 1)
+        for b in bases:
+            for p in range(11):
+                if b.bit_length() << p > 1 << 20:
+                    break
+                lo, hi = _log2_bounds(b, p)
+                v = b ** (1 << p)
+                assert lo <= v.bit_length() - 1 and v <= 1 << hi and hi - lo <= 2, (b, p)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10 ** 9))
@@ -514,17 +552,10 @@ class TestTowerCompare:
 class TestMagnitude:
     """The certified brackets tower_compare tries before any normal form."""
 
-    class Escalated(Exception):
-        pass
-
-    def test_entry_rung_matches_the_ladder(self, monkeypatch):
+    def test_entry_rung_matches_the_ladder(self, no_escalation):
         # The ladder decides every pair here unless it would materialize,
         # which costs seconds a pair; _escalate is cut short instead, and
         # those few pairs are counted.
-        def no_escalation(e1, e2):
-            raise self.Escalated
-
-        monkeypatch.setattr(bigconst, "_escalate", no_escalation)
         rng = random.Random(280601)
         undecided = 0
         for i in range(2000):
@@ -534,21 +565,16 @@ class TestMagnitude:
                 a, b = corpus_tower(rng, 3), corpus_tower(rng, 3)
             try:
                 want = oracles.tower_compare_by_ladder(a, b), oracles.tower_compare_by_ladder(b, a)
-            except self.Escalated:
+            except Escalated:
                 undecided += 1
                 continue
             assert (tower_compare(a, b), tower_compare(b, a)) == want
         assert undecided <= 5
 
-    def test_tall_towers(self, monkeypatch):
+    def test_tall_towers(self, no_escalation):
         # b^^n is the power tower of n copies of b.  By induction on n,
         # 2^^(n+1) < 3^^n < 2^^(n+2) for n >= 2; the brackets here reach level
         # 5, and none of these pairs may materialize.
-        def no_escalation(e1, e2):
-            raise self.Escalated
-
-        monkeypatch.setattr(bigconst, "_escalate", no_escalation)
-
         def up(b, n):
             e = nat(b)
             for _ in range(n - 1):
