@@ -193,11 +193,27 @@ def _legs(g: Graph, hub: int, ends, allowed: int, keep: int):
     return rec(0, allowed)
 
 
+def _first_stable(adj, avail: int, size: int, found, cur: tuple[int, ...] = (), common: int | None = None):
+    """The first non-None found(cur + T), T ascending in ``avail`` (which misses cur and its neighbours)
+    and cur + T a stable set of ``size``, with the tuples T in lexicographic order; None if none.
+    With ``common`` given, a partial set whose common neighbourhood inside ``common`` keeps fewer than
+    ``size`` vertices is skipped with every extension, since extensions only shrink that neighbourhood."""
+    if len(cur) == size:
+        return found(cur)
+    while avail.bit_count() + len(cur) >= size:
+        v = (avail & -avail).bit_length() - 1
+        avail &= avail - 1
+        nxt = None if common is None else common & adj[v]
+        if nxt is not None and nxt.bit_count() < size:
+            continue
+        if (got := _first_stable(adj, avail & ~adj[v], size, found, cur + (v,), nxt)) is not None:
+            return got
+    return None
+
+
 def _is_claw_centre(adj, v: int) -> bool:
     """True iff v has three pairwise nonadjacent neighbours."""
-    nb = adj[v]
-    return any(nb & ~adj[a] & ~adj[b] >> (b + 1) << (b + 1)
-               for a in iter_bits(nb) for b in iter_bits(nb & ~adj[a] >> (a + 1) << (a + 1)))
+    return _first_stable(adj, adj[v], 3, bool) is not None
 
 
 def find_theta(g: Graph, cap: int | None = THETA_PRISM_CAP) -> ThetaWitness | None:
@@ -574,54 +590,23 @@ def find_biclique(g: Graph, s: int, cap: int | None = THETA_PRISM_CAP, within: i
     """Search G, or G[within], for an induced K_{s,s}: a stable side, then a stable common side.
 
     The first side is grown over stable sets in ascending order; the second
-    side must be a stable s-subset of the first side's common neighborhood,
-    which forces completeness between sides and hence an exact induced copy.
-    ``phi`` lists the first side, then the second, each ascending.  The cap
-    counts the vertices searched: those of ``within``, or all of g.
+    is a stable s-subset of its common neighborhood, so the copy is induced.
+    ``phi`` (first side, then second, each ascending) is the lexicographically
+    least induced embedding of complete_bipartite(s, s).  The cap counts the
+    vertices searched: those of ``within``, or all of g.
     """
     if s < 1:
         raise ValueError("side size must be positive")
     within = g.full_mask if within is None else _vertex_mask(g, within)
     check_cap("find_biclique", within.bit_count(), cap)
 
-    def stable_subset(region: int, need: int, acc: list[int]) -> bool:
-        if need == 0:
-            return True
-        if region.bit_count() < need:
-            return False
-        while region:
-            v = region & -region
-            region ^= v
-            if region.bit_count() + 1 < need:
-                return False
-            v = v.bit_length() - 1
-            acc.append(v)
-            if stable_subset(region & ~g.adj[v], need - 1, acc):
-                return True
-            acc.pop()
-        return False
+    def second_side(a: tuple[int, ...]) -> Embedding | None:
+        common = within
+        for v in a:
+            common &= g.adj[v]
+        return _first_stable(g.adj, common, s, lambda b: Embedding(complete_bipartite(s, s), a + b))
 
-    def grow(a: list[int], avail: int, common: int) -> Embedding | None:
-        if len(a) == s:
-            b: list[int] = []
-            if stable_subset(common, s, b):
-                return Embedding(complete_bipartite(s, s), tuple(a) + tuple(b))
-            return None
-        while avail:
-            v = avail & -avail
-            avail ^= v
-            v = v.bit_length() - 1
-            nxt_common = common & g.adj[v]
-            if nxt_common.bit_count() < s:
-                continue
-            a.append(v)
-            got = grow(a, avail & ~g.adj[v], nxt_common)
-            if got is not None:
-                return got
-            a.pop()
-        return None
-
-    return grow([], within, within)
+    return _first_stable(g.adj, within, s, second_side, common=within)
 
 
 @dataclass(frozen=True)
@@ -750,22 +735,7 @@ def find_constellation(
             chosen.pop()
         return None
 
-    def pick_centers(acc: list[int], avail: int):
-        if len(acc) == s:
-            centers = tuple(acc)
-            return pick_paths(centers, full & ~mask_of(centers), [], -1)
-        while avail:
-            v = avail & -avail
-            avail ^= v
-            v = v.bit_length() - 1
-            acc.append(v)
-            got = pick_centers(acc, avail & ~g.adj[v])
-            if got is not None:
-                return got
-            acc.pop()
-        return None
-
-    return pick_centers([], full)
+    return _first_stable(g.adj, full, s, lambda centers: pick_paths(centers, full & ~mask_of(centers), [], -1))
 
 
 def three_in_a_tree(

@@ -520,6 +520,56 @@ class TestTowerCompare:
                         assert tower_compare(a, b) == want, (p, q, e, f - floor)
                         assert tower_compare(b, a) == -want, (p, q, e, f - floor)
 
+    # F = floor(10^12 * log2(3)), so 2^F < 3^(10^12) < 2^(F + 1), about 1.114 * 2^F.
+    F = 1_584_962_500_721
+
+    def test_sum_rung(self, no_escalation):
+        # The sum's bracket is (M, 2M] with M = 3^(10^12), and M exceeds 2^F.
+        a, b = nat(3) ** nat(10 ** 12) + 1, nat(2) ** nat(self.F)
+        assert tower_compare(a, b) == 1
+        assert tower_compare(b, a) == -1
+
+    def test_plain_integer_rung(self, no_escalation):
+        # log2 of the literal is within 2^-400000 of 400000, closer than any
+        # precision _compare_logs tries, so the power is materialized at the
+        # literal's width and the ints compared.
+        a, b = nat(2 ** 400000 + 1), nat(2) ** nat(400000)
+        assert tower_compare(a, b) == 1
+        assert tower_compare(b, a) == -1
+
+    def test_monomial_rung(self, no_escalation):
+        # 3^(10^12) * 5^7 is about 2^(F + 16.4).
+        a, b = nat(3) ** nat(10 ** 12) * nat(5) ** nat(7), nat(2) ** nat(self.F + 17)
+        assert tower_compare(a, b) == -1
+        assert tower_compare(b, a) == 1
+
+    def test_power_of_a_sum_below_its_upper_end(self, no_escalation):
+        # (3^(10^12) + 1)^3 <= (2 * 3^(10^12))^3, about 2^(3F + 3.5).
+        a, b = (nat(3) ** nat(10 ** 12) + 1) ** nat(3), nat(2) ** nat(4_754_887_502_167)
+        assert tower_compare(a, b) == -1
+        assert tower_compare(b, a) == 1
+
+    def test_exponents_zero_and_one_normalize_at_once(self, no_escalation):
+        base = nat(10 ** 200000 + 3)
+        assert normalize(base ** 0) is nat(1)
+        assert normalize(base ** 1) is base
+
+    # Known defect: the sum 2^F + 1 has the bracket (2^F, 2^(F + 1)], which
+    # holds 3^(10^12), so the sum rung leaves the order open and the ladder
+    # escalates, which raises; 3^(10^12) - 1 against 2^F becomes 3^(10^12)
+    # against 2^F + 1.
+    @pytest.mark.xfail(strict=True, raises=RuntimeError)
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_near_tie_sum_against_a_power(self, flip):
+        a, b = nat(3) ** nat(10 ** 12), nat(2) ** nat(self.F) + 1
+        assert tower_compare(*((b, a) if flip else (a, b))) == (-1 if flip else 1)
+
+    @pytest.mark.xfail(strict=True, raises=RuntimeError)
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_near_tie_difference_against_a_power(self, flip):
+        a, b = (nat(3) ** nat(10 ** 12)).minus(1), nat(2) ** nat(self.F)
+        assert tower_compare(*((b, a) if flip else (a, b))) == (-1 if flip else 1)
+
     def test_log2_bounds_certify(self):
         # lo <= 2^p * log2(b) <= hi against the exact power b^(2^p), whose
         # bit length less one is the floor of 2^p * log2(b), and the bracket

@@ -375,6 +375,31 @@ class TestBiclique:
         with pytest.raises(CapExceeded):
             find_biclique(petersen(), 2, cap=9)
 
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_least_embedding(self, masked):
+        # phi is the first induced K_{s,s} in permutation order, within the mask too.
+        rng = random.Random(76_000 + masked)
+        hits = 0
+        for i in range(300 if masked else 400):
+            g = random_graph(5 + i % 5, (0.2, 0.35, 0.5, 0.7)[i % 4], seed=76_000 + i)
+            s = 1 + i % 3
+            within = rng.getrandbits(g.n) | rng.getrandbits(g.n) if masked else g.full_mask
+            sub, back = induced_subgraph(g, within)
+            want = oracles.least_induced_embedding(sub, complete_bipartite(s, s))
+            got = find_biclique(g, s, within=within if masked else None)
+            assert (got and got.phi) == (want and tuple(back[v] for v in want))
+            hits += want is not None
+        assert hits >= 100
+
+
+def test_claw_centres_by_brute_force():
+    for i in range(200):
+        g = random_graph(9, 0.4, seed=77_000 + i)
+        for v in range(g.n):
+            want = any(not (g.adj[a] >> b & 1 or g.adj[a] >> c & 1 or g.adj[b] >> c & 1)
+                       for a, b, c in itertools.combinations(iter_bits(g.adj[v]), 3))
+            assert detectors._is_claw_centre(g.adj, v) == want
+
 
 class TestConstellation:
     def test_biclique_witness(self):
