@@ -173,24 +173,38 @@ def _legs(g: Graph, hub: int, ends, allowed: int, keep: int):
     Each path's interior lies in ``allowed``.  A later path avoids the earlier
     paths' vertices outside ``keep`` and every neighbor of those vertices, so
     the legs are pairwise anticomplete away from ``keep``; a path whose
-    blocked set already holds a later end is skipped.  Tuples come out in
+    blocked set already holds a later end is skipped.  A path to the same end
+    as the path before it leaves the hub through a higher neighbour than
+    that path did, or is the edge to that end.  Tuples come out in
     depth-first order, each path's candidates in ``iter_induced_paths`` order.
+
+    That last rule skips tuples but never changes the first one.  Two
+    consecutive legs to the same end may swap places: the later one is a
+    valid leg one level up, and the earlier one still fits in what the swap
+    leaves, since the blocked sets are symmetric.  An induced path from the
+    hub meets no hub neighbour but its first, and ``iter_induced_paths``
+    yields a path through a lower first vertex earlier.  So in the first
+    tuple of the unrestricted search these first vertices already ascend.
     """
 
-    def rec(k: int, allowed: int):
+    def rec(k: int, allowed: int, prev: int):
+        # prev is the previous path's first vertex after the hub.
         if k == len(ends):
             yield ()
             return
         later = mask_of(ends[k + 1:]) & ~keep
-        for p in iter_induced_paths(g, hub, ends[k], allowed):
+        here = allowed
+        if k and ends[k] == ends[k - 1]:
+            here &= ~(g.adj[hub] & ((2 << prev) - 1))
+        for p in iter_induced_paths(g, hub, ends[k], here):
             rest = mask_of(p) & ~keep
             block = rest | neighborhood_mask(g, rest)
             if block & later:
                 continue
-            for tail in rec(k + 1, allowed & ~block):
+            for tail in rec(k + 1, allowed & ~block, p[1]):
                 yield (p,) + tail
 
-    return rec(0, allowed)
+    return rec(0, allowed, -1)
 
 
 def _first_stable(adj, avail: int, size: int, found, cur: tuple[int, ...] = (), common: int | None = None):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, PathFamily, _flow_paths, bfs_layers, mask_of, max_disjoint_paths
+from .graphs import Graph, PathFamily, _flow_paths, bfs_layers, iter_bits, mask_of, max_disjoint_paths
 
 
 @dataclass(frozen=True)
@@ -86,22 +86,29 @@ def separability(g: Graph) -> SeparabilityReport:
     """lambda_star over all nonadjacent pairs, scanned in lexicographic order.
 
     A pair's count is its flow value.  A pair whose smaller degree (which
-    bounds the flow from above) cannot beat the running maximum is skipped,
-    which never changes the reported argmax because ties keep the earliest
-    pair.  The witness is built once, for the winning pair.
+    bounds the flow from above) cannot beat the running maximum gets no
+    flow, which never changes the reported argmax because ties keep the
+    earliest pair.  Once a pair is found, such an x is skipped with all its
+    pairs, x's loop ends once the maximum reaches its degree, and such a y,
+    taken from x's non-neighbours above x, is skipped.  The witness is built
+    once, for the winning pair.
     """
+    adj = g.adj
+    deg = [a.bit_count() for a in adj]
     best_count = 0
     best_pair = None
     for x in range(g.n):
-        for y in range(x + 1, g.n):
-            if g.has_edge(x, y):
+        if best_pair is not None and deg[x] <= best_count:
+            continue
+        for y in iter_bits(g.full_mask & ~adj[x] >> (x + 1) << (x + 1)):
+            if best_pair is not None and deg[y] <= best_count:
                 continue
-            if best_pair is not None and min(g.degree(x), g.degree(y)) <= best_count:
-                continue
-            count = max_disjoint_paths(g, g.adj[x], g.adj[y], g.full_mask & ~(1 << x) & ~(1 << y))
+            count = max_disjoint_paths(g, adj[x], adj[y], g.full_mask & ~(1 << x) & ~(1 << y))
             if best_pair is None or count > best_count:
                 best_count = count
                 best_pair = (x, y)
+                if count == deg[x]:
+                    break
     if best_pair is None:
         return SeparabilityReport(lambda_star=0, pair=None, witness=None, vacuous=True)
     return SeparabilityReport(

@@ -2,16 +2,16 @@
 
 The main solver raises a contraction-degeneracy lower bound through safe
 reductions, then decides k = low, low + 1, ... on what the reductions leave.
-The first k that succeeds is the width, and the decomposition built from
-its elimination order witnesses it.
+The first k that succeeds is the width.  Each vertex is eliminated once:
+the decomposition that witnesses the width is read off the reductions,
+which record each bag as they eliminate, and off the decision's blocks.
 
 The reductions work on the elimination graph: a filled adjacency list
 ``fadj`` in which, once a vertex set S has been eliminated,
 ``fadj[v] & remaining`` is v's neighbourhood among the vertices not in S.
 ``_eliminate`` is its one update: it turns the eliminated vertex's live
 neighbourhood into a clique.  The reductions hand their filled list to the
-decision in the host's own labels, and the decomposition built from an
-order uses the same update.
+decision in the host's own labels.
 
 The decision is the block recursion of Arnborg, Corneil and Proskurowski
 (1987), run bottom-up from the positive instances as in Tamaki's
@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from .detectors import check_cap
 from .graphs import (
     Graph,
+    _reach,
     _trusted_graph,
     build_graph,
     connected_components,
@@ -60,29 +61,39 @@ class TreeDecomposition:
         return max(b.bit_count() for b in self.bags) - 1
 
 
-def validate_decomposition(g: Graph, d: TreeDecomposition) -> bool:
-    """All three decomposition axioms, plus the carrier being a tree."""
+def decomposition_violation(g: Graph, d: TreeDecomposition) -> str | None:
+    """The first broken decomposition axiom, or None if d decomposes g.
+
+    The carrier must be a tree with one bag per node, every bag must lie in
+    g, every vertex and every edge must lie in some bag, and the nodes whose
+    bags hold a vertex must induce a connected subtree.
+    """
     t = d.tree
-    if t.n == 0 or len(d.bags) != t.n:
-        return False
-    if t.m != t.n - 1 or len(connected_components(t)) != 1:
-        return False
+    if t.n == 0 or t.m != t.n - 1 or len(connected_components(t)) != 1:
+        return "the carrier is not a tree"
+    if len(d.bags) != t.n:
+        return f"{len(d.bags)} bags for a tree of {t.n} nodes"
     cover = 0
-    for b in d.bags:
+    for i, b in enumerate(d.bags):
         if b & ~g.full_mask:
-            return False
+            return f"bag {i} holds a vertex outside the graph"
         cover |= b
     if cover != g.full_mask:
-        return False
+        return f"vertex {next(iter_bits(g.full_mask & ~cover))} lies in no bag"
     for u, v in g.edges():
         pair = (1 << u) | (1 << v)
         if not any(b & pair == pair for b in d.bags):
-            return False
+            return f"edge ({u}, {v}) lies in no bag"
     for v in range(g.n):
         nodes = mask_of(i for i in range(t.n) if d.bags[i] >> v & 1)
         if len(connected_components(t, nodes)) != 1:
-            return False
-    return True
+            return f"the nodes holding vertex {v} are disconnected"
+    return None
+
+
+def validate_decomposition(g: Graph, d: TreeDecomposition) -> bool:
+    """True iff d is a tree decomposition of g (see decomposition_violation)."""
+    return decomposition_violation(g, d) is None
 
 
 def _eliminate(fadj: list[int], v: int, remaining: int) -> int:
@@ -153,7 +164,7 @@ def _contraction_degeneracy(g: Graph) -> int:
     return best
 
 
-def _preprocess(g: Graph, low: int) -> tuple[list[int], int, list[int], int]:
+def _preprocess(g: Graph, low: int) -> tuple[list[int], list[int], int, list[int], int]:
     """Shrink g by safe eliminations before the search.
 
     Applies the standard simplicial rule (eliminate a vertex whose live
@@ -163,12 +174,14 @@ def _preprocess(g: Graph, low: int) -> tuple[list[int], int, list[int], int]:
     bound), eliminating with the search's own update, which fills the
     missing pairs.  Both preserve max(tw(reduced), low) = tw(g), so the
     eliminated vertices form a prefix of an optimal elimination order of g.
-    Returns that prefix, the mask of surviving vertices, their filled
-    adjacency, and the new bound.
+    Returns that prefix, each prefix vertex's bag (the vertex with its live
+    neighbourhood when eliminated), the mask of surviving vertices, their
+    filled adjacency, and the new bound.
     """
     adj = list(g.adj)
     alive = g.full_mask
     prefix: list[int] = []
+    bags: list[int] = []
     changed = True
     while changed and alive:
         changed = False
@@ -197,15 +210,20 @@ def _preprocess(g: Graph, low: int) -> tuple[list[int], int, list[int], int]:
                 low = max(low, d)
             elif d > low or not common or pairs != 2 * (lonely - 1):
                 continue
-            _eliminate(adj, v, alive)
+            bags.append(_eliminate(adj, v, alive) | vb)
             alive ^= vb
             prefix.append(v)
             changed = True
-    return prefix, alive, adj, low
+    return prefix, bags, alive, adj, low
 
 
-def _decide(fadj: list[int], alive: int, k: int) -> list[int] | None:
+def _decide(fadj: list[int], alive: int, k: int) -> list[tuple[int, int, int | None]] | None:
     """An order of ``alive`` of back-degree at most k in ``fadj``, or None.
+
+    The order comes as one (vertex, bag, parent) triple per vertex: the bag
+    is the vertex with its neighbours among the later vertices once the
+    earlier ones are eliminated, and the parent is the earliest of those
+    neighbours, or None if there is none.
 
     ``fadj`` is an elimination graph in which ``alive`` is still to be
     eliminated, as ``_preprocess`` leaves it; it is read, never written.
@@ -224,8 +242,23 @@ def _decide(fadj: list[int], alive: int, k: int) -> list[int] | None:
     remain no extension can be recorded.  Blocks are popped newest first,
     which grows a component quickly when k suffices, and blocks inside a
     component already found are skipped.  The answer is yes once every
-    component of ``alive`` is a block with no neighbours; its order unfolds
-    from the vertex each block was recorded with.
+    component of ``alive`` is a block with no neighbours.
+
+    The order unfolds from the vertex v each block C was recorded with: the
+    components of C - v, each a block, then v.  Each v's triple is read off
+    its block, with no elimination: the bag is {v} | N(C), and the parent
+    is the last vertex of the block that C was split from, or None for a
+    component of ``alive``.  These are the elimination's bag and parent:
+
+    - C - v's components are eliminated before v, and N(C) after it: if C
+      was split from block P with last vertex p, N(C) lies in {p} | N(P).
+    - Every other vertex eliminated before v lies in a block that C does
+      not touch, a sibling of C or of a block around it, so it is
+      anticomplete to C and its elimination adds no fill at v.  Fill joins
+      v exactly to the later vertices it reaches through C, so v's bag is
+      {v} | N(C).
+    - A child C' of C has v in N(C'), which lies in {v} | N(C).  So v is
+      the earliest vertex of N(C'): the parent of the last vertex of C'.
     """
     nbr = [a & alive for a in fadj]
     around: dict[int, int] = {}  # each block found -> its neighbourhood
@@ -289,60 +322,67 @@ def _decide(fadj: list[int], alive: int, k: int) -> list[int] | None:
             popped.append(d)
     if whole != alive:
         return None
-    # A block's order is that of each component of it less its last vertex,
-    # then that vertex.  Listing each last vertex before its parts' vertices
-    # and reversing the list gives every block's order.
-    h = _trusted_graph(len(fadj), tuple(fadj))
-    order = []
-    todo = connected_components(h, alive)
+
+    def split(rest: int, parent: int | None) -> None:
+        # Queue the components of rest, least vertex first, under parent.
+        # Blocks are connected, so a block is its own one component.
+        while rest:
+            c = rest if rest in around else _reach(nbr, rest & -rest, rest)
+            rest ^= c
+            todo.append((c, parent))
+
+    # Listing each block's last vertex before its parts' vertices and
+    # reversing the list gives every block's order.
+    todo: list[tuple[int, int | None]] = []
+    split(alive, None)
+    triples = []
     while todo:
-        c = todo.pop()
-        order.append(last[c])
-        todo.extend(connected_components(h, c & ~(1 << last[c])))
-    order.reverse()
-    return order
-
-
-def _decomposition_from_order(g: Graph, order: list[int]) -> TreeDecomposition:
-    # Node i's bag is order[i] with its back-neighbourhood.  Its parent is
-    # the earliest of those neighbours, or node i + 1 if it has none; either
-    # way a later node, so the n - 1 edges make a tree.
-    n = len(order)
-    pos = [0] * n
-    for i, v in enumerate(order):
-        pos[v] = i
-    fadj = list(g.adj)
-    remaining = g.full_mask
-    bags = []
-    tree = [0] * n
-    for i, v in enumerate(order):
-        remaining ^= 1 << v
-        rest = _eliminate(fadj, v, remaining)
-        bags.append(rest | 1 << v)
-        if rest:
-            j = n
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                j = min(j, pos[low.bit_length() - 1])
-        elif i + 1 < n:
-            j = i + 1
-        else:
-            break
-        tree[i] |= 1 << j
-        tree[j] |= 1 << i
-    return TreeDecomposition(_trusted_graph(n, tuple(tree)), tuple(bags))
+        c, parent = todo.pop()
+        v = last[c]
+        triples.append((v, around[c] | 1 << v, parent))
+        split(c ^ 1 << v, v)
+    triples.reverse()
+    return triples
 
 
 def treewidth_exact(g: Graph, cap: int | None = TREEWIDTH_CAP) -> tuple[int, TreeDecomposition]:
-    """Exact treewidth and a validating decomposition witnessing it."""
+    """Exact treewidth and a validating decomposition witnessing it.
+
+    Node i's bag is the i-th vertex eliminated with its neighbours among the
+    later ones, as the reductions and the decision found it.  Node i joins
+    the node of the earliest of those neighbours, or node i + 1 if it has
+    none; either way a later node, so the n - 1 edges make a tree.
+    """
     check_cap("treewidth_exact", g.n, cap)
     if g.n == 0:
         return -1, TreeDecomposition(build_graph(1, []), (0,))
-    prefix, alive, fadj, k = _preprocess(g, _contraction_degeneracy(g))
-    while (order := _decide(fadj, alive, k)) is None:
+    prefix, bags, alive, fadj, k = _preprocess(g, _contraction_degeneracy(g))
+    while (triples := _decide(fadj, alive, k)) is None:
         k += 1
-    dec = _decomposition_from_order(g, prefix + order)
+    n = g.n
+    pos = [0] * n
+    for i, v in enumerate(prefix + [v for v, _, _ in triples]):
+        pos[v] = i
+    ups = []  # each node's parent node, or n for the next node
+    for v, bag in zip(prefix, bags):
+        rest, j = bag ^ 1 << v, n
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            p = pos[low.bit_length() - 1]
+            if p < j:
+                j = p
+        ups.append(j)
+    for _, bag, up in triples:
+        bags.append(bag)
+        ups.append(n if up is None else pos[up])
+    tree = [0] * n
+    for i, j in enumerate(ups):
+        j = i + 1 if j == n else j
+        if j < n:
+            tree[i] |= 1 << j
+            tree[j] |= 1 << i
+    dec = TreeDecomposition(_trusted_graph(n, tuple(tree)), tuple(bags))
     return dec.width(), dec
 
 

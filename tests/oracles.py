@@ -7,7 +7,10 @@ at toy sizes (n at most about 10).  Two exceptions use the package's
 tower arithmetic: the sigma block, sampled on the displayed expressions
 themselves as a check on its proof by lemma, and the tower ordering by
 the ladder of normal forms alone, as a check on the magnitude brackets
-that ``tower_compare`` tries first.
+that ``tower_compare`` tries first.  Two more are earlier versions of a
+package loop over the package's own primitives, as a check on the pruning
+added since: the separability pair scan over the max-flow, and the leg
+search over the induced-path enumerator.
 """
 
 from __future__ import annotations
@@ -25,7 +28,8 @@ from thetakit.bigconst import (
     sigma,
     tower_compare,
 )
-from thetakit.graphs import Graph, build_graph
+from thetakit.graphs import Graph, build_graph, iter_induced_paths, max_disjoint_paths, neighborhood_mask
+from thetakit.separability import SeparabilityReport, max_internally_disjoint_paths
 
 
 def _bits(mask: int) -> list[int]:
@@ -267,6 +271,47 @@ def max_disjoint_path_family(g: Graph, x: int, y: int) -> int:
         return best
 
     return grow(0, 0)
+
+
+def separability_by_pair_loop(g: Graph) -> SeparabilityReport:
+    """separability's scan as first written: every nonadjacent pair in
+    lexicographic order gets a flow unless a pair exists and the smaller of
+    its two degrees cannot beat the running maximum."""
+    best_count = 0
+    best_pair = None
+    for x in range(g.n):
+        for y in range(x + 1, g.n):
+            if g.has_edge(x, y):
+                continue
+            if best_pair is not None and min(g.degree(x), g.degree(y)) <= best_count:
+                continue
+            count = max_disjoint_paths(g, g.adj[x], g.adj[y], g.full_mask & ~(1 << x) & ~(1 << y))
+            if best_pair is None or count > best_count:
+                best_count = count
+                best_pair = (x, y)
+    if best_pair is None:
+        return SeparabilityReport(lambda_star=0, pair=None, witness=None, vacuous=True)
+    return SeparabilityReport(best_count, best_pair, max_internally_disjoint_paths(g, *best_pair), False)
+
+
+def legs_unconstrained(g: Graph, hub: int, ends, allowed: int, keep: int):
+    """The leg search as first written: each later path is any induced path
+    from hub to its end inside what the earlier paths left allowed."""
+
+    def rec(k: int, allowed: int):
+        if k == len(ends):
+            yield ()
+            return
+        later = sum(1 << e for e in set(ends[k + 1:])) & ~keep
+        for p in iter_induced_paths(g, hub, ends[k], allowed):
+            rest = sum(1 << v for v in p) & ~keep
+            block = rest | neighborhood_mask(g, rest)
+            if block & later:
+                continue
+            for tail in rec(k + 1, allowed & ~block):
+                yield (p,) + tail
+
+    return rec(0, allowed)
 
 
 def max_anticomplete_subfamily(g: Graph, sets) -> int:

@@ -560,8 +560,9 @@ class TestThreeInATree:
 
 
 def theta_by_degree(g):
-    """find_theta without the claw-centre prune, kept as a reference: every
-    nonadjacent pair of vertices of degree at least 3, ascending."""
+    """find_theta without the claw-centre prune or the ascending legs, kept
+    as a reference: every nonadjacent pair of vertices of degree at least 3,
+    ascending."""
     full = g.full_mask
     degs = [g.adj[v].bit_count() for v in range(g.n)]
     for x in range(g.n):
@@ -571,21 +572,22 @@ def theta_by_degree(g):
             if degs[y] < 3 or g.has_edge(x, y):
                 continue
             ends = (1 << x) | (1 << y)
-            for paths in _legs(g, x, (y, y, y), full & ~ends, ends):
+            for paths in oracles.legs_unconstrained(g, x, (y, y, y), full & ~ends, ends):
                 return ThetaWitness(x, y, paths)
     return None
 
 
 def tree_by_degree_hubs(g, z):
-    """three_in_a_tree's hub loop without the claw-centre prune, kept as a
-    reference: every hub with at least as many neighbours as legs."""
+    """three_in_a_tree's hub loop without the claw-centre prune, over the
+    unrestricted leg search, kept as a reference: every hub with at least as
+    many neighbours as legs."""
     for a, b, c in itertools.combinations(sorted(z), 3):
         base = g.full_mask & ~mask_of((a, b, c))
         for hub in itertools.chain((c, b, a), iter_bits(base)):
             ends = tuple(t for t in (a, b, c) if t != hub)
             if g.adj[hub].bit_count() < len(ends):
                 continue
-            for legs in _legs(g, hub, ends, base & ~(1 << hub), 1 << hub):
+            for legs in oracles.legs_unconstrained(g, hub, ends, base & ~(1 << hub), 1 << hub):
                 return tuple(sorted({hub}.union(*legs)))
     return None
 
@@ -679,6 +681,25 @@ class TestSameWitnessAsTheUnprunedSearch:
     def test_theta(self, family):
         for g in SEARCH_HOSTS[family]():
             assert find_theta(g) == theta_by_degree(g)
+
+    @pytest.mark.parametrize("legs", [2, 3])
+    def test_legs_to_one_end(self, legs):
+        # Every nonadjacent pair, hits and misses, gets the same first tuple
+        # of legs to one end as the search that lets legs start anywhere.
+        rng = random.Random(51_000 + legs)
+        hits = misses = 0
+        for i in range(400):
+            g = random_graph(5 + i % 9, rng.choice((0.2, 0.3, 0.4, 0.55)), seed=rng.randrange(1 << 30))
+            for x, y in itertools.combinations(range(g.n), 2):
+                if g.has_edge(x, y):
+                    continue
+                ends = (1 << x) | (1 << y)
+                args = (g, x, (y,) * legs, g.full_mask & ~ends, ends)
+                got = next(_legs(*args), None)
+                assert got == next(oracles.legs_unconstrained(*args), None), (i, x, y)
+                hits += got is not None
+                misses += got is None
+        assert hits > 500 and misses > 5000
 
     @pytest.mark.parametrize("family", sorted(SEARCH_HOSTS))
     def test_three_in_a_tree(self, family):

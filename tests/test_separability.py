@@ -1,5 +1,6 @@
 """Induced path families against Menger's number, the subset oracle and frozen values."""
 
+import importlib
 import random
 
 import networkx as nx
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from oracles import max_disjoint_path_family
 from thetakit.generators import (
     complete_bipartite,
@@ -22,6 +24,9 @@ from thetakit.generators import (
 )
 from thetakit.graphs import _flow_paths, build_graph, induced_subgraph, max_disjoint_paths, path_family_violation
 from thetakit.separability import SeparabilityReport, max_internally_disjoint_paths, separability
+
+# The package exports the function ``separability`` under its module's name.
+separability_module = importlib.import_module("thetakit.separability")
 
 
 def nonadjacent_pairs(g):
@@ -254,6 +259,32 @@ class TestReport:
             if not rep.vacuous:
                 assert path_family_violation(g, rep.witness) is None
                 assert len(rep.witness.paths) == best
+
+    def test_same_flows_as_the_pair_loop(self, monkeypatch):
+        # The degree skips drop only pairs the pair loop drops: both run the
+        # same flows in the same order and give the same report.
+        flows = []
+
+        def flow(g, sources, sinks, within):
+            flows.append((sources, sinks))
+            return max_disjoint_paths(g, sources, sinks, within)
+
+        monkeypatch.setattr(separability_module, "max_disjoint_paths", flow)
+        monkeypatch.setattr(oracles, "max_disjoint_paths", flow)
+        rng = random.Random(1717)
+        hosts = [complete_graph(n) for n in range(4)] + [build_graph(3, [])]
+        hosts += [random_graph(rng.randint(2, 16), rng.choice((0.1, 0.3, 0.5, 0.7, 0.9)), rng.randrange(1 << 30)) for _ in range(400)]
+        hosts += [line_graph(wall(2)), random_subdivision(wall(3), 1, 5), petersen()]
+        total = 0
+        for i, g in enumerate(hosts):
+            got = repr(separability(g))
+            ours = flows[:]
+            flows.clear()
+            assert got == repr(oracles.separability_by_pair_loop(g)), i
+            assert ours == flows, i
+            total += len(flows)
+            flows.clear()
+        assert total > 1000
 
     def test_reference_scan_exact_mode(self):
         for seed in range(80):

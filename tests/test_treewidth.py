@@ -1,6 +1,5 @@
 """Exact treewidth solver against frozen values and the independent DP."""
 
-import random
 import time
 
 import networkx as nx
@@ -28,9 +27,9 @@ from thetakit.treewidth import (
     TreeDecomposition,
     _contraction_degeneracy,
     _decide,
-    _decomposition_from_order,
     _eliminate,
     _preprocess,
+    decomposition_violation,
     treewidth_dp,
     treewidth_exact,
     validate_decomposition,
@@ -41,7 +40,7 @@ import oracles
 
 def solved(g, cap=32):
     tw, dec = treewidth_exact(g, cap=cap)
-    assert validate_decomposition(g, dec)
+    assert decomposition_violation(g, dec) is None
     assert dec.width() == tw
     return tw
 
@@ -89,50 +88,57 @@ class TestFrozenValues:
         assert solved(line_graph(random_subdivision(wall(3), 1, 7)), cap=64) == 4
 
 
+def check_decomposition(g, d, violation):
+    assert decomposition_violation(g, d) == violation
+    assert validate_decomposition(g, d) == (violation is None)
+
+
 class TestValidator:
     def test_single_bag(self):
         k3 = complete_graph(3)
         d = TreeDecomposition(build_graph(1, []), (0b111,))
-        assert validate_decomposition(k3, d)
+        check_decomposition(k3, d, None)
 
     def test_path_bags(self):
         p3 = path_graph(3)
         d = TreeDecomposition(build_graph(2, [(0, 1)]), (0b011, 0b110))
-        assert validate_decomposition(p3, d)
+        check_decomposition(p3, d, None)
 
     def test_uncovered_edge(self):
         k3 = complete_graph(3)
         d = TreeDecomposition(build_graph(2, [(0, 1)]), (0b011, 0b110))
-        assert not validate_decomposition(k3, d)
+        check_decomposition(k3, d, "edge (0, 2) lies in no bag")
 
     def test_missing_vertex(self):
         p3 = path_graph(3)
         d = TreeDecomposition(build_graph(2, [(0, 1)]), (0b011, 0b010))
-        assert not validate_decomposition(p3, d)
+        check_decomposition(p3, d, "vertex 2 lies in no bag")
 
     def test_broken_subtree(self):
         p4 = path_graph(4)
         bags = (0b0011, 0b0110, 0b1101)
         d = TreeDecomposition(build_graph(3, [(0, 1), (1, 2)]), bags)
-        assert not validate_decomposition(p4, d)
+        check_decomposition(p4, d, "the nodes holding vertex 0 are disconnected")
 
     def test_carrier_must_be_tree(self):
         k3 = complete_graph(3)
         d = TreeDecomposition(build_graph(2, []), (0b111, 0b111))
-        assert not validate_decomposition(k3, d)
+        check_decomposition(k3, d, "the carrier is not a tree")
         cyc = TreeDecomposition(cycle_graph(3), (0b111, 0b111, 0b111))
-        assert not validate_decomposition(k3, cyc)
+        check_decomposition(k3, cyc, "the carrier is not a tree")
+        empty = TreeDecomposition(build_graph(0, []), ())
+        check_decomposition(k3, empty, "the carrier is not a tree")
 
     def test_bag_count_must_match_the_tree(self):
         p3 = path_graph(3)
         for bags in ((0b011,), (0b011, 0b110, 0b110)):
             d = TreeDecomposition(build_graph(2, [(0, 1)]), bags)
-            assert not validate_decomposition(p3, d)
+            check_decomposition(p3, d, f"{len(bags)} bags for a tree of 2 nodes")
 
     def test_foreign_vertices(self):
         p2 = path_graph(2)
         d = TreeDecomposition(build_graph(1, []), (0b111,))
-        assert not validate_decomposition(p2, d)
+        check_decomposition(p2, d, "bag 0 holds a vertex outside the graph")
 
 
 class TestCrossCheck:
@@ -170,10 +176,10 @@ class TestCrossCheck:
         ids=["k33-petersen", "k33-k33"],
     )
     def test_components_that_survive_preprocessing(self, g, width):
-        prefix, alive, fadj, _ = _preprocess(g, _contraction_degeneracy(g))
+        prefix, _, alive, fadj, _ = _preprocess(g, _contraction_degeneracy(g))
         assert alive & 0b111111 and alive >> 6
         assert _decide(fadj, alive, width - 1) is None
-        order = prefix + _decide(fadj, alive, width)
+        order = prefix + [v for v, _, _ in _decide(fadj, alive, width)]
         assert back_degree(g, order) == width
         assert solved(g) == width == treewidth_dp(g)
 
@@ -250,7 +256,7 @@ class TestBranchingSearch:
         tw = treewidth_dp(g)
         assert solved(g) == tw
         assert _decide(list(g.adj), g.full_mask, tw - 1) is None
-        order = _decide(list(g.adj), g.full_mask, tw)
+        order = [v for v, _, _ in _decide(list(g.adj), g.full_mask, tw)]
         assert sorted(order) == list(range(n))
         assert back_degree(g, order) <= tw
 
@@ -260,10 +266,10 @@ class TestBranchingSearch:
     def test_searches_the_preprocessed_core(self, n, p, seed):
         g = random_graph(n, p, seed)
         tw = treewidth_dp(g)
-        prefix, alive, fadj, low = _preprocess(g, _contraction_degeneracy(g))
+        prefix, _, alive, fadj, low = _preprocess(g, _contraction_degeneracy(g))
         assert prefix and alive and low < tw
         assert _decide(fadj, alive, tw - 1) is None
-        order = prefix + _decide(fadj, alive, tw)
+        order = prefix + [v for v, _, _ in _decide(fadj, alive, tw)]
         assert sorted(order) == list(range(n))
         assert back_degree(g, order) <= tw
 
@@ -305,14 +311,30 @@ class TestBranchingSearch:
         assert solved(line_graph(wall(5)), cap=None) == 6
 
 
+def elimination_order(dec):
+    """The order a decomposition was read off: node i's vertex is the one
+    vertex of its bag that no later bag holds."""
+    order = []
+    later = 0
+    for bag in reversed(dec.bags):
+        own = bag & ~later
+        assert own.bit_count() == 1
+        order.append(own.bit_length() - 1)
+        later |= bag
+    return order[::-1]
+
+
 def test_fixed_costs_match_the_first_versions():
-    for seed in range(1200):
-        g = random_graph(1 + seed % 30, 0.05 + (seed % 10) * 0.1, seed)
+    hosts = [random_graph(1 + seed % 30, 0.05 + (seed % 10) * 0.1, seed) for seed in range(1200)]
+    for seed, g in enumerate(hosts):
         low = oracles.contraction_degeneracy_by_scan(g)
         assert _contraction_degeneracy(g) == low, seed
         for bound in (max(low - 2, 0), low, low + 1):
-            assert _preprocess(g, bound) == oracles.preprocess_by_pairs(g, bound), (seed, bound)
-        order = random.Random(seed).sample(range(g.n), g.n)
-        dec = _decomposition_from_order(g, order)
-        bags, tree = oracles.decomposition_by_build_graph(g, order)
-        assert (dec.bags, dec.tree.n, dec.tree.adj) == (bags, tree.n, tree.adj), seed
+            prefix, _, alive, adj, low_out = _preprocess(g, bound)
+            assert (prefix, alive, adj, low_out) == oracles.preprocess_by_pairs(g, bound), (seed, bound)
+    hosts += [random_graph(n, p, n) for n in range(18, 25) for p in (0.15, 0.2, 0.25, 0.3)]
+    hosts.append(disjoint_union(disjoint_union(complete_bipartite(3, 3), petersen()), random_graph(14, 0.3, 4)))
+    for i, g in enumerate(hosts):
+        dec = treewidth_exact(g)[1]
+        bags, tree = oracles.decomposition_by_build_graph(g, elimination_order(dec))
+        assert (dec.bags, dec.tree.n, dec.tree.adj) == (bags, tree.n, tree.adj), i
