@@ -764,11 +764,12 @@ def three_in_a_tree(
     of three z-vertices but itself; a path is the spider whose hub is its
     middle z-vertex.  For each triple (a, b, c) of z in ascending order, hubs
     c, b, a and then every other vertex ascending are tried with the leg
-    search find_theta shares, so None is exhaustive.  A hub outside {a, b, c}
-    must be the centre of an induced claw, since its three legs start at
-    pairwise nonadjacent vertices (a leg of one edge at its z-vertex); the
-    other hubs have no legs to find and are skipped, each tested once per
-    call.  The test reads all of g, as a claw centre of G[within] is one of g.
+    search find_theta shares, so None is exhaustive.  A hub's legs start at
+    distinct, pairwise nonadjacent vertices of ``within`` (a leg of one edge
+    at its z-vertex), so a hub in {a, b, c} needs two neighbours in G[within]
+    and any other hub must be the centre of an induced claw of G[within]; the
+    other hubs have no legs to find and are skipped, each claw test made once
+    per call.
     """
     zs = tuple(sorted(set(z)))
     if len(zs) < 3:
@@ -780,15 +781,38 @@ def three_in_a_tree(
     if not is_stable_set(g, zmask):
         raise ValueError("the set must be stable")
     check_cap("three_in_a_tree", within.bit_count(), cap)
-    claw = cache(lambda v: _is_claw_centre(g.adj, v))
+    adj = g.adj if within == g.full_mask else tuple(m & within for m in g.adj)
+    claw = cache(lambda v: _is_claw_centre(adj, v))
     for a, b, c in itertools.combinations(zs, 3):
         base = within & ~mask_of((a, b, c))
         for hub in itertools.chain((c, b, a), iter_bits(base)):
             ends = tuple(t for t in (a, b, c) if t != hub)
-            if g.adj[hub].bit_count() < len(ends) or len(ends) == 3 and not claw(hub):
+            if adj[hub].bit_count() < len(ends) or len(ends) == 3 and not claw(hub):
                 continue
             for legs in _legs(g, hub, ends, base & ~(1 << hub), 1 << hub):
                 return tuple(sorted({hub}.union(*legs)))
+    return None
+
+
+def induced_tree_violation(g: Graph, z, tree, within: int | None = None) -> str | None:
+    """The first broken property of a three_in_a_tree answer, or None if ``tree`` is one.
+
+    Every vertex of ``tree`` must lie in g and in ``within`` (all of g when
+    None), the vertices must be distinct and induce a tree, and at least
+    three of them must lie in z.
+    """
+    area = g.full_mask if within is None else within
+    for v in tree:
+        if not 0 <= v < g.n:
+            return f"vertex {v} is outside the graph"
+        if not area >> v & 1:
+            return f"vertex {v} is outside the search area"
+    m = mask_of(tree)
+    edges = sum((g.adj[v] & m).bit_count() for v in iter_bits(m)) // 2
+    if not m or m.bit_count() != len(tree) or edges != len(tree) - 1 or _reach(g.adj, m & -m, m) != m:
+        return "the vertices do not induce a tree"
+    if len(set(z).intersection(tree)) < 3:
+        return "the tree holds fewer than three vertices of z"
     return None
 
 

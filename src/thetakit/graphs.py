@@ -291,37 +291,34 @@ def is_induced_path(
 
 def _induced_path_mask(g: Graph, seq: Sequence[int], x: int | None, y: int | None) -> int:
     # The vertex mask of seq when is_induced_path holds, else 0 (a path has a vertex).
-    k = len(seq)
-    if k == 0 or not g.has_vertices(seq):
+    if not seq or x is not None and seq[0] != x or y is not None and seq[-1] != y:
         return 0
-    if x is not None and seq[0] != x:
-        return 0
-    if y is not None and seq[-1] != y:
-        return 0
-    mask = mask_of(seq)
-    if mask.bit_count() != k:
-        return 0
-    # Each vertex must see exactly its neighbours in the sequence.
-    before = 0
-    for i, v in enumerate(seq):
-        after = 1 << seq[i + 1] if i + 1 < k else 0
-        if g.adj[v] & mask != before | after:
+    # One pass: each vertex is an id of g and sees, among the vertices before
+    # it, exactly its predecessor.  That fixes every pair's adjacency; a
+    # repeated vertex leaves the mask with fewer bits than seq has entries.
+    n, adj = g.n, g.adj
+    mask = prev = 0
+    for v in seq:
+        if not 0 <= v < n or adj[v] & mask != prev:
             return 0
-        before = 1 << v
-    return mask
+        prev = 1 << v
+        mask |= prev
+    return mask if mask.bit_count() == len(seq) else 0
 
 
 def is_induced_cycle(g: Graph, seq: tuple[int, ...] | list[int]) -> bool:
     """True iff ``seq`` lists the vertices of an induced cycle in cyclic order."""
-    k = len(seq)
-    if k < 3 or len(set(seq)) != k or not g.has_vertices(seq):
+    if len(seq) < 3:
         return False
-    for i in range(k):
-        for j in range(i + 1, k):
-            consecutive = j == i + 1 or (i == 0 and j == k - 1)
-            if g.has_edge(seq[i], seq[j]) != consecutive:
-                return False
-    return True
+    # seq minus its last vertex is an induced path, and the last vertex, new
+    # to it, sees exactly the path's two ends.
+    mask, last = _induced_path_mask(g, seq[:-1], None, None), seq[-1]
+    return (
+        mask != 0
+        and 0 <= last < g.n
+        and not mask >> last & 1
+        and g.adj[last] & mask == 1 << seq[-2] | 1 << seq[0]
+    )
 
 
 def connected_components(g: Graph, within: int | None = None) -> list[int]:

@@ -27,6 +27,7 @@ from thetakit.detectors import (
     find_induced,
     find_prism,
     find_theta,
+    induced_tree_violation,
     max_path_fan,
     three_in_a_tree,
     theta_witness_violation,
@@ -711,7 +712,9 @@ class TestSameWitnessAsTheUnprunedSearch:
                 if len(z) >= 3:
                     got = three_in_a_tree(g, z, cap=None)
                     assert got == tree_by_degree_hubs(g, z)
-                    hits += got is not None
+                    if got is not None:
+                        hits += 1
+                        assert induced_tree_violation(g, z, got) is None
         assert hits
 
     @pytest.mark.parametrize("s, l", list(itertools.product((1, 2, 3), repeat=2)))
@@ -1171,13 +1174,37 @@ class TestWithinMasks:
             if len(z) < 3:
                 continue
             want = three_in_a_tree(sub, z, cap=None)
-            got = three_in_a_tree(g, [back[v] for v in z], cap=None, within=within)
+            zg = [back[v] for v in z]
+            got = three_in_a_tree(g, zg, cap=None, within=within)
             if want is None:
                 assert got is None
             else:
                 hits += 1
                 assert got == tuple(back[v] for v in want)
+                assert induced_tree_violation(g, zg, got, within) is None
         assert hits >= 100
+
+    def test_three_in_a_tree_tests_hubs_in_the_mask(self, monkeypatch):
+        # The hub tests read G[within], so the masked search starts exactly
+        # the leg searches that the search on the induced copy starts.
+        legs = count_calls(monkeypatch, detectors, "_legs")
+        claws = 0
+        for rng, g, within, sub, back in masked_hosts(600, 76_000):
+            z = random_stable(sub, rng, 3 + rng.randrange(3))
+            if len(z) < 3:
+                continue
+            legs[0] = 0
+            three_in_a_tree(sub, z, cap=None)
+            on_copy = legs[0]
+            legs[0] = 0
+            three_in_a_tree(g, [back[v] for v in z], cap=None, within=within)
+            assert legs[0] == on_copy
+            # Hosts where a claw test on all of g would let a hub through.
+            claws += any(
+                detectors._is_claw_centre(g.adj, back[v]) and not detectors._is_claw_centre(sub.adj, v)
+                for v in range(sub.n)
+            )
+        assert claws >= 100
 
     @pytest.mark.parametrize("within", [1 << 5, 0b111 | 1 << 9, -1])
     def test_a_mask_outside_the_graph_is_rejected(self, within):
@@ -1235,6 +1262,7 @@ class TestWithinMasks:
         pytest.param(lambda g: ab_tree_violation(g, ABTreeCert(1, 1, -1, (0,), ())), id="ab-tree-root"),
         pytest.param(lambda g: biclique_violation(g, Biclique((0,), (-1,))), id="biclique"),
         pytest.param(lambda g: witness_violation(g, PreconditionWitness("clique", (0, 9), ())), id="clique"),
+        pytest.param(lambda g: induced_tree_violation(g, (0, 2, 9), (0, 1, 2, 9)), id="induced-tree"),
         pytest.param(lambda g: is_induced_path(g, (9,)), id="induced-path"),
         pytest.param(lambda g: is_induced_cycle(g, (9, 0, 1)), id="induced-cycle"),
     ],
@@ -1297,6 +1325,26 @@ THETA_PATHS = ((0, 2, 1), (0, 3, 1), (0, 4, 5, 1))
 ])
 def test_theta_witness_violation_messages(g, paths, message):
     assert theta_witness_violation(g, ThetaWitness(0, 1, paths)) == message
+
+
+@pytest.mark.parametrize("tree, within, message", [
+    ((0, 1, 2, 6), None, "vertex 6 is outside the graph"),
+    ((-1, 0, 1), None, "vertex -1 is outside the graph"),
+    ((0, 1, 2), 0b111110, "vertex 0 is outside the search area"),
+    ((), None, "the vertices do not induce a tree"),
+    ((0, 1, 1, 2), None, "the vertices do not induce a tree"),
+    ((0, 2, 4), None, "the vertices do not induce a tree"),
+    ((0, 1, 2, 3, 4), None, "the vertices do not induce a tree"),
+    ((0, 1, 2, 3, 4, 5), None, "the vertices do not induce a tree"),
+    ((1, 2, 3), None, "the tree holds fewer than three vertices of z"),
+    ((0, 1, 2, 3), 0b001111, None),
+    ((0, 1, 2, 3), None, None),
+])
+def test_induced_tree_violation_messages(tree, within, message):
+    # z = (0, 2, 3) in the 5-cycle 0-1-2-3-4 plus the isolated vertex 5; the
+    # whole graph has one edge fewer than vertices but is no tree.
+    g = disjoint_union(cycle_graph(5), path_graph(1))
+    assert induced_tree_violation(g, (0, 2, 3), tree, within) == message
 
 
 @pytest.mark.parametrize("cert, message", [

@@ -21,6 +21,7 @@ from thetakit.graphs import (
     Graph,
     PathFamily,
     _flow_paths,
+    _induced_path_mask,
     _max_flow,
     ab_tree_size,
     ab_tree_violation,
@@ -169,6 +170,58 @@ def test_induced_path_and_cycle():
     assert not is_induced_cycle(c5, (0, 1, 2))
     k4 = build_graph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
     assert not is_induced_cycle(k4, (0, 1, 2, 3))
+    # 1 sees exactly the ends of the path 0-1-2, but it is on that path.
+    assert not is_induced_cycle(c5, (0, 1, 2, 1))
+
+
+def test_induced_path_mask_edge_cases():
+    p4 = path_graph(4)
+    assert _induced_path_mask(p4, (2,), None, None) == 1 << 2
+    assert _induced_path_mask(p4, (2,), 2, 2) == 1 << 2
+    assert _induced_path_mask(p4, (2,), 1, None) == 0
+    assert _induced_path_mask(p4, (), None, None) == 0
+    assert _induced_path_mask(p4, (1, 2, 3), 1, 3) == 0b1110
+    # A wrong x, then a wrong y.
+    assert _induced_path_mask(p4, (1, 2, 3), 0, 3) == 0
+    assert _induced_path_mask(p4, (1, 2, 3), 1, 2) == 0
+    # Ids -1 and n, first, inside and last.
+    for seq in ((-1,), (4,), (-1, 0), (0, -1), (3, 4), (2, 3, 4), (4, 3, 2), (1, -1, 2)):
+        assert _induced_path_mask(p4, seq, None, None) == 0, seq
+    # Repeats, one of which sees exactly its predecessor among the vertices
+    # before it, so only the vertex count rejects it.
+    for seq in ((2, 2), (1, 2, 1), (0, 1, 2, 1)):
+        assert _induced_path_mask(p4, seq, None, None) == 0, seq
+
+
+@given(st.data())
+@settings(max_examples=400, deadline=None)
+def test_induced_cycle_matches_networkx(data):
+    # Half the draws are any ids from -1 to n, repeats and lengths below 3
+    # included; the others are distinct vertices, some with one of them
+    # repeated at the end.  The graph holds the sequence's own ring of edges
+    # and up to two more, so that many sequences are induced cycles and many
+    # just miss.
+    n = data.draw(st.integers(0, 6))
+    if data.draw(st.booleans()):
+        seq = data.draw(st.lists(st.integers(-1, n), max_size=7))
+    else:
+        seq = data.draw(st.permutations(list(range(n))))[:data.draw(st.integers(0, n))]
+        if seq and data.draw(st.booleans()):
+            seq.append(data.draw(st.sampled_from(seq)))
+    k = len(seq)
+    ring = {frozenset((seq[i], seq[(i + 1) % k])) for i in range(k)}
+    h = nx.Graph()
+    h.add_nodes_from(range(n))
+    h.add_edges_from(tuple(e) for e in ring if len(e) == 2 and e <= set(range(n)))
+    vertex = st.integers(0, max(n - 1, 0))
+    h.add_edges_from((u, v) for u, v in data.draw(st.lists(st.tuples(vertex, vertex), max_size=2)) if u != v)
+    want = (
+        k >= 3
+        and len(set(seq)) == k
+        and all(0 <= v < n for v in seq)
+        and {frozenset(e) for e in h.subgraph(seq).edges()} == ring
+    )
+    assert is_induced_cycle(build_graph(n, h.edges()), seq) == want
 
 
 @given(graphs(), st.data())
