@@ -21,9 +21,9 @@ from .generators import complete_bipartite, cycle_graph, line_graph, prism_graph
 from .graphs import (
     Graph,
     PathFamily,
+    _first_overlap,
     _reach,
     _vertex_mask,
-    are_anticomplete,
     is_induced_path,
     is_stable_set,
     iter_bits,
@@ -157,13 +157,12 @@ def theta_witness_violation(g: Graph, w: ThetaWitness) -> str | None:
     bad = path_family_violation(g, PathFamily(w.x, w.y, w.paths))
     if bad is not None:
         return bad
-    interiors = [mask_of(p[1:-1]) for p in w.paths]
     # Every interior is nonempty: the family check has rejected a path
-    # (x, y), since x and y are nonadjacent.
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if not are_anticomplete(g, interiors[i], interiors[j]):
-                return f"interiors of paths {i} and {j} see each other"
+    # (x, y), since x and y are nonadjacent.  They are disjoint, so two meet
+    # or see each other only through an edge.
+    pair = _first_overlap([mask_of(p[1:-1]) for p in w.paths], g.adj)
+    if pair is not None:
+        return f"interiors of paths {pair[0]} and {pair[1]} see each other"
     return None
 
 
@@ -654,10 +653,9 @@ def constellation_witness_violation(
         if m & cmask:
             return f"component {i} meets the centers"
         masks.append(m)
-    for i in range(len(masks)):
-        for j in range(i + 1, len(masks)):
-            if not are_anticomplete(g, masks[i], masks[j]):
-                return f"components {i} and {j} are not anticomplete"
+    pair = _first_overlap(masks, g.adj)
+    if pair is not None:
+        return f"components {pair[0]} and {pair[1]} are not anticomplete"
     for c in w.centers:
         for i, m in enumerate(masks):
             if not g.adj[c] & m:

@@ -331,6 +331,23 @@ def ramsey_extract(g: Graph, t: int, alpha: int) -> Outcome:
     return _settle(lambda steps: _ramsey(g, t, alpha, steps))
 
 
+def _biclique_or_clique(g: Graph, within: int, s: int, t: int, steps: list, op: str, prefix: str) -> tuple[str, object] | None:
+    """An induced K_{s,s} of G[within], else a clique of at least t vertices, else None.
+
+    The choice is logged under ``op`` as ``prefix`` + "biclique" or "clique".
+    """
+    emb = find_biclique(g, s, cap=None, within=within)
+    if emb is not None:
+        w = Biclique(emb.phi[:s], emb.phi[s:])
+        steps.append(TraceStep(op, "choose", prefix + "biclique", (w.side_a, w.side_b)))
+        return "biclique", w
+    size, clique = clique_number(g, within)
+    if size >= t:
+        steps.append(TraceStep(op, "choose", prefix + "clique", clique))
+        return "clique", clique
+    return None
+
+
 def _eh(g: Graph, within: int, s: int, t: int, alpha: int, steps: list, cap: int | None) -> tuple[str, object]:
     if s < 1 or t < 1 or alpha < 1:
         raise ValueError("all three targets must be positive")
@@ -340,15 +357,9 @@ def _eh(g: Graph, within: int, s: int, t: int, alpha: int, steps: list, cap: int
     if len(stable) >= alpha:
         steps.append(TraceStep("eh_extract", "choose", "stable", stable))
         return "stable", stable
-    emb = find_biclique(g, s, cap=None, within=within)
-    if emb is not None:
-        w = Biclique(emb.phi[:s], emb.phi[s:])
-        steps.append(TraceStep("eh_extract", "choose", "biclique", (w.side_a, w.side_b)))
-        return "biclique", w
-    size, clique = clique_number(g, within)
-    if size >= t:
-        steps.append(TraceStep("eh_extract", "choose", "clique", clique))
-        return "clique", clique
+    hit = _biclique_or_clique(g, within, s, t, steps, "eh_extract", "")
+    if hit is not None:
+        return hit
     required = alpha**s * t ** (s - 1)
     steps.append(TraceStep("eh_extract", "threshold", "eh_order", (required, n, False)))
     _unmet(steps, "eh_order", required, n)
@@ -459,25 +470,6 @@ def _stable_in(g: Graph, within: int, s: int, t: int, alpha: int, steps: list, c
     return payload
 
 
-def _family_fallback(g: Graph, w_sets, s: int, t_like: int, steps: list) -> None:
-    """Scan the working vertices for the assumed-absent structures directly.
-
-    At a descent shortfall the counting argument has nothing more to say, but
-    the structures whose absence it assumed may still be present at desk
-    scale; surfacing one beats a bare unmet-threshold report.
-    """
-    within = mask_of(v for w in w_sets for v in w)
-    emb = find_biclique(g, s, cap=None, within=within)
-    if emb is not None:
-        w = Biclique(emb.phi[:s], emb.phi[s:])
-        steps.append(TraceStep("anticomplete_family", "choose", "fallback_biclique", (w.side_a, w.side_b)))
-        _witness(steps, "biclique", w)
-    size, clique = clique_number(g, within)
-    if size >= t_like:
-        steps.append(TraceStep("anticomplete_family", "choose", "fallback_clique", clique))
-        _witness(steps, "clique", clique)
-
-
 def _zeta_descent(g: Graph, w_sets, alpha: int, s: int, t_like: int, policy, steps: list) -> tuple[tuple[int, ...], ...]:
     op = "anticomplete_family"
     gs = nat(2 * s) ** nat(2 * s - 1)
@@ -492,12 +484,11 @@ def _zeta_descent(g: Graph, w_sets, alpha: int, s: int, t_like: int, policy, ste
         return zeta_1() ** nat(s) * nat(t_like) ** nat(s - 1)
 
     _gate(steps, policy, op, "zeta_0", zeta_0, len(w_sets))
-    pairs = [(min(w), max(w)) for w in w_sets]
-    xs = [p[0] for p in pairs]
-    ys = [p[1] for p in pairs]
+    xs = [w[0] for w in w_sets]
+    ys = [w[1] for w in w_sets]
 
-    z1 = _target(steps, policy, op, "zeta_1", zeta_1, 1, len(pairs))
-    chosen = set(_stable_in(g, mask_of(xs), s, t_like, min(z1, len(pairs)), steps))
+    z1 = _target(steps, policy, op, "zeta_1", zeta_1, 1, len(w_sets))
+    chosen = set(_stable_in(g, mask_of(xs), s, t_like, min(z1, len(w_sets)), steps))
     i1 = [i for i, x in enumerate(xs) if x in chosen]
     steps.append(TraceStep(op, "choose", "I_1", tuple(i1)))
 
@@ -523,7 +514,7 @@ def _zeta_descent(g: Graph, w_sets, alpha: int, s: int, t_like: int, policy, ste
     if kind == "clique":
         i3 = [i2[k] for k in payload]
         steps.append(TraceStep(op, "choose", "I_3", tuple(i3)))
-        return tuple(tuple(sorted(w_sets[i])) for i in i3)
+        return tuple(w_sets[i] for i in i3)
 
     picked = [i2[k] for k in payload]
     prime_edges = []
@@ -562,18 +553,17 @@ def _xi_descent(g: Graph, w_sets, alpha: int, s: int, r: int, t_like: int, polic
 
     # Stage k removes the vertex at sorted position k from every surviving
     # set; the last stage asks for alpha itself, not a threshold-sized family.
-    sorted_sets = [tuple(sorted(w)) for w in w_sets]
-    live = list(range(len(sorted_sets)))
+    live = list(range(len(w_sets)))
     for k, (label, key) in enumerate((("xi_1", xi_1), ("xi_2", xi_2), (None, None))):
         target = alpha
         if label is not None:
             target = min(_target(steps, policy, op, label, key, 1, len(live)), len(live))
-        sub_sets = [sorted_sets[i][:k] + sorted_sets[i][k + 1:] for i in live]
+        sub_sets = [w_sets[i][:k] + w_sets[i][k + 1:] for i in live]
         family = _anticomplete(g, sub_sets, target, s, policy, steps)
         positions = {frozenset(x): i for x, i in zip(sub_sets, live)}
         live = sorted(positions[frozenset(x)] for x in family)
         steps.append(TraceStep(op, "choose", f"I_{k + 1}", tuple(live)))
-    return tuple(sorted_sets[i] for i in live)
+    return tuple(w_sets[i] for i in live)
 
 
 def _anticomplete(g: Graph, clean, alpha: int, s: int, policy, steps: list) -> tuple[tuple[int, ...], ...]:
@@ -587,15 +577,12 @@ def _anticomplete(g: Graph, clean, alpha: int, s: int, policy, steps: list) -> t
     """
     op = "anticomplete_family"
     masks = [mask_of(x) for x in clean]
+    pair = _first_overlap(masks, g.adj)
     t_like = _clique_bound(policy)
     r = max(len(x) for x in clean)
     steps.append(TraceStep(op, "branch", "r", (r, alpha, s)))
 
-    if len(clean) >= alpha and all(
-        not any(g.adj[u] & masks[j] for u in clean[i])
-        for i in range(len(masks))
-        for j in range(i + 1, len(masks))
-    ):
+    if len(clean) >= alpha and pair is None:
         # The whole family already has the property; selection is trivial.
         result = tuple(clean[:alpha])
         steps.append(TraceStep(op, "choose", "family", result))
@@ -606,14 +593,12 @@ def _anticomplete(g: Graph, clean, alpha: int, s: int, policy, steps: list) -> t
         return (clean[0],)
 
     if s == 1:
-        # Any cross edge is already the forbidden K_{1,1}.
-        for i in range(len(masks)):
-            for j in range(i + 1, len(masks)):
-                for u in clean[i]:
-                    hit = g.adj[u] & masks[j]
-                    if hit:
-                        v = (hit & -hit).bit_length() - 1
-                        _witness(steps, "biclique", Biclique((u,), (v,)))
+        # Any cross edge is already the forbidden K_{1,1}: the least u of the
+        # first pair of sets that see each other, and its least neighbour.
+        if pair is not None:
+            i, j = pair
+            u = next(u for u in clean[i] if g.adj[u] & masks[j])
+            _witness(steps, "biclique", Biclique((u,), (next(iter_bits(g.adj[u] & masks[j])),)))
         _gate(steps, policy, op, "family_size", lambda: nat(alpha), len(clean))
         steps.append(TraceStep(op, "choose", "family", tuple(clean)))
         return tuple(clean)
@@ -647,7 +632,11 @@ def _anticomplete(g: Graph, clean, alpha: int, s: int, policy, steps: list) -> t
     except _Exit as e:
         if not isinstance(e.outcome, ThresholdUnmet):
             raise
-        _family_fallback(g, w_sets, s, t_like, steps)
+        # The counting has run out, but the structures whose absence it assumed
+        # may be present at desk scale; surfacing one beats a bare shortfall.
+        hit = _biclique_or_clique(g, mask_of(v for w in w_sets for v in w), s, t_like, steps, op, "fallback_")
+        if hit is not None:
+            _witness(steps, *hit)
         raise
 
 

@@ -23,7 +23,9 @@ Reachability inside a vertex mask is computed in one place: ``_union`` ORs
 the adjacency masks of a set's vertices, and ``_reach`` floods breadth-first
 from a seed through a mask, stopping early when asked.  The neighborhoods,
 components and layers below, the flow's residual layers and the detectors'
-floods are all built on those two.
+floods are all built on those two.  ``_first_overlap`` is the one family
+scan: the first pair of vertex sets that meet, or meet or see each other,
+for the family and witness checks and the anticomplete descent.
 
 Determinism contract: every function that returns vertices returns them in
 ascending order, and every search elsewhere in the package iterates candidate
@@ -510,20 +512,24 @@ def _max_flow(g: Graph, sources: int, sinks: int, within: int) -> tuple[int, dic
             last = v
 
 
-def _first_overlap(masks: Sequence[int]) -> tuple[int, int] | None:
-    """The least i, then the least j > i, with masks i and j meeting; None if disjoint.
+def _first_overlap(masks: Sequence[int], adj: Sequence[int] | None = None) -> tuple[int, int] | None:
+    """The least i, then the least j > i, with masks i and j meeting; None if none do.
 
-    One backward pass keeps the union of the masks after i, so the last i
-    it flags is the least; a forward scan from there finds its j.
+    Given ``adj``, masks that have an edge between them count as meeting too,
+    so None means pairwise anticomplete.  One backward pass keeps the union
+    of the masks after i and tests it against mask i, or its closed
+    neighbourhood, so the last i it flags is the least; a forward scan from
+    there finds its j.
     """
+    reach = masks if adj is None else [m | _union(adj, m) for m in masks]
     first, later = None, 0
     for i in range(len(masks) - 1, -1, -1):
-        if masks[i] & later:
+        if reach[i] & later:
             first = i
         later |= masks[i]
     if first is None:
         return None
-    m = masks[first]
+    m = reach[first]
     return first, next(j for j in range(first + 1, len(masks)) if m & masks[j])
 
 

@@ -402,6 +402,15 @@ class TestTowerCompare:
                 (nat(2) ** y * nat(3) ** nat(13), nat(2) ** (y + 21), -1),
                 (nat(2 ** 40) * nat(2) ** y, nat(2) ** (y + 40), 0),
             ]
+        # Literal rests whose k the float guess at log_q misses, corrected
+        # on ints: for q^7 it overshoots 7, and q^3 + 1 needs 4, one more
+        # than it guesses.
+        z = nat(10) ** nat(10 ** 6)
+        q1, q2 = nat(1_000_033), nat(1_000_003)
+        cases += [
+            (q1 ** (z + 7), nat(1_000_033 ** 7) * q1 ** z, 0),
+            (q2 ** (z + 4), nat(1_000_003 ** 3 + 1) * q2 ** z, 1),
+        ]
         for a, b, want in cases:
             assert tower_compare(a, b) == want
             assert tower_compare(b, a) == -want
@@ -554,6 +563,13 @@ class TestTowerCompare:
         assert normalize(base ** 0) is nat(1)
         assert normalize(base ** 1) is base
 
+    def test_base_one_and_factor_zero_beyond_cap(self, no_escalation):
+        # X has no value within the cap, so neither form evaluates at once:
+        # 1^X folds on its base and X * 0 on its coefficient.
+        x = nat(3) ** (nat(10) ** nat(10 ** 6))
+        assert normalize(nat(1) ** x) is nat(1)
+        assert normalize(x * nat(0)) is nat(0)
+
     # Known defect: the sum 2^F + 1 has the bracket (2^F, 2^(F + 1)], which
     # holds 3^(10^12), so the sum rung leaves the order open and the ladder
     # escalates, which raises; 3^(10^12) - 1 against 2^F becomes 3^(10^12)
@@ -657,6 +673,15 @@ class TestMagnitude:
         for a, b, want in cases:
             assert tower_compare(a, b) == want
             assert tower_compare(b, a) == -want
+
+    def test_subtrahend_past_the_bracket(self, no_escalation):
+        # A subtrahend of 2^64 or more leaves _magnitude at None, so the
+        # brackets stay silent and the ladder decides.
+        y = nat(2) ** nat(10 ** 6)
+        less = y.minus(2 ** 70)
+        assert _magnitude(less) is None
+        assert tower_compare(less, y) == -1
+        assert tower_compare(y, less) == 1
 
     def test_float_cap_promotions(self):
         # A level-1 or level-2 end past 2^1000 moves its bracket one level up.

@@ -554,6 +554,25 @@ class TestGrowExamples:
         assert out.witness.x == 0 and out.witness.y == 7
         assert witness_violation(g, out) is None
 
+    def test_low_branch_constricted(self):
+        # The spider above with a triangle on 4, 5, 6.  Each tip's one
+        # neighbour in the region lies on the triangle, so every connected
+        # induced subgraph holding the three tips holds the triangle too, and
+        # the low branch finds no tree on the tips.
+        g = build_graph(8, [
+            (0, 1), (0, 2), (0, 3), (1, 4), (2, 5), (3, 6),
+            (4, 5), (5, 6), (4, 6), (4, 7), (5, 7), (6, 7),
+        ])
+        fam = PathFamily(0, 7, ((0, 1, 4, 7), (0, 2, 5, 7), (0, 3, 6, 7)))
+        out = grow_ab_tree(g, 0, 7, fam, 2, 2, FixedThresholds(0, fanout_high=1))
+        assert isinstance(out, ThresholdUnmet)
+        assert (out.name, out.required, out.available) == ("three_in_tree", 1, 0)
+        assert [(s.kind, s.label, s.data) for s in out.trace[-2:]] == [
+            ("choose", "Z", (1, 2, 3)),
+            ("branch", "constricted", ()),
+        ]
+        check_outcome_rule(g, out)
+
     @staticmethod
     def anticomplete_paths(count, inner):
         # count pairwise anticomplete paths from 0 to 1, each of inner interior vertices.
@@ -841,7 +860,45 @@ class TestRamseyGuarantee:
                         assert len(vs) == alpha and is_stable_set(g, vs)
 
 
+def first_cross_edge(g, sets):
+    # The K_{1,1} the s = 1 descent reports, by a triple loop: the least i,
+    # then the least j > i, then the least u in set i, then the least v in
+    # set j with an edge uv.
+    for i, j in itertools.combinations(range(len(sets)), 2):
+        for u in sets[i]:
+            for v in sets[j]:
+                if g.has_edge(u, v):
+                    return Biclique((u,), (v,))
+    return None
+
+
 class TestAnticompleteAgainstOracle:
+    def test_single_biclique_witness_is_the_first_cross_edge(self):
+        # Seeded G(n <= 14, p) with disjoint families of sets of one to three
+        # vertices, each set sorted as the descent keeps it.
+        rng = random.Random(4409)
+        witnessed = 0
+        for seed in range(200):
+            n = rng.randint(2, 14)
+            g = random_graph(n, rng.choice((0.05, 0.1, 0.2)), seed)
+            verts = list(range(n))
+            rng.shuffle(verts)
+            sets = []
+            while len(verts) > len(sets) and len(sets) < 6:
+                size = rng.randint(1, 3)
+                sets.append(tuple(sorted(verts[:size])))
+                del verts[:size]
+            if len(sets) < 2:
+                continue
+            out = anticomplete_family(g, sets, rng.randint(2, len(sets) + 1), 1, FixedThresholds(0))
+            want = first_cross_edge(g, sets)
+            if want is None:
+                assert isinstance(out, Success)
+            else:
+                assert isinstance(out, PreconditionWitness) and out.witness == want
+                witnessed += 1
+        assert witnessed >= 60
+
     def test_never_beats_exhaustive_maximum(self):
         rng = random.Random(31)
         done = 0

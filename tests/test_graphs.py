@@ -20,6 +20,7 @@ from thetakit.graphs import (
     Digraph,
     Graph,
     PathFamily,
+    _first_overlap,
     _flow_paths,
     _induced_path_mask,
     _max_flow,
@@ -269,6 +270,39 @@ def test_reachability_matches_its_definitions_on_random_masks():
         for root in iter_bits(g.full_mask & ~within):
             with pytest.raises(ValueError, match="not in the search area"):
                 bfs_layers(g, root, within)
+
+
+def first_pair_by_double_loop(masks, adj=None):
+    # The least i, then the least j > i, with masks i and j sharing a vertex
+    # or, given adj, joined by an edge.
+    for i in range(len(masks)):
+        for j in range(i + 1, len(masks)):
+            if masks[i] & masks[j] or adj is not None and any(adj[u] & masks[j] for u in iter_bits(masks[i])):
+                return i, j
+    return None
+
+
+def test_first_overlap_matches_the_double_loop():
+    # Seeded families on G(n <= 16, p): disjoint ones cut from a shuffled
+    # vertex list, overlapping ones drawn freely, empty sets allowed in both.
+    rng = random.Random(3517)
+    found = {True: 0, False: 0}
+    for seed in range(300):
+        n = rng.randint(1, 16)
+        g = random_graph(n, rng.choice((0.05, 0.12, 0.3)), seed)
+        k = rng.randint(0, 7)
+        if seed % 2:
+            verts = list(range(n))
+            rng.shuffle(verts)
+            cuts = sorted(rng.randint(0, n) for _ in range(k))
+            masks = [mask_of(verts[a:b]) for a, b in zip([0] + cuts, cuts)]
+        else:
+            masks = [rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n) for _ in range(k)]
+        for adj in (None, g.adj):
+            pair = _first_overlap(masks, adj)
+            assert pair == first_pair_by_double_loop(masks, adj)
+            found[pair is None] += 1
+    assert min(found.values()) >= 100
 
 
 def test_path_family_validation():
