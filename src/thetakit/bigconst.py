@@ -4,8 +4,11 @@ Values are expression trees over naturals with +, *, ^ and a guarded
 small-literal subtraction.  Trees normalize to a canonical form (constants
 folded up to a digit cap, natural bases split into prime powers, powers
 distributed over products, same-base powers merged, sums collected into
-linear combinations), so equal structure decides equality.  Ordering
-starts from the raw trees and climbs a ladder:
+linear combinations), so equal structure decides equality, except where a
+sum collects a coefficient that shares a prime with a base of its term:
+2^Y + 2^Y normalizes to 2*2^Y, and only a second pass gives 2^(Y+1).  The
+ladder still orders such pairs.  Ordering starts from the raw trees and
+climbs a ladder:
 
 1. before any normal form is built, each side gets a certified magnitude
    bracket (_magnitude): an exact int below 2^64 at level 0, else float
@@ -42,7 +45,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 DIGIT_CAP = 10 ** 5
 _ESCALATION_CAP = 10 ** 8
@@ -216,36 +219,32 @@ def _prime_split(b: int) -> list[tuple[int, int]]:
     return out
 
 
+def _chain(op: str, parts: list[TowerInt]) -> TowerInt:
+    # The left-nested tree ((p0 op p1) op p2) ... of a nonempty list.
+    return reduce(lambda out, p: TowerInt(op, (out, p)), parts)
+
+
 def _rebuild_product(factors: list[TowerInt], coeff: int) -> TowerInt:
     factors = sorted(factors, key=_sort_key)
     if coeff != 1 or not factors:
         factors = [nat(coeff)] + factors
-    out = factors[0]
-    for f in factors[1:]:
-        out = TowerInt("mul", (out, f))
-    return out
+    return _chain("mul", factors)
 
 
 def _rebuild_sum(terms: list[tuple[TowerInt, int]], const: int) -> TowerInt:
-    parts = []
-    for term, c in sorted(terms, key=lambda tc: _sort_key(tc[0])):
-        if c == 1:
-            parts.append(term)
-        else:
-            # Same flat shape a product normalization would produce.
-            parts.append(_merge_nat_factors(TowerInt("mul", (nat(c), term))))
-    if not parts:
-        if const < 0:
-            raise ValueError("expression denotes a negative value")
-        return nat(const)
-    out = parts[0]
-    for p in parts[1:]:
-        out = TowerInt("add", (out, p))
-    if const > 0:
-        out = TowerInt("add", (out, nat(const)))
-    elif const < 0:
-        out = TowerInt("sub", (out, nat(-const)))
-    return out
+    # A collected coefficient goes in front of its term's factors without the
+    # prime migration of normalize's product rule: 2^Y + 2^Y gives 2*2^Y,
+    # which normalizes on to 2^(Y+1).
+    parts = [
+        term if c == 1 else _rebuild_product(_mul_parts(term)[1], c)
+        for term, c in sorted(terms, key=lambda tc: _sort_key(tc[0]))
+    ]
+    if const < 0 and not parts:
+        raise ValueError("expression denotes a negative value")
+    if const > 0 or not parts:
+        parts.append(nat(const))
+    out = _chain("add", parts)
+    return TowerInt("sub", (out, nat(-const))) if const < 0 else out
 
 
 def _mul_parts(e: TowerInt) -> tuple[int, list[TowerInt]]:
@@ -328,12 +327,7 @@ def normalize(e: TowerInt) -> TowerInt:
                 else:
                     leftover *= p ** k
             coeff = leftover
-        merged = []
-        for base, exps in groups.items():
-            total = exps[0]
-            for x in exps[1:]:
-                total = TowerInt("add", (total, x))
-            merged.append(normalize(TowerInt("pow", (base, total))))
+        merged = [normalize(base ** _chain("add", exps)) for base, exps in groups.items()]
         return _rebuild_product(merged, coeff)
     if e.op == "pow":
         base, exp = (normalize(x) for x in e.args)
@@ -348,13 +342,7 @@ def normalize(e: TowerInt) -> TowerInt:
                 return base
             split = _prime_split(bv)
             if len(split) > 1 or split[0][1] > 1:
-                prod = None
-                for p, k in split:
-                    f = normalize(
-                        TowerInt("pow", (nat(p), TowerInt("mul", (nat(k), exp))))
-                    )
-                    prod = f if prod is None else TowerInt("mul", (prod, f))
-                return normalize(prod)
+                return normalize(_chain("mul", [normalize(nat(p) ** (k * exp)) for p, k in split]))
             return TowerInt("pow", (base, exp))
         if base.op == "pow":
             inner_base, inner_exp = base.args
@@ -363,20 +351,11 @@ def normalize(e: TowerInt) -> TowerInt:
             )
         if base.op == "mul":
             c, factors = _mul_parts(base)
-            parts = [TowerInt("pow", (f, exp)) for f in factors]
             if c != 1:
-                parts.append(TowerInt("pow", (nat(c), exp)))
-            prod = parts[0]
-            for p in parts[1:]:
-                prod = TowerInt("mul", (prod, p))
-            return normalize(prod)
+                factors.append(nat(c))
+            return normalize(_chain("mul", [f ** exp for f in factors]))
         return TowerInt("pow", (base, exp))
     return e
-
-
-def _merge_nat_factors(e: TowerInt) -> TowerInt:
-    c, factors = _mul_parts(e)
-    return _rebuild_product(factors, c)
 
 
 @lru_cache(maxsize=None)
@@ -425,8 +404,8 @@ def _compare_logs(ta, tb, depth: int) -> int | None:
     # tree x) pairs of ta less that over tb, or None if no precision settles
     # it.  Literal exponents fold the sums of x*lo and x*hi to integers.
     def total(terms, precision: int, end: int) -> TowerInt:
-        parts = [TowerInt("mul", (x, nat(_log2_bounds(b, precision)[end]))) for b, x in terms]
-        return normalize(sum(parts[1:], parts[0])) if parts else nat(0)
+        parts = [x * _log2_bounds(b, precision)[end] for b, x in terms]
+        return normalize(_chain("add", parts)) if parts else nat(0)
 
     precision = 16
     while precision <= _PRECISION_LIMIT:

@@ -777,7 +777,7 @@ def _grow(g, x, y, fam, a, b, child_count, policy, steps) -> _Subtree:
             if i != j and reach & other:
                 arcs.append((i, j))
     d = build_digraph(len(long_paths), arcs)
-    steps.append(TraceStep(op, "build", "D", tuple(sorted(arcs))))
+    steps.append(TraceStep(op, "build", "D", tuple(arcs)))
 
     def high_target():
         return 2 * q_default() ** nat(2) * r_default()

@@ -32,11 +32,14 @@ from thetakit.extraction import (
     witness_violation,
 )
 from thetakit.generators import (
+    ab_tree_graph,
     complete_bipartite,
     complete_graph,
+    constellation,
     cycle_graph,
     path_graph,
     random_graph,
+    subdivide,
 )
 from thetakit.graphs import (
     Digraph,
@@ -1088,3 +1091,31 @@ def test_grow_outcome_always_validates_property(seed):
     a, b = 2 + rng.randrange(2), 1 + rng.randrange(2)
     out = grow_ab_tree(g, fam.x, fam.y, fam, a, b, FixedThresholds(0))
     check_grow_outcome(g, out, a, b)
+
+
+# Entry checks of public functions that no other test reaches, each with its
+# exact message.
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: eh_extract(path_graph(2), 0, 1, 1), "all three targets must be positive", id="eh_extract"),
+    pytest.param(lambda: digraph_stable(build_digraph(2, []), -1, 1),
+                 "the degree bound must be nonnegative and the target positive", id="digraph_stable"),
+    pytest.param(lambda: digraph_fanout(build_digraph(2, []), 0, 1, 1),
+                 "all three parameters must be positive", id="digraph_fanout"),
+    pytest.param(lambda: anticomplete_family(path_graph(2), [(0,)], 0, 1),
+                 "the targets must be positive", id="anticomplete_family"),
+    pytest.param(lambda: subdivide(path_graph(2), [-1]), "counts must be nonnegative", id="subdivide"),
+    pytest.param(lambda: ab_tree_graph(0, 1), "tree parameters must be positive", id="ab_tree_graph"),
+    pytest.param(lambda: constellation(0, 1, [1], []), "need at least one center and one path",
+                 id="constellation-no-center"),
+    pytest.param(lambda: constellation(1, 1, [1], []), "need one attachment row per center",
+                 id="constellation-rows"),
+    pytest.param(lambda: constellation(1, 1, [0], [[[0]]]), "paths need at least one vertex",
+                 id="constellation-empty-path"),
+    pytest.param(lambda: constellation(1, 1, [1], [[]]), "center 0 needs one attach set per path",
+                 id="constellation-row-length"),
+    pytest.param(lambda: build_graph(-1, []), "vertex count must be nonnegative", id="build_graph"),
+    pytest.param(lambda: build_digraph(2, [(0, 5)]), r"arc \(0, 5\) out of range for n=2", id="build_digraph"),
+])
+def test_public_entry_rejections(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()

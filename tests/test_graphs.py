@@ -115,6 +115,18 @@ def test_digraph_basics():
         build_digraph(2, [(0, 0)])
 
 
+def test_reprs_and_digraph_equality():
+    g = build_graph(3, [(0, 1), (1, 2)])
+    d = build_digraph(3, [(0, 1), (2, 1)])
+    assert repr(g) == "Graph(n=3, m=2)"
+    assert repr(d) == "Digraph(n=3, arcs=2)"
+    assert d == build_digraph(3, [(2, 1), (0, 1)])
+    assert d != build_digraph(3, [(0, 1), (1, 2)])
+    assert d != build_digraph(4, [(0, 1), (2, 1)])
+    assert d.__eq__(g) is NotImplemented
+    assert d != g
+
+
 def test_relabel_reverses():
     g = build_graph(4, [(0, 1), (1, 2), (2, 3)])
     h = relabel(g, [3, 2, 1, 0])
