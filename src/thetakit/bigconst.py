@@ -4,11 +4,13 @@ Values are expression trees over naturals with +, *, ^ and a guarded
 small-literal subtraction.  Trees normalize to a canonical form (constants
 folded up to a digit cap, natural bases split into prime powers, powers
 distributed over products, same-base powers merged, sums collected into
-linear combinations), so equal structure decides equality, except where a
-sum collects a coefficient that shares a prime with a base of its term:
-2^Y + 2^Y normalizes to 2*2^Y, and only a second pass gives 2^(Y+1).  The
-ladder still orders such pairs.  Ordering starts from the raw trees and
-climbs a ladder:
+linear combinations, a collected coefficient's primes moved into its term's
+bases), so equal structure decides equality, except where one operand
+beyond the cap fixes the value: X*0, 0*X, 1^X, X^0 and 0^X do not evaluate,
+so a literal around one is not folded.  tree_constants(1, 6)'s mu holds
+1^(2*theta_6) and normalizes to (5*mu_5)^3, which only a second pass folds
+to its 254 digits.  The ladder still orders such pairs.  Ordering starts
+from the raw trees and climbs a ladder:
 
 1. before any normal form is built, each side gets a certified magnitude
    bracket (_magnitude): an exact int below 2^64 at level 0, else float
@@ -112,7 +114,7 @@ class TowerInt:
         return TowerInt("sub", (self, nat(literal)))
 
     def digits(self) -> int | None:
-        """Decimal digit count of the value, None beyond the cap."""
+        """Decimal digit count of the value, None where ``evaluate`` gives None."""
         v = evaluate(self)
         if v is None:
             return None
@@ -190,7 +192,11 @@ def _value_capped(e: TowerInt, cap: int) -> int | None:
 
 
 def evaluate(e: TowerInt, cap: int = DIGIT_CAP) -> int | None:
-    """Exact value when it has at most cap decimal digits, else None."""
+    """Exact value when it has at most cap decimal digits, else None.
+
+    Also None, though the value is 0 or 1, for X*0, 0*X, 1^X, X^0 and 0^X
+    with X beyond the cap (see the module docstring).
+    """
     return _value_capped(e, cap)
 
 
@@ -232,11 +238,11 @@ def _rebuild_product(factors: list[TowerInt], coeff: int) -> TowerInt:
 
 
 def _rebuild_sum(terms: list[tuple[TowerInt, int]], const: int) -> TowerInt:
-    # A collected coefficient goes in front of its term's factors without the
-    # prime migration of normalize's product rule: 2^Y + 2^Y gives 2*2^Y,
-    # which normalizes on to 2^(Y+1).
+    # A collected coefficient joins its term by normalize's product rule,
+    # which moves the coefficient's primes into the term's bases: 2^Y + 2^Y
+    # gives 2^(Y+1).
     parts = [
-        term if c == 1 else _rebuild_product(_mul_parts(term)[1], c)
+        term if c == 1 else normalize(c * term)
         for term, c in sorted(terms, key=lambda tc: _sort_key(tc[0]))
     ]
     if const < 0 and not parts:
@@ -302,7 +308,10 @@ def normalize(e: TowerInt) -> TowerInt:
     if e.op in ("add", "sub"):
         folded = TowerInt(e.op, tuple(normalize(a) for a in e.args))
         const, terms = _sum_parts(folded)
-        return _rebuild_sum(terms, const)
+        out = _rebuild_sum(terms, const)
+        # A coefficient moved into its term's bases can make the term equal
+        # another or move it in the order, so a changed sum is collected again.
+        return out if out is folded else normalize(out)
     if e.op == "mul":
         # One pass suffices: every factor of a normal part is a power,
         # beyond the cap, of a prime, of a literal >= _FACTOR_BOUND or of a

@@ -76,7 +76,9 @@ class TraceStep:
 
     ``data`` is a flat tuple of hashable values whose meaning depends on
     ``kind``: thresholds log (required, available, met), choices log the
-    chosen objects, branches log the direction taken.  Every vertex a step
+    chosen objects, branches log the direction taken.  A gate's ``met`` is
+    ``available >= required``; a target's (see ``_target``) is only that the
+    required size materializes within 9 digits.  Every vertex a step
     names is a vertex of the pipeline's input graph.  Positions in a built
     auxiliary graph (Gamma, Gamma_prime, D) are logged after the ``build``
     step that defines them.
@@ -201,7 +203,8 @@ def witness_violation(g: Graph, w: PreconditionWitness) -> str | None:
 
 
 # --------------------------------------------------------------------------
-# threshold policies: an ambient clique bound ``t`` and ``value(name, default)``
+# threshold policies: ``value(name, default)``; a policy that calls the
+# default thunks also has the ambient clique bound ``t`` they read
 
 
 class PaperThresholds:
@@ -229,12 +232,8 @@ class FixedThresholds:
     fanout_high, stable_size, clique_bound, family_size, x_minus, zeta_0,
     zeta_1, zeta_2, gamma_stable, xi_0, xi_1, xi_2.  Unlisted names fall back
     to ``default``.  A value of zero lets the gate pass on any input and
-    shrinks extraction targets to their structural minimum.  The clique
-    bound ``t`` is 3, the paper policy's default; no default formula is ever
-    evaluated here, so it only completes the policy interface.
+    shrinks extraction targets to their structural minimum.
     """
-
-    t = 3
 
     def __init__(self, default: int = 0, **named: int):
         if default < 0 or any(v < 0 for v in named.values()):
@@ -268,7 +267,9 @@ def _gate(steps, policy, op, name, default, available) -> None:
 
 
 def _target(steps, policy, op, name, default, minimum, available) -> int:
-    # A target too large to materialize as a 9-digit int cannot be met.
+    # A target too large to materialize as a 9-digit int cannot be met.  The
+    # logged met bit says only that it materialized: the extraction that
+    # follows, not this step, finds out whether available suffices.
     v = policy.value(name, default)
     amt = evaluate(v, cap=9) if isinstance(v, TowerInt) else v
     steps.append(TraceStep(op, "threshold", name, (v, available, amt is not None)))
@@ -718,11 +719,8 @@ def _grow(g, x, y, fam, a, b, child_count, policy, steps) -> _Subtree:
     # a, b and fam were checked on entry, or where a derived fam was built.
     op = "grow_ab_tree"
 
-    def consts(n):
-        return tree_constants(a, n)
-
     def path_count():
-        _, mu, lam = consts(b)
+        _, mu, lam = tree_constants(a, b)
         return mu * nat(policy.t) ** lam
 
     _gate(steps, policy, op, "path_count", path_count, len(fam.paths))
@@ -734,15 +732,15 @@ def _grow(g, x, y, fam, a, b, child_count, policy, steps) -> _Subtree:
     tips = fam.tips()
 
     def q_default():
-        th, _, _ = consts(b)
+        th, _, _ = tree_constants(a, b)
         return nat(a) ** th * nat(t_like) ** th.minus(1)
 
     def r_default():
-        _, mu, lam = consts(b - 1)
+        _, mu, lam = tree_constants(a, b - 1)
         return mu * nat(t_like) ** lam
 
     def tip_target():
-        th, _, _ = consts(b)
+        th, _, _ = tree_constants(a, b)
         return (3 * nat(a) ** (2 * th) + 2) * (nat(t_like) ** (2 * th.minus(1)) * r_default())
 
     alpha_t = _target(steps, policy, op, "tip_stable", tip_target, 1, len(tips))

@@ -95,17 +95,20 @@ def wall(t: int) -> Graph:
 
     For t >= 2, start from a grid with t rows and 2t columns, keep all
     horizontal edges, keep the vertical edge below (i, j) exactly when i + j
-    is even, and repeatedly delete vertices of degree at most 1.  Survivors
-    are renumbered ascending by (row, column).  The drawing is calibrated by
-    two hard constraints rather than by picture: wall(t) must have treewidth
-    exactly t, and line graphs of its subdivisions must too.  A drawing on
-    r + 1 grid rows contains an (r+1)x(r+1) grid minor (contract each
-    brick's top into one vertex), so r grid rows is the largest drawing of
-    treewidth r.  At t = 2 the line-graph constraint bites harder: any wall
-    with a degree-3 vertex has two of them joined by three paths (odd
-    degrees pair up), and subdividing those paths puts a prism, hence a K4
-    minor, into the line graph, so wall(2) is forced down to the plain
-    6-cycle, which the 2-row drawing trims to on its own.  wall(1), where
+    is even, and cut the two corners this leaves with degree 1: the top
+    right (0, 2t-1), and the bottom corner without a vertical edge, (t-1, 0)
+    for odd t and (t-1, 2t-1) for even t.  Every other vertex has degree 2
+    or 3, and the corners' neighbours keep 2.  The rest are renumbered
+    ascending by (row, column).  The drawing is calibrated by two hard
+    constraints rather than by picture: wall(t) must have treewidth exactly
+    t, and line graphs of its subdivisions must too.  A drawing on r + 1
+    grid rows contains an (r+1)x(r+1) grid minor (contract each brick's top
+    into one vertex), so r grid rows is the largest drawing of treewidth r.
+    At t = 2 the line-graph constraint bites harder: any wall with a
+    degree-3 vertex has two of them joined by three paths (odd degrees pair
+    up), and subdividing those paths puts a prism, hence a K4 minor, into
+    the line graph, so wall(2) is forced down to the plain 6-cycle, which is
+    what the 2-row drawing leaves once its corners are cut.  wall(1), where
     the grid construction degenerates, is declared to be the 6-cycle as
     well.
     """
@@ -114,29 +117,16 @@ def wall(t: int) -> Graph:
     if t == 1:
         return cycle_graph(6)
     rows, cols = t, 2 * t
-    cells = {(i, j) for i in range(rows) for j in range(cols)}
-
-    def cell_edges(live):
-        out = []
-        for i, j in live:
-            if (i, j + 1) in live:
-                out.append(((i, j), (i, j + 1)))
-            if (i + j) % 2 == 0 and (i + 1, j) in live:
-                out.append(((i, j), (i + 1, j)))
-        return out
-
-    while True:
-        deg = {c: 0 for c in cells}
-        for a, b in cell_edges(cells):
-            deg[a] += 1
-            deg[b] += 1
-        drop = {c for c, d in deg.items() if d <= 1}
-        if not drop:
-            break
-        cells -= drop
-    order = sorted(cells)
-    index = {c: k for k, c in enumerate(order)}
-    return build_graph(len(order), [(index[a], index[b]) for a, b in cell_edges(cells)])
+    corners = {(0, cols - 1), (rows - 1, 0 if t % 2 else cols - 1)}
+    cells = {(i, j) for i in range(rows) for j in range(cols)} - corners
+    index = {c: k for k, c in enumerate(sorted(cells))}
+    edges = []
+    for (i, j), k in index.items():
+        if (i, j + 1) in index:
+            edges.append((k, index[i, j + 1]))
+        if (i + j) % 2 == 0 and (i + 1, j) in index:
+            edges.append((k, index[i + 1, j]))
+    return build_graph(len(index), edges)
 
 
 def complement(g: Graph) -> Graph:

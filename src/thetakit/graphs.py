@@ -622,32 +622,32 @@ def ab_tree_violation(g: Graph, cert: ABTreeCert) -> str | None:
     par = dict(cert.parent)
     if len(par) != len(cert.parent) or set(par) != set(vs) - {cert.root}:
         return "parent map must cover exactly the non-root vertices"
-    depth = {cert.root: 0}
-    for c in par:
-        chain = []
-        v = c
-        while v not in depth:
-            if v in chain or par.get(v) is None:
-                return "parent map does not lead to the root"
-            chain.append(v)
-            v = par[v]
-        d = depth[v]
-        for u in reversed(chain):
-            d += 1
-            depth[u] = d
+    # kids[v] masks the children of v, for v among the vertices: a parent
+    # outside them, even outside the graph, links nothing.  Flooded down
+    # these links from the root, layer i holds the vertices whose parent
+    # chain reaches the root in i steps; each vertex has one parent, so the
+    # layers are disjoint.
+    kids = [0] * g.n
+    for c, p in cert.parent:
+        if p == cert.root or p in par:
+            kids[p] |= 1 << c
+    layers = [1 << cert.root]
+    while frontier := _union(kids, layers[-1]):
+        layers.append(frontier)
+    if sum(layers) != mask:
+        return "parent map does not lead to the root"
     for c, p in cert.parent:
         if not g.has_edge(c, p):
             return f"parent link {c}-{p} is not an edge"
     edge_count = sum((g.adj[v] & mask).bit_count() for v in iter_bits(mask)) // 2
     if edge_count != len(vs) - 1:
         return "induced subgraph has edges beyond the parent links"
-    children = {v: 0 for v in vs}
-    for c in par:
-        children[par[c]] += 1
+    # The root lies in layer 0, so a childless root never sits at depth b - 1.
+    deepest = layers[b - 1] if b <= len(layers) else 0
     for v in vs:
-        down = children[v]
+        down = kids[v].bit_count()
         if down == 0:
-            if v == cert.root or depth[v] != b - 1:
+            if not deepest >> v & 1:
                 return f"vertex {v} is a leaf away from depth {b - 1}"
         else:
             want = a if v == cert.root else a - 1

@@ -10,7 +10,9 @@ the ladder of normal forms alone, as a check on the magnitude brackets
 that ``tower_compare`` tries first.  Two more are earlier versions of a
 package loop over the package's own primitives, as a check on the pruning
 added since: the separability pair scan over the max-flow, and the leg
-search over the induced-path enumerator.
+search over the induced-path enumerator.  The (a,b)-tree certificate
+check as first written, walking parent chains, checks the flood that
+replaced it.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from thetakit.bigconst import (
     sigma,
     tower_compare,
 )
-from thetakit.graphs import Graph, build_graph, iter_induced_paths, max_disjoint_paths, neighborhood_mask
+from thetakit.graphs import ABTreeCert, Graph, build_graph, iter_induced_paths, max_disjoint_paths, neighborhood_mask
 from thetakit.separability import SeparabilityReport, max_internally_disjoint_paths
 
 
@@ -187,6 +189,61 @@ def induces_tree(g: Graph, mask: int) -> bool:
         and edges == mask.bit_count() - 1
         and len(_components_within(g, mask)) == 1
     )
+
+
+def ab_tree_violation_by_chains(g: Graph, cert: ABTreeCert) -> str | None:
+    """The (a,b)-tree certificate check as first written: each vertex's depth
+    comes from walking its parent chain up to a vertex of known depth."""
+    a, b = cert.a, cert.b
+    if a < 1 or b < 1:
+        return "tree parameters must be positive"
+    vs = cert.vertices
+    if len(set(vs)) != len(vs):
+        return "repeated vertices"
+    if not g.has_vertices(vs):
+        return "vertices outside the graph"
+    if cert.root not in vs:
+        return "root is not among the vertices"
+    mask = sum(1 << v for v in vs)
+    if b == 1:
+        if len(vs) != 1 or cert.parent:
+            return "depth-1 tree must be the bare root"
+        return None
+    par = dict(cert.parent)
+    if len(par) != len(cert.parent) or set(par) != set(vs) - {cert.root}:
+        return "parent map must cover exactly the non-root vertices"
+    depth = {cert.root: 0}
+    for c in par:
+        chain = []
+        v = c
+        while v not in depth:
+            if v in chain or par.get(v) is None:
+                return "parent map does not lead to the root"
+            chain.append(v)
+            v = par[v]
+        d = depth[v]
+        for u in reversed(chain):
+            d += 1
+            depth[u] = d
+    for c, p in cert.parent:
+        if not g.has_edge(c, p):
+            return f"parent link {c}-{p} is not an edge"
+    edge_count = sum((g.adj[v] & mask).bit_count() for v in _bits(mask)) // 2
+    if edge_count != len(vs) - 1:
+        return "induced subgraph has edges beyond the parent links"
+    children = {v: 0 for v in vs}
+    for c in par:
+        children[par[c]] += 1
+    for v in vs:
+        down = children[v]
+        if down == 0:
+            if v == cert.root or depth[v] != b - 1:
+                return f"vertex {v} is a leaf away from depth {b - 1}"
+        else:
+            want = a if v == cert.root else a - 1
+            if down != want:
+                return f"vertex {v} has {down} children, wants {want}"
+    return None
 
 
 def has_tree_with_three(g: Graph, z) -> bool:

@@ -514,8 +514,6 @@ class TestGrowExamples:
         # A tip target of 10^10 cannot be materialised in nine digits, so it
         # is reported unmet as given, not searched for.
         class HugeTips:
-            t = 3
-
             def value(self, name, default):
                 return nat(10 ** 10) if name == "tip_stable" else 0
 

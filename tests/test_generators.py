@@ -1,5 +1,7 @@
+import importlib.util
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -38,6 +40,8 @@ from thetakit.graphs import (
     mask_of,
     relabel,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_small_families():
@@ -104,7 +108,7 @@ def test_wall_frozen_sizes():
     w1 = wall(1)
     assert (w1.n, w1.m) == (6, 6)
     assert is_induced_cycle(w1, (0, 1, 2, 3, 4, 5))
-    # The two-row drawing trims down to a single brick, again a 6-cycle.
+    # The two-row drawing, its corners cut, is a single brick: a 6-cycle.
     w2 = wall(2)
     assert (w2.n, w2.m) == (6, 6)
     assert all(w2.degree(v) == 2 for v in range(6))
@@ -120,6 +124,18 @@ def test_wall_frozen_sizes():
     assert sum(1 for v in range(w4.n) if w4.degree(v) == 3) == 16
     with pytest.raises(ValueError):
         wall(0)
+
+
+def test_wall_matches_the_pruned_drawing():
+    # perfbench/corpus.py builds its walls without the library, by deleting
+    # cells of degree at most 1 until none is left.  That pruning is the
+    # reference for the two corners wall cuts, and the benchmark's wall
+    # hosts must be the library's walls.
+    spec = importlib.util.spec_from_file_location("perfbench_corpus", ROOT / "perfbench" / "corpus.py")
+    corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus)
+    for t in range(1, 13):
+        assert build_graph(*corpus.wall(t)) == wall(t), t
 
 
 def test_complement_and_union():

@@ -1,4 +1,5 @@
 import random
+import re
 
 import networkx as nx
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 import oracles
 from thetakit.generators import (
+    ab_tree_graph,
     complete_graph,
     line_graph,
     path_graph,
@@ -383,6 +385,76 @@ def test_ab_tree_validation():
     # The parent map itself is checked: links must be edges, cover non-roots.
     assert ab_tree_violation(star, cert(3, 2, 0, (0, 1, 2, 3), ((1, 0), (2, 0)))) is not None
     assert ab_tree_violation(star, cert(3, 2, 0, (0, 1, 2, 3), ((1, 2), (2, 0), (3, 0)))) is not None
+
+
+def mutated_ab_tree(rng: random.Random) -> tuple[Graph, ABTreeCert]:
+    # A full (a,b)-tree relabelled into a host with spare vertices, then
+    # broken by one or two random edits of the certificate or the host.
+    a = rng.randint(1, 4)
+    b = rng.randint(1, 2 if a == 1 else 4 if a <= 2 else 3)
+    tree, root = ab_tree_graph(a, b)
+    n = tree.n + rng.randint(0, 3)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    edges = {tuple(sorted((perm[u], perm[v]))) for u, v in tree.edges()}
+    parent = {perm[c]: perm[p] for c, p in ((max(e), min(e)) for e in tree.edges())}
+    vs = [perm[v] for v in range(tree.n)]
+    root = perm[root]
+    for _ in range(rng.randint(1, 2)):
+        kind = rng.randrange(10)  # 9 edits nothing, so some stay valid
+        kids = sorted(parent)
+        if kind == 0 and kids:
+            # rewired parent, possibly a spare vertex, a bad label or itself
+            parent[rng.choice(kids)] = rng.choice(range(-1, n + 1))
+        elif kind == 1 and len(kids) >= 2:
+            # swapped parents, or two children made each other's parent
+            c, d = rng.sample(kids, 2)
+            if rng.random() < 0.5:
+                parent[c], parent[d] = parent[d], parent[c]
+            else:
+                parent[c], parent[d] = d, c
+        elif kind == 2:
+            vs.append(rng.choice(vs + [n]))
+        elif kind == 3 and kids:
+            del parent[rng.choice(kids)]
+        elif kind == 4:
+            root = rng.choice(vs + [n])
+        elif kind == 5:
+            u, v = rng.sample(range(n), 2) if n >= 2 else (0, 0)
+            if u != v:
+                edges.add((min(u, v), max(u, v)))
+        elif kind == 6 and edges:
+            edges.discard(rng.choice(sorted(edges)))
+        elif kind == 7:
+            a += rng.choice((-1, 1))
+        elif kind == 8:
+            b += rng.choice((-1, 1))
+    links = tuple(sorted(parent.items()))
+    return build_graph(n, sorted(edges)), ABTreeCert(a, b, root, tuple(vs), links)
+
+
+def test_ab_tree_flood_matches_the_chain_walk():
+    rng = random.Random(37)
+    reached = set()
+    for _ in range(8000):
+        g, c = mutated_ab_tree(rng)
+        message = ab_tree_violation(g, c)
+        assert message == oracles.ab_tree_violation_by_chains(g, c), c
+        reached.add(message if message is None else re.sub(r"\d+", "#", message))
+    assert reached == {
+        None,
+        "tree parameters must be positive",
+        "repeated vertices",
+        "vertices outside the graph",
+        "root is not among the vertices",
+        "depth-# tree must be the bare root",
+        "parent map must cover exactly the non-root vertices",
+        "parent map does not lead to the root",
+        "parent link #-# is not an edge",
+        "induced subgraph has edges beyond the parent links",
+        "vertex # is a leaf away from depth #",
+        "vertex # has # children, wants #",
+    }
 
 
 @given(graphs())
